@@ -2,20 +2,20 @@
 
 Usage: python scripts/compile_demo.py [--out DIR] [--idiom IDIOM]
 
-Builds a small quarterly-revenue table, compiles it once per palette,
-and writes a .mid plus .txt pair for each. The data never changes
+Writes a small quarterly-revenue table, then runs `melodify compile
+--emit both` on it once per palette, which writes a .mid plus .txt pair
+for each and prints the compile summary lines. The data never changes
 between runs; only the palette does, so the differences you hear are
 exactly the palette mappings (scale, tempo, meter, cadence).
 """
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from melodify.ingest import Idiom, Palette, parse_table, spec_from_mapping, TableFormat
-from melodify.melodifier import melodify
-from melodify.score import expand_loops
-from melodify.smf import SmfConfig, write_smf, write_text_score
+import melodify.cli
+from melodify.ingest import Idiom, Palette
 
 REVENUE_CSV = b"""quarter,revenue
 Q1,104
@@ -25,7 +25,7 @@ Q4,128
 """
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="demo", help="output directory")
     parser.add_argument(
@@ -38,21 +38,22 @@ def main() -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "revenue.csv").write_bytes(REVENUE_CSV)
+    data = out_dir / "revenue.csv"
+    data.write_bytes(REVENUE_CSV)
 
-    dataset = parse_table(REVENUE_CSV, TableFormat.CSV)
-    needs_x = args.idiom in ("bar", "pie")
+    binding = ["--y", "revenue"]
+    if args.idiom in ("bar", "pie"):
+        binding += ["--x", "quarter"]
     for palette in Palette:
-        mapping = {"idiom": args.idiom, "palette": palette.value, "y": "revenue"}
-        if needs_x:
-            mapping["x"] = "quarter"
-        score = melodify(dataset, spec_from_mapping(mapping))
-        stem = out_dir / f"revenue-{args.idiom}-{palette.value}"
-        stem.with_suffix(".mid").write_bytes(write_smf(expand_loops(score), SmfConfig()))
-        stem.with_suffix(".txt").write_text(write_text_score(score), encoding="utf-8")
-        print(f"wrote {stem}.mid  (tempo {score.tempo_bpm}, "
-              f"{score.time_signature[0]}/{score.time_signature[1]})")
+        out = out_dir / f"revenue-{args.idiom}-{palette.value}.mid"
+        code = melodify.cli.main(
+            ["compile", "--data", str(data), "--idiom", args.idiom,
+             "--palette", palette.value, *binding, "--emit", "both", "--out", str(out)]
+        )
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,7 +2,10 @@
 
 The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
 `parse_table` and `parse_spec` read the inputs, `melodify` turns them
-into a `Score`, and `write_smf` / `write_text_score` serialize it.
+into a `Score`, `expand_loops` makes its loop concrete, and `write_smf`
+/ `write_text_score` serialize it. `write_smf` refuses a score with
+`structural_errors`; `lint` lists advisory musical warnings and is
+never run on the way to the bytes. The names below are the public API.
 """
 from .errors import MelodifyError
 from .ingest import (
@@ -37,10 +40,11 @@ from .score import (
     PedalState,
     Score,
     expand_loops,
+    lint,
+    structural_errors,
     total_duration_ticks,
-    validate,
 )
-from .smf import SmfConfig, parse_smf_minimal, write_smf, write_text_score
+from .smf import parse_smf_minimal, write_smf, write_text_score
 from .stats import (
     compute_density,
     compute_variance,
@@ -60,62 +64,6 @@ from .theory import (
     make_cadence,
     quantize_pitch,
 )
-from .tracks import TRACKS, render_track, track_by_slug
+from .tracks import TRACKS, track_by_slug
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MelodifyError",
-    "Column",
-    "ColumnKind",
-    "Dataset",
-    "Idiom",
-    "MelodySpec",
-    "Palette",
-    "TableFormat",
-    "parse_spec",
-    "parse_table",
-    "spec_from_mapping",
-    "validate_binding",
-    "DataCharacter",
-    "TonalPlan",
-    "apply_palette",
-    "derive_character",
-    "melodify",
-    "melodify_bar",
-    "melodify_line",
-    "melodify_pie",
-    "melodify_scatter",
-    "Articulation",
-    "Loop",
-    "NoteEvent",
-    "PedalEvent",
-    "PedalState",
-    "Score",
-    "expand_loops",
-    "total_duration_ticks",
-    "validate",
-    "SmfConfig",
-    "parse_smf_minimal",
-    "write_smf",
-    "write_text_score",
-    "compute_density",
-    "compute_variance",
-    "proportions",
-    "segment_trends",
-    "ArpeggioDirection",
-    "CadenceKind",
-    "Chord",
-    "ChordQuality",
-    "Scale",
-    "ScaleMode",
-    "arpeggiate",
-    "build_scale",
-    "degree_triad",
-    "make_cadence",
-    "quantize_pitch",
-    "TRACKS",
-    "render_track",
-    "track_by_slug",
-    "__version__",
-]

@@ -21,16 +21,16 @@ from .ingest import (
     parse_table,
     spec_from_mapping,
 )
-from .melodifier import melodify
+from .melodifier import _ordered_series, melodify
 from .score import NoteEvent, Score, expand_loops, total_duration_ticks
-from .smf import SmfConfig, write_smf, write_text_score
+from .smf import write_smf, write_text_score
 from .stats import (
     compute_density,
     compute_variance,
     proportions,
     segment_trends,
 )
-from .tracks import TRACKS, render_track
+from .tracks import TRACKS
 
 USER_ERROR_CODES = ("E_PARSE", "E_BINDING", "E_PROPORTION", "E_IO")
 
@@ -73,22 +73,17 @@ def _spec_from_args(args: argparse.Namespace) -> MelodySpec:
     return spec_from_mapping(mapping)
 
 
-def _note_count(score: Score) -> int:
-    return sum(1 for event in score.events if isinstance(event, NoteEvent))
-
-
-def _write_outputs(score: Score, emit: str, out: Path) -> list[Path]:
-    written = []
-    if emit in ("midi", "both"):
-        expanded = expand_loops(score)
-        midi_path = out if out.suffix == ".mid" else out.with_suffix(".mid")
-        midi_path.write_bytes(write_smf(expanded, SmfConfig()))
-        written.append(midi_path)
-    if emit in ("text", "both"):
-        text_path = out if emit == "text" and out.suffix == ".txt" else out.with_suffix(".txt")
+def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -> str:
+    """Write the score to whichever of the two paths are given and return
+    its ``notes=... ticks=...`` summary. Loops are expanded once, for both
+    the MIDI bytes and the summary; the text score keeps its loop marker."""
+    expanded = expand_loops(score)
+    if midi_path is not None:
+        midi_path.write_bytes(write_smf(expanded))
+    if text_path is not None:
         text_path.write_text(write_text_score(score), encoding="utf-8")
-        written.append(text_path)
-    return written
+    notes = sum(1 for event in expanded.events if isinstance(event, NoteEvent))
+    return f"notes={notes} ticks={total_duration_ticks(expanded)}"
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -96,16 +91,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     score = melodify(dataset, spec)
 
-    out = Path(args.out) if args.out else Path(args.data).with_suffix(".mid")
-    written = _write_outputs(score, args.emit, out)
+    out = Path(args.out) if args.out else Path(args.data)
+    midi_path = out.with_suffix(".mid") if args.emit in ("midi", "both") else None
+    text_path = out.with_suffix(".txt") if args.emit in ("text", "both") else None
+    summary = _write_score(score, midi_path, text_path)
 
-    expanded = expand_loops(score)
-    print(
-        f"{spec.idiom.value} {spec.palette.value} "
-        f"notes={_note_count(expanded)} ticks={total_duration_ticks(expanded)}"
-    )
-    for path in written:
-        print(f"wrote {path}")
+    print(f"{spec.idiom.value} {spec.palette.value} {summary}")
+    for path in (midi_path, text_path):
+        if path is not None:
+            print(f"wrote {path}")
     return 0
 
 
@@ -115,11 +109,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if y_col.kind is not ColumnKind.QUANTITATIVE:
         raise KindMismatch(f"y column {args.y!r} must be quantitative")
 
-    series = list(y_col.values)
-    x_col = dataset.column(args.x) if args.x else None
-    if x_col is not None and x_col.kind is ColumnKind.QUANTITATIVE:
-        order = sorted(range(len(series)), key=lambda i: x_col.values[i])
-        series = [series[i] for i in order]
+    x_field = args.x or None
+    series = _ordered_series(dataset, args.y, x_field)
+    x_col = dataset.column(x_field) if x_field else None
 
     n = len(series)
     report: dict = {"rows": n}
@@ -164,16 +156,11 @@ def _cmd_tracklist(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for track in TRACKS:
-        score = render_track(track)
-        expanded = expand_loops(score)
-        (out_dir / f"{track.slug}.mid").write_bytes(write_smf(expanded, SmfConfig()))
-        (out_dir / f"{track.slug}.txt").write_text(
-            write_text_score(score), encoding="utf-8"
+        score = melodify(track.dataset, track.spec)
+        summary = _write_score(
+            score, out_dir / f"{track.slug}.mid", out_dir / f"{track.slug}.txt"
         )
-        print(
-            f"{track.slug} notes={_note_count(expanded)} "
-            f"ticks={total_duration_ticks(expanded)}"
-        )
+        print(f"{track.slug} {summary}")
     return 0
 
 
@@ -199,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compile_p.add_argument("--y", help="quantitative column to play")
     compile_p.add_argument("--x", help="category or ordering column")
-    compile_p.add_argument("--key", help="key root note name, e.g. C or F#")
+    compile_p.add_argument("--key", help="key root note name, e.g. C, F# or Bb")
     compile_p.add_argument("--tempo", type=int, help="beats per minute override")
     compile_p.add_argument("--time", help="time signature override, e.g. 3/4")
     compile_p.add_argument("--loop", type=int, help="pie cycle repeat count")

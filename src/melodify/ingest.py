@@ -1,10 +1,11 @@
 """Tabular data and melody-spec ingestion.
 
-Tables arrive as CSV (RFC 4180 subset: comma delimiter, double-quote
-escaping, mandatory header row, LF or CRLF line ends) or as a JSON array
-of flat record objects. Specs are single JSON objects. Parsing is
-strict: anything inconsistent is rejected instead of silently coerced,
-and parsing the same bytes twice always yields the same result.
+Tables arrive as UTF-8 CSV (RFC 4180 subset: comma delimiter,
+double-quote escaping, mandatory header row, LF or CRLF line ends) or as
+a JSON array of flat record objects; a leading byte-order mark is
+ignored. Specs are single JSON objects. Parsing is strict: anything
+inconsistent is rejected instead of silently coerced, and parsing the
+same bytes twice always yields the same result.
 """
 from __future__ import annotations
 
@@ -54,13 +55,18 @@ class Palette(str, Enum):
     CALM = "calm"
 
 
-# Note-name spelling accepted in specs: letter plus optional sharp.
+# Note-name spelling accepted in specs: letter plus optional sharp, or
+# the flat spelling of a black key.
 PITCH_CLASS_BY_NAME = {
-    "C": 0, "C#": 1, "D": 2, "D#": 3, "E": 4, "F": 5,
-    "F#": 6, "G": 7, "G#": 8, "A": 9, "A#": 10, "B": 11,
+    "C": 0, "C#": 1, "Db": 1, "D": 2, "D#": 3, "Eb": 3, "E": 4, "F": 5,
+    "F#": 6, "Gb": 6, "G": 7, "G#": 8, "Ab": 8, "A": 9, "A#": 10, "Bb": 10,
+    "B": 11,
 }
 
 VALID_DENOMINATORS = (1, 2, 4, 8, 16, 32)
+
+# The SMF time-signature meta event stores the numerator in one byte.
+NUMERATOR_MAX = 255
 
 TEMPO_MIN = 20
 TEMPO_MAX = 300
@@ -198,7 +204,7 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
     must be a non-empty string.
     """
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # drops the byte-order mark Excel writes
     except UnicodeDecodeError as exc:
         raise MalformedInput("input is not valid UTF-8") from exc
     if fmt is TableFormat.CSV:
@@ -209,7 +215,8 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
 
 
 def _parse_key_name(name: str) -> int:
-    cleaned = name.strip().upper()
+    cleaned = name.strip()
+    cleaned = cleaned[:1].upper() + cleaned[1:].lower()
     if cleaned not in PITCH_CLASS_BY_NAME:
         raise InvalidValue(f"unknown key name {name!r}")
     return PITCH_CLASS_BY_NAME[cleaned]
@@ -223,8 +230,10 @@ def _parse_time_signature(text: str) -> tuple[int, int]:
         numerator, denominator = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise InvalidValue(f"time signature must be two integers, got {text!r}") from exc
-    if numerator < 1:
-        raise InvalidValue("time signature numerator must be positive")
+    if not 1 <= numerator <= NUMERATOR_MAX:
+        raise InvalidValue(
+            f"time signature numerator must be within [1, {NUMERATOR_MAX}]"
+        )
     if denominator not in VALID_DENOMINATORS:
         raise InvalidValue(
             f"time signature denominator must be one of {VALID_DENOMINATORS}"
@@ -287,7 +296,7 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
     if "key" in mapping:
         key_raw = mapping["key"]
         if not isinstance(key_raw, str):
-            raise InvalidValue("key must be a note name such as C or F#")
+            raise InvalidValue("key must be a note name such as C, F# or Bb")
         key_root = _parse_key_name(key_raw)
 
     tempo_bpm = None
@@ -345,13 +354,13 @@ def parse_spec(raw: bytes) -> MelodySpec:
     return spec_from_mapping(payload)
 
 
-def validate_binding(dataset: Dataset, spec: MelodySpec) -> tuple[Dataset, MelodySpec]:
+def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
     """Check that the spec's field bindings suit the chosen idiom.
 
     Bar and pie need a categorical x column paired with a quantitative y;
     line and scatter need a quantitative y and, when x is bound at all, a
     quantitative x to order the rows by. Pie values must be non-negative
-    and not all zero. Returns the pair unchanged when every check passes.
+    and not all zero. Raises on the first check that fails.
     """
     if dataset.row_count == 0:
         raise EmptyDataset("dataset has no rows")
@@ -385,5 +394,3 @@ def validate_binding(dataset: Dataset, spec: MelodySpec) -> tuple[Dataset, Melod
                 )
         if sum(y_col.values) <= 0:
             raise AllZero(f"pie values in column {spec.y_field!r} sum to zero")
-
-    return dataset, spec

@@ -46,7 +46,6 @@ from .theory import (
     ChordQuality,
     Scale,
     ScaleMode,
-    Valence,
     arpeggiate,
     build_scale,
     degree_triad,
@@ -64,10 +63,6 @@ PIE_CYCLE_BARS = 4
 VELOCITY_NORMAL = 80
 VELOCITY_ACCENT = 112
 VELOCITY_CADENCE = 96
-
-# Replace diminished chart chords with the dominant so bar charts never
-# land on a bare tritone.
-SUBSTITUTE_DIMINISHED = True
 
 # palette -> (scale mode, tempo, time signature, cadence)
 PALETTE_PRESETS = {
@@ -125,12 +120,13 @@ def _anchor(spec: MelodySpec) -> int:
     return BASS_ANCHOR + spec.key_root
 
 
-def _ordered_series(dataset: Dataset, spec: MelodySpec) -> list[float]:
-    """The y series in playing order: sorted by x for line and scatter
-    when an x column is bound, dataset row order otherwise."""
-    y = list(dataset.column(spec.y_field).values)
-    if spec.idiom in (Idiom.LINE, Idiom.SCATTER) and spec.x_field is not None:
-        x_col = dataset.column(spec.x_field)
+def _ordered_series(dataset: Dataset, y_field: str, x_field: str | None) -> list[float]:
+    """The y series in playing order: sorted by x when x is a bound
+    quantitative column, dataset row order otherwise. Bar and pie bind a
+    categorical x, so only line and scatter are ever reordered."""
+    y = list(dataset.column(y_field).values)
+    if x_field is not None:
+        x_col = dataset.column(x_field)
         if x_col.kind is ColumnKind.QUANTITATIVE:
             order = sorted(range(len(y)), key=lambda i: x_col.values[i])
             y = [y[i] for i in order]
@@ -138,7 +134,7 @@ def _ordered_series(dataset: Dataset, spec: MelodySpec) -> list[float]:
 
 
 def derive_character(dataset: Dataset, spec: MelodySpec) -> DataCharacter:
-    series = _ordered_series(dataset, spec)
+    series = _ordered_series(dataset, spec.y_field, spec.x_field)
     n = len(series)
     segments = None
     if spec.idiom is Idiom.LINE:
@@ -177,17 +173,17 @@ def _quantized_chord(
     scale: Scale,
     span_semitones: int,
     anchor: int,
-    substitute: bool = SUBSTITUTE_DIMINISHED,
 ) -> Chord:
     """Chord for one category: quantize the value to a scale member and
-    stack the diatonic triad on it. In a chromatic plan every root
-    carries a plain major triad, a local key of its own."""
+    stack the diatonic triad on it. A diminished triad gives way to the
+    dominant so bar charts never land on a bare tritone. In a chromatic
+    plan every root carries a plain major triad, a local key of its own."""
     root = quantize_pitch(value, domain, scale, span_semitones, anchor)
     if scale.mode is ScaleMode.CHROMATIC:
         return triad_on_pitch(root, ChordQuality.MAJOR)
     degree = scale.member_classes.index(root % 12) + 1
     chord = degree_triad(scale, degree, root)
-    if substitute and chord.quality is ChordQuality.DIMINISHED:
+    if chord.quality is ChordQuality.DIMINISHED:
         chord = _dominant_substitute(scale, root)
     return chord
 
@@ -209,16 +205,11 @@ def _cadence_chords(plan: TonalPlan, anchor: int) -> list[Chord]:
     """Closing chords for the plan. A minor-mode piece cadences through
     its relative major, which keeps every cadence tone inside the plan
     scale while still closing V to vi."""
-    if plan.cadence is CadenceKind.NONE:
-        return []
     if plan.scale.mode is ScaleMode.MAJOR:
         cadence_scale = plan.scale
     else:
         cadence_scale = build_scale((plan.scale.root + 3) % 12, ScaleMode.MAJOR)
-    valence = (
-        Valence.POSITIVE if plan.cadence is CadenceKind.PERFECT else Valence.NEGATIVE
-    )
-    return make_cadence(valence, cadence_scale, anchor)
+    return make_cadence(plan.cadence, cadence_scale, anchor)
 
 
 def _chord_events(
@@ -264,11 +255,9 @@ def melodify_bar(
     dataset: Dataset,
     spec: MelodySpec,
     plan: TonalPlan,
-    character: DataCharacter | None = None,
+    character: DataCharacter,
 ) -> Score:
     """One chord per category, each a full bar, roots tracking the values."""
-    if character is None:
-        character = derive_character(dataset, spec)
     values = dataset.column(spec.y_field).values
     anchor = _anchor(spec)
     domain = (min(values), max(values))
@@ -293,12 +282,10 @@ def melodify_pie(
     dataset: Dataset,
     spec: MelodySpec,
     plan: TonalPlan,
-    character: DataCharacter | None = None,
+    character: DataCharacter,
 ) -> Score:
     """A chord cycle over four bars, each chord holding its share of the
     cycle (snapped to the sixteenth grid), repeated per the loop count."""
-    if character is None:
-        character = derive_character(dataset, spec)
     values = dataset.column(spec.y_field).values
     anchor = _anchor(spec)
     domain = (min(values), max(values))
@@ -345,7 +332,7 @@ def melodify_line(
     dataset: Dataset,
     spec: MelodySpec,
     plan: TonalPlan,
-    character: DataCharacter | None = None,
+    character: DataCharacter,
 ) -> Score:
     """Legato arpeggios, one per trend segment.
 
@@ -356,9 +343,7 @@ def melodify_line(
     tones more than two semitones apart. The first note of each new
     segment after the first is accented.
     """
-    if character is None:
-        character = derive_character(dataset, spec)
-    series = _ordered_series(dataset, spec)
+    series = _ordered_series(dataset, spec.y_field, spec.x_field)
     if len(series) < 2:
         raise TooShort("line melodification needs at least 2 points")
     anchor = _anchor(spec)
@@ -438,14 +423,12 @@ def melodify_scatter(
     dataset: Dataset,
     spec: MelodySpec,
     plan: TonalPlan,
-    character: DataCharacter | None = None,
+    character: DataCharacter,
 ) -> Score:
     """A staccato note per point on an even grid, sixteenths when dense,
     quarters when sparse; sparse scatters get one sustain-pedal stroke
     across the phrase."""
-    if character is None:
-        character = derive_character(dataset, spec)
-    series = _ordered_series(dataset, spec)
+    series = _ordered_series(dataset, spec.y_field, spec.x_field)
     anchor = _anchor(spec)
     domain = (min(series), max(series))
     span = character.variance.semitone_span
@@ -481,7 +464,7 @@ _DISPATCH = {
 def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
     """Full pipeline: validate the binding, summarize the data, resolve
     the palette, and hand off to the idiom's mapper."""
-    dataset, spec = validate_binding(dataset, spec)
+    validate_binding(dataset, spec)
     plan = apply_palette(spec)
     character = derive_character(dataset, spec)
     return _DISPATCH[spec.idiom](dataset, spec, plan, character)

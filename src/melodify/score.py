@@ -65,17 +65,6 @@ class Score:
     loop: Loop | None = None
 
 
-class Severity(str, Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(frozen=True)
-class Violation:
-    severity: Severity
-    message: str
-
-
 def event_tick(event: Event) -> int:
     return event.onset_tick if isinstance(event, NoteEvent) else event.tick
 
@@ -115,15 +104,11 @@ def total_duration_ticks(score: Score) -> int:
     return end
 
 
-def validate(score: Score) -> list[Violation]:
-    """Structural checks as errors plus advisory musical checks as warnings."""
-    problems: list[Violation] = []
-
-    def error(message: str) -> None:
-        problems.append(Violation(Severity.ERROR, message))
-
-    def warning(message: str) -> None:
-        problems.append(Violation(Severity.WARNING, message))
+def structural_errors(score: Score) -> list[str]:
+    """Problems that make a score unwritable; ``write_smf`` refuses any
+    score with one."""
+    problems: list[str] = []
+    error = problems.append
 
     if score.ticks_per_quarter < 1:
         error(f"ticks_per_quarter must be positive, got {score.ticks_per_quarter}")
@@ -176,14 +161,24 @@ def validate(score: Score) -> list[Violation]:
                 f"outside score of {base_end} ticks"
             )
 
-    root, mode = score.key_signature
+    root, _ = score.key_signature
     if not 0 <= root <= 11:
         error(f"key signature root {root} outside 0..11")
-    elif mode is not ScaleMode.CHROMATIC:
+    return problems
+
+
+def lint(score: Score) -> list[str]:
+    """Advisory musical warnings: pitches outside the key's scale and
+    tritones sounding together. Nothing here stops a score being written."""
+    warnings: list[str] = []
+    warn = warnings.append
+
+    root, mode = score.key_signature
+    if 0 <= root <= 11 and mode is not ScaleMode.CHROMATIC:
         scale = build_scale(root, mode)
         for ev in score.events:
             if isinstance(ev, NoteEvent) and not scale.contains(ev.pitch):
-                warning(
+                warn(
                     f"pitch {ev.pitch} at tick {ev.onset_tick} outside the "
                     f"{ScaleMode(mode).value} scale on {root}"
                 )
@@ -191,19 +186,16 @@ def validate(score: Score) -> list[Violation]:
     notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
     for i, first in enumerate(notes):
         first_end = first.onset_tick + first.duration_ticks
-        for second in notes[i + 1 :]:
-            if second.onset_tick >= first_end:
-                break
+        j = i + 1
+        while j < len(notes) and notes[j].onset_tick < first_end:
+            second = notes[j]
             if is_tritone(first.pitch, second.pitch):
-                warning(
+                warn(
                     f"tritone between pitches {first.pitch} and {second.pitch} "
                     f"sounding together at tick {second.onset_tick}"
                 )
-    return problems
-
-
-def structural_errors(score: Score) -> list[Violation]:
-    return [v for v in validate(score) if v.severity is Severity.ERROR]
+            j += 1
+    return warnings
 
 
 def _shifted(event: Event, by: int) -> Event:

@@ -33,6 +33,10 @@ GATE_BY_ARTICULATION = {
 
 SUSTAIN_CONTROLLER = 64
 
+# Every file plays General MIDI program 0 (acoustic grand) on channel 0.
+CHANNEL = 0
+PROGRAM = 0
+
 META_TEMPO = 0x51
 META_TIME_SIGNATURE = 0x58
 META_KEY_SIGNATURE = 0x59
@@ -43,18 +47,6 @@ _ORDER_META = 0
 _ORDER_PEDAL = 1
 _ORDER_NOTE_OFF = 2
 _ORDER_NOTE_ON = 3
-
-
-@dataclass(frozen=True)
-class SmfConfig:
-    program: int = 0
-    channel: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.program <= 127:
-            raise ValueError(f"program must be 0..127, got {self.program}")
-        if not 0 <= self.channel <= 15:
-            raise ValueError(f"channel must be 0..15, got {self.channel}")
 
 
 def encode_vlq(value: int) -> bytes:
@@ -104,17 +96,16 @@ def sounding_duration(notes: list[NoteEvent], index: int) -> int:
     return max(1, int(gate * notes[index].duration_ticks))
 
 
-def write_smf(score: Score, config: SmfConfig = SmfConfig()) -> bytes:
+def write_smf(score: Score) -> bytes:
     """Serialize a loop-free, structurally valid score to SMF format 0."""
     if score.loop is not None:
         raise UnexpandedLoop("expand the score's loop before writing MIDI")
     problems = structural_errors(score)
     if problems:
         raise StructuralViolation(
-            "score fails validation: " + "; ".join(v.message for v in problems)
+            "score fails validation: " + "; ".join(problems)
         )
 
-    channel = config.channel
     tempo_us = round(60_000_000 / score.tempo_bpm)
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
@@ -128,7 +119,7 @@ def write_smf(score: Score, config: SmfConfig = SmfConfig()) -> bytes:
                    denominator.bit_length() - 1, 24, 8]),
         ),
         (0, _ORDER_META, bytes([0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)),
-        (0, _ORDER_META, bytes([0xC0 | channel, config.program])),
+        (0, _ORDER_META, bytes([0xC0 | CHANNEL, PROGRAM])),
     ]
 
     notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
@@ -137,16 +128,16 @@ def write_smf(score: Score, config: SmfConfig = SmfConfig()) -> bytes:
         if isinstance(ev, PedalEvent):
             value = 127 if ev.state is PedalState.DOWN else 0
             messages.append(
-                (ev.tick, _ORDER_PEDAL, bytes([0xB0 | channel, SUSTAIN_CONTROLLER, value]))
+                (ev.tick, _ORDER_PEDAL, bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, value]))
             )
         else:
             held = sounding_duration(notes, note_index)
             note_index += 1
             messages.append(
-                (ev.onset_tick, _ORDER_NOTE_ON, bytes([0x90 | channel, ev.pitch, ev.velocity]))
+                (ev.onset_tick, _ORDER_NOTE_ON, bytes([0x90 | CHANNEL, ev.pitch, ev.velocity]))
             )
             messages.append(
-                (ev.onset_tick + held, _ORDER_NOTE_OFF, bytes([0x80 | channel, ev.pitch, 0]))
+                (ev.onset_tick + held, _ORDER_NOTE_OFF, bytes([0x80 | CHANNEL, ev.pitch, 0]))
             )
 
     messages.sort(key=lambda m: (m[0], m[1]))

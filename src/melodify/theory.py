@@ -43,12 +43,6 @@ QUALITY_BY_INTERVALS = {
 INTERVALS_BY_QUALITY = {q: iv for iv, q in QUALITY_BY_INTERVALS.items()}
 
 
-class Valence(str, Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    GREY = "grey"
-
-
 class CadenceKind(str, Enum):
     PERFECT = "perfect"
     DECEPTIVE = "deceptive"
@@ -143,10 +137,6 @@ def triad_on_pitch(root: int, quality: ChordQuality) -> Chord:
     return Chord(1, quality, pitches)
 
 
-def interval_semitones(a: int, b: int) -> int:
-    return abs(a - b)
-
-
 def interval_class(a: int, b: int) -> int:
     return abs(a - b) % 12
 
@@ -155,20 +145,18 @@ def is_tritone(a: int, b: int) -> bool:
     return interval_class(a, b) == 6
 
 
-def make_cadence(valence: Valence, scale: Scale, octave_anchor: int) -> list[Chord]:
-    """Closing chord pair for a valence: V then I when positive, V then
-    vi when negative, nothing when grey.
+def make_cadence(kind: CadenceKind, scale: Scale, octave_anchor: int) -> list[Chord]:
+    """Closing chord pair on a major scale: V then I for a perfect
+    cadence, V then vi for a deceptive one, nothing for none.
 
-    Expects a major scale; minor scales get no cadence of their own (a
-    minor-mode piece closes through its relative major instead).
+    A minor-mode piece closes through its relative major, so callers
+    pass that major scale.
     """
-    if valence is Valence.GREY:
+    if kind is CadenceKind.NONE:
         return []
     if scale.mode is ScaleMode.CHROMATIC:
         raise ChromaticMode("cadences need a functional scale, not chromatic")
-    if scale.mode is ScaleMode.NATURAL_MINOR:
-        return []
-    if valence is Valence.POSITIVE:
+    if kind is CadenceKind.PERFECT:
         return [degree_triad(scale, 5, octave_anchor), degree_triad(scale, 1, octave_anchor)]
     return [degree_triad(scale, 5, octave_anchor), degree_triad(scale, 6, octave_anchor)]
 

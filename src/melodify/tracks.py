@@ -2,8 +2,9 @@
 
 Nine small datasets chosen so that each chart idiom, palette family,
 and data regime (sparse/dense, narrow/wide spread, rising/falling
-trends) is heard at least once. `render_track` compiles one to a score;
-the command line's `tracklist` subcommand writes them all out.
+trends) is heard at least once. Each is a dataset plus spec for
+`melodify`; the command line's `tracklist` subcommand compiles and
+writes them all out.
 """
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidValue
 from .ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
-from .melodifier import melodify
-from .score import Score
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,3 @@ def track_by_slug(slug: str) -> TrackDef:
         if track.slug == slug:
             return track
     raise InvalidValue(f"no track named {slug!r}")
-
-
-def render_track(track: TrackDef) -> Score:
-    return melodify(track.dataset, track.spec)

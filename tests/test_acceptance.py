@@ -29,10 +29,10 @@ from melodify.score import (
     expand_loops,
     total_duration_ticks,
 )
-from melodify.smf import SmfConfig, encode_vlq, parse_smf_minimal, write_smf
+from melodify.smf import encode_vlq, parse_smf_minimal, write_smf
 from melodify.stats import segment_trends
 from melodify.theory import ScaleMode, build_scale, quantize_pitch
-from melodify.tracks import TRACKS, render_track
+from melodify.tracks import TRACKS
 
 MAJOR_OFFSETS = (0, 2, 4, 5, 7, 9, 11)
 MINOR_OFFSETS = (0, 2, 3, 5, 7, 8, 10)
@@ -443,7 +443,7 @@ def _expected_parsed_notes(score):
 
 
 def _assert_round_trip(score):
-    data = write_smf(score, SmfConfig())
+    data = write_smf(score)
     assert struct.unpack(">I", data[4:8])[0] == 6
     assert struct.unpack(">I", data[18:22])[0] == len(data) - 22
     parsed = parse_smf_minimal(data)
@@ -480,7 +480,7 @@ def test_criterion_09_smf_round_trip():
         assert all(b & 0x80 for b in encoded[:-1]) and not encoded[-1] & 0x80
 
     for track in TRACKS:
-        _assert_round_trip(expand_loops(render_track(track)))
+        _assert_round_trip(expand_loops(melodify(track.dataset, track.spec)))
 
     rng = random.Random(99123)
     for _ in range(40):
@@ -522,7 +522,7 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
         golden = (GOLDEN_DIR / f"{track.slug}.txt").read_bytes()
         assert rendered == golden, f"{track.slug} text score drifted"
 
-    by_slug = {track.slug: render_track(track) for track in TRACKS}
+    by_slug = {track.slug: melodify(track.dataset, track.spec) for track in TRACKS}
 
     # Rising bars close dominant-to-tonic in C major.
     chords = [c for _, c in chords_by_onset(by_slug["01-bar-positive"])]

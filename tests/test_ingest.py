@@ -79,6 +79,12 @@ def test_csv_crlf_accepted():
     assert ds.row_count == 1
 
 
+def test_csv_utf8_byte_order_mark_stripped():
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    ds = parse_table(b"\xef\xbb\xbfregion,sales\nnorth,10\n", TableFormat.CSV)
+    assert ds.column_names() == ("region", "sales")
+
+
 def test_csv_header_only_is_empty_dataset():
     with pytest.raises(EmptyDataset):
         csv_table("a,b\n")
@@ -207,6 +213,12 @@ def test_spec_key_names():
     assert spec_of(key="b").key_root == 11
 
 
+def test_spec_flat_key_names():
+    flats = {"Db": 1, "Eb": 3, "Gb": 6, "Ab": 8, "Bb": 10}
+    assert {name: spec_of(key=name).key_root for name in flats} == flats
+    assert spec_of(key="bb").key_root == 10
+
+
 def test_spec_bad_key_name():
     with pytest.raises(InvalidValue):
         spec_of(key="H")
@@ -276,7 +288,7 @@ def test_parse_spec_rejects_non_object():
 def test_binding_bar_needs_categorical_x():
     ds = csv_table("k,v\na,1\nb,2\n")
     spec = MelodySpec(Idiom.BAR, Palette.POSITIVE, "v", x_field="k")
-    assert validate_binding(ds, spec) == (ds, spec)
+    assert validate_binding(ds, spec) is None
 
     with pytest.raises(KindMismatch):
         validate_binding(ds, MelodySpec(Idiom.BAR, Palette.POSITIVE, "v"))

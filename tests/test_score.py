@@ -1,9 +1,11 @@
-"""Score timeline invariants, validation, and loop expansion."""
+"""Score timeline invariants, structural checks, lint, and loop expansion."""
 from __future__ import annotations
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from melodify.score import (
     Articulation,
@@ -12,12 +14,11 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
-    Severity,
     expand_loops,
+    lint,
     sorted_events,
     structural_errors,
     total_duration_ticks,
-    validate,
 )
 from melodify.theory import ScaleMode
 
@@ -36,10 +37,6 @@ def make_score(events, loop=None, key=(0, ScaleMode.MAJOR)):
     )
 
 
-def errors_of(score):
-    return [v.message for v in validate(score) if v.severity is Severity.ERROR]
-
-
 # --- ordering -----------------------------------------------------------------
 
 def test_sorted_events_puts_pedal_before_notes_at_same_tick():
@@ -55,7 +52,7 @@ def test_sorted_events_is_stable_for_equal_notes():
     assert sorted_events([b, a]) == (b, a)
 
 
-# --- validate -----------------------------------------------------------------
+# --- structural_errors and lint ----------------------------------------------
 
 def test_valid_score_has_no_errors():
     score = make_score(
@@ -66,67 +63,86 @@ def test_valid_score_has_no_errors():
             PedalEvent(960, PedalState.UP),
         ]
     )
-    assert errors_of(score) == []
+    assert structural_errors(score) == []
 
 
 def test_out_of_order_events_flagged():
     score = make_score([])
     score = replace(score, events=(note(480), note(0)))
-    assert any("out of order" in m for m in errors_of(score))
+    assert any("out of order" in m for m in structural_errors(score))
 
 
 def test_bad_pitch_velocity_duration_flagged():
-    assert any("pitch" in m for m in errors_of(make_score([note(0, pitch=128)])))
-    assert any("velocity" in m for m in errors_of(make_score([note(0, vel=0)])))
-    assert any("duration" in m for m in errors_of(make_score([note(0, dur=0)])))
-    assert any("onset" in m for m in errors_of(make_score([note(-1)])))
+    assert any("pitch" in m for m in structural_errors(make_score([note(0, pitch=128)])))
+    assert any("velocity" in m for m in structural_errors(make_score([note(0, vel=0)])))
+    assert any("duration" in m for m in structural_errors(make_score([note(0, dur=0)])))
+    assert any("onset" in m for m in structural_errors(make_score([note(-1)])))
 
 
 def test_unbalanced_pedal_flagged():
     down_only = make_score([PedalEvent(0, PedalState.DOWN)])
-    assert any("pedal" in m for m in errors_of(down_only))
+    assert any("pedal" in m for m in structural_errors(down_only))
     up_first = make_score([PedalEvent(0, PedalState.UP)])
-    assert any("pedal" in m for m in errors_of(up_first))
+    assert any("pedal" in m for m in structural_errors(up_first))
     double_down = make_score(
         [PedalEvent(0, PedalState.DOWN), PedalEvent(10, PedalState.DOWN)]
     )
-    assert any("twice" in m for m in errors_of(double_down))
+    assert any("twice" in m for m in structural_errors(double_down))
 
 
 def test_bad_time_signature_flagged():
     score = replace(make_score([note(0)]), time_signature=(4, 6))
-    assert any("time signature" in m for m in errors_of(score))
+    assert any("time signature" in m for m in structural_errors(score))
 
 
 def test_loop_bounds_checked():
     good = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
-    assert errors_of(good) == []
+    assert structural_errors(good) == []
     past_end = make_score([note(0, dur=960)], loop=Loop(0, 2000, 2))
-    assert any("loop" in m for m in errors_of(past_end))
+    assert any("loop" in m for m in structural_errors(past_end))
     inverted = make_score([note(0, dur=960)], loop=Loop(500, 400, 2))
-    assert any("loop" in m for m in errors_of(inverted))
+    assert any("loop" in m for m in structural_errors(inverted))
 
 
 def test_out_of_scale_pitch_is_warning_not_error():
     score = make_score([note(0, pitch=61)])  # C# against C major
-    report = validate(score)
-    assert any(
-        v.severity is Severity.WARNING and "scale" in v.message for v in report
-    )
+    assert any("scale" in m for m in lint(score))
     assert structural_errors(score) == []
 
 
 def test_chromatic_key_never_warns_about_scale():
     score = make_score([note(0, pitch=61)], key=(0, ScaleMode.CHROMATIC))
-    assert not any("scale" in v.message for v in validate(score))
+    assert not any("scale" in m for m in lint(score))
 
 
 def test_cosounding_tritone_is_warning():
     score = make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])
-    assert any("tritone" in v.message for v in validate(score))
+    assert any("tritone" in m for m in lint(score))
+    assert structural_errors(score) == []
     # Sequential tritone pitches never overlap, so no warning.
     apart = make_score([note(0, pitch=60, dur=240), note(240, pitch=66)])
-    assert not any("tritone" in v.message for v in validate(apart))
+    assert not any("tritone" in m for m in lint(apart))
+
+
+@given(
+    st.lists(
+        # Onsets and durations on a coarse grid, so notes often end
+        # exactly where another starts.
+        st.tuples(st.integers(0, 16), st.integers(1, 8), st.integers(54, 66)),
+        max_size=30,
+    )
+)
+def test_tritone_lint_matches_all_pairs_oracle(specs):
+    # Chromatic key: no scale warnings, so lint reports only tritones.
+    notes = sorted_events(note(120 * on, dur=120 * dur, pitch=p) for on, dur, p in specs)
+    expected = [
+        f"tritone between pitches {a.pitch} and {b.pitch} "
+        f"sounding together at tick {b.onset_tick}"
+        for i, a in enumerate(notes)
+        for b in notes[i + 1 :]
+        if b.onset_tick < a.onset_tick + a.duration_ticks and abs(a.pitch - b.pitch) % 12 == 6
+    ]
+    assert lint(make_score(notes, key=(0, ScaleMode.CHROMATIC))) == expected
 
 
 # --- durations and loops ------------------------------------------------------

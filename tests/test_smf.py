@@ -18,7 +18,6 @@ from melodify.score import (
     sorted_events,
 )
 from melodify.smf import (
-    SmfConfig,
     encode_vlq,
     key_signature_bytes,
     parse_smf_minimal,
@@ -179,12 +178,6 @@ def test_pedal_bytes():
     data = write_smf(score)
     assert bytes([0xB0, 64, 127]) in data
     assert bytes([0xB0, 64, 0]) in data
-
-
-def test_channel_and_program_config():
-    data = write_smf(make_score([note(0)]), SmfConfig(program=19, channel=3))
-    assert bytes([0xC3, 19]) in data
-    assert bytes([0x93, 60, 80]) in data
 
 
 def test_write_rejects_unexpanded_loop():

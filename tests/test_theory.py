@@ -11,7 +11,6 @@ from melodify.theory import (
     CadenceKind,
     ChordQuality,
     ScaleMode,
-    Valence,
     arpeggiate,
     build_scale,
     degree_triad,
@@ -133,7 +132,7 @@ def test_tritone_detection():
 # --- cadences -----------------------------------------------------------------
 
 def test_perfect_cadence_in_c():
-    chords = make_cadence(Valence.POSITIVE, C_MAJOR, 48)
+    chords = make_cadence(CadenceKind.PERFECT, C_MAJOR, 48)
     assert [c.degree for c in chords] == [5, 1]
     assert chords[0].pitches == (55, 59, 62)
     assert chords[1].pitches == (48, 52, 55)
@@ -141,24 +140,19 @@ def test_perfect_cadence_in_c():
 
 
 def test_deceptive_cadence_in_c():
-    chords = make_cadence(Valence.NEGATIVE, C_MAJOR, 48)
+    chords = make_cadence(CadenceKind.DECEPTIVE, C_MAJOR, 48)
     assert [c.degree for c in chords] == [5, 6]
     assert chords[1].pitches == (57, 60, 64)  # A minor
     assert chords[1].quality is ChordQuality.MINOR
 
 
 def test_grey_has_no_cadence():
-    assert make_cadence(Valence.GREY, C_MAJOR, 48) == []
-
-
-def test_minor_scale_has_no_direct_cadence():
-    # Minor-mode pieces close through their relative major instead.
-    assert make_cadence(Valence.NEGATIVE, A_MINOR, 48) == []
+    assert make_cadence(CadenceKind.NONE, C_MAJOR, 48) == []
 
 
 def test_cadence_rejects_chromatic():
     with pytest.raises(ChromaticMode):
-        make_cadence(Valence.POSITIVE, CHROMATIC, 48)
+        make_cadence(CadenceKind.PERFECT, CHROMATIC, 48)
 
 
 # --- quantize_pitch -----------------------------------------------------------
