@@ -3,9 +3,14 @@
 The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
 `parse_table` and `parse_spec` read the inputs, `melodify` turns them
 into a `Score`, `expand_loops` makes its loop concrete, and `write_smf`
-/ `write_text_score` serialize it. `write_smf` refuses a score with
-`structural_errors`; `lint` lists advisory musical warnings and is
-never run on the way to the bytes. The names below are the public API.
+/ `write_text_score` serialize it. `melodify` is the one mapping entry
+point for every idiom: it checks the binding (`validate_binding`),
+summarizes the data (`derive_character` -> `DataCharacter`), resolves
+the palette (`apply_palette` -> `TonalPlan`), has the idiom write its
+body and closes it with the palette's cadence. `write_smf` refuses a
+score with `structural_errors`; `lint` lists advisory musical warnings
+and is never run on the way to the bytes. The names below are the
+public API.
 """
 from .errors import MelodifyError
 from .ingest import (
@@ -27,10 +32,6 @@ from .melodifier import (
     apply_palette,
     derive_character,
     melodify,
-    melodify_bar,
-    melodify_line,
-    melodify_pie,
-    melodify_scatter,
 )
 from .score import (
     Articulation,
@@ -64,6 +65,6 @@ from .theory import (
     make_cadence,
     quantize_pitch,
 )
-from .tracks import TRACKS, track_by_slug
+from .tracks import TRACKS
 
 __version__ = "0.1.0"

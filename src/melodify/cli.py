@@ -1,7 +1,8 @@
 """Command line: compile data to music, analyze data, render demos.
 
 Exit status is 0 on success, 1 for problems with the user's inputs
-(parse, binding, proportion, and I/O errors), 2 for internal failures.
+(parse, binding, proportion, and I/O errors), 2 for internal failures
+(``E_INTERNAL``: any other exception).
 Every failure prints one line to stderr of the form ``error CODE:
 message`` so callers can branch on the code without parsing prose.
 """
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import KindMismatch, MalformedInput, MelodifyError
+from .errors import KindMismatch, MelodifyError
 from .ingest import (
     ColumnKind,
     Dataset,
@@ -20,6 +21,7 @@ from .ingest import (
     TableFormat,
     parse_table,
     spec_from_mapping,
+    spec_mapping,
 )
 from .melodifier import _ordered_series, melodify
 from .score import NoteEvent, Score, expand_loops, total_duration_ticks
@@ -48,13 +50,7 @@ def _spec_from_args(args: argparse.Namespace) -> MelodySpec:
     """Spec file first, command-line flags overriding key by key."""
     mapping: dict = {}
     if args.spec is not None:
-        try:
-            payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedInput(f"spec json error: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise MalformedInput("spec must be a single JSON object")
-        mapping = payload
+        mapping = spec_mapping(Path(args.spec).read_bytes())
 
     for key, value in (
         ("idiom", args.idiom),
@@ -233,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error E_IO: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, not an input problem
+        print(f"error E_INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

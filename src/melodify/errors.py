@@ -41,7 +41,7 @@ class MissingField(MelodifyError):
 
 
 class InvalidValue(MelodifyError):
-    """A spec key is present but its value is out of range or mistyped."""
+    """A spec key or table value is present but out of range or mistyped."""
 
     code = "E_PARSE"
 

@@ -2,8 +2,8 @@
 
 Tables arrive as UTF-8 CSV (RFC 4180 subset: comma delimiter,
 double-quote escaping, mandatory header row, LF or CRLF line ends) or as
-a JSON array of flat record objects; a leading byte-order mark is
-ignored. Specs are single JSON objects. Parsing is strict: anything
+a JSON array of flat record objects. Specs are single JSON objects. A
+leading byte-order mark is ignored in both. Parsing is strict: anything
 inconsistent is rejected instead of silently coerced, and parsing the
 same bytes twice always yields the same result.
 """
@@ -70,6 +70,11 @@ NUMERATOR_MAX = 255
 
 TEMPO_MIN = 20
 TEMPO_MAX = 300
+
+# Largest magnitude a quantitative cell may hold. The trend fit sums
+# squares and index-weighted products of the values, and the pitch
+# mapping takes their range; below this bound all of those stay finite.
+VALUE_MAGNITUDE_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,12 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
         cells = [row[j] for row in rows]
         numbers = [_as_finite_float(c) for c in cells]
         if all(n is not None for n in numbers):
+            for i, number in enumerate(numbers):
+                if abs(number) > VALUE_MAGNITUDE_MAX:
+                    raise InvalidValue(
+                        f"value {number:g} at row {i + 1}, column {name!r} exceeds "
+                        f"the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
+                    )
             columns.append(Column(name, ColumnKind.QUANTITATIVE, tuple(numbers)))
         else:
             for i, cell in enumerate(cells):
@@ -201,7 +212,8 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
 
     A column is quantitative exactly when every one of its values parses
     as a finite real number; otherwise it is categorical and every value
-    must be a non-empty string.
+    must be a non-empty string. A quantitative value beyond
+    ``VALUE_MAGNITUDE_MAX`` in magnitude is rejected.
     """
     try:
         text = raw.decode("utf-8-sig")  # drops the byte-order mark Excel writes
@@ -339,10 +351,11 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
     )
 
 
-def parse_spec(raw: bytes) -> MelodySpec:
-    """Parse spec bytes (one JSON object) into a validated MelodySpec."""
+def spec_mapping(raw: bytes) -> dict:
+    """Decode spec bytes (one JSON object, byte-order mark allowed) into
+    the plain dict of spec keys."""
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedInput("spec is not valid UTF-8") from exc
     try:
@@ -351,7 +364,12 @@ def parse_spec(raw: bytes) -> MelodySpec:
         raise MalformedInput(f"spec json error: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedInput("spec must be a single JSON object")
-    return spec_from_mapping(payload)
+    return payload
+
+
+def parse_spec(raw: bytes) -> MelodySpec:
+    """Parse spec bytes (one JSON object) into a validated MelodySpec."""
+    return spec_from_mapping(spec_mapping(raw))
 
 
 def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:

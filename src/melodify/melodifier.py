@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TooShort
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
 from .score import (
     DEFAULT_TICKS_PER_QUARTER,
@@ -82,33 +81,27 @@ SUBDIVISION_BY_DENSITY = {
 
 @dataclass(frozen=True)
 class TonalPlan:
-    """Palette rendered concrete: the scale and performance parameters."""
+    """Palette rendered concrete: the scale and performance parameters,
+    plus the bass anchor pitch and the bar length every idiom plays to."""
 
     scale: Scale
     tempo_bpm: int
     time_signature: tuple[int, int]
     cadence: CadenceKind
+    anchor: int
+    bar_ticks: int
 
 
 @dataclass(frozen=True)
 class DataCharacter:
-    """Summaries the data dictates regardless of palette choice."""
+    """Summaries the data dictates regardless of palette choice, and the
+    y series in playing order that they summarize."""
 
+    series: tuple[float, ...]
     segments: tuple[TrendSegment, ...] | None
     density: DensityClass
     variance: VarianceClass
     proportions: Proportions | None
-
-
-def apply_palette(spec: MelodySpec) -> TonalPlan:
-    """Resolve the palette presets, honoring spec-level overrides."""
-    mode, tempo, meter, cadence = PALETTE_PRESETS[spec.palette]
-    return TonalPlan(
-        scale=build_scale(spec.key_root, mode),
-        tempo_bpm=spec.tempo_bpm if spec.tempo_bpm is not None else tempo,
-        time_signature=spec.time_signature if spec.time_signature is not None else meter,
-        cadence=cadence,
-    )
 
 
 def bar_ticks(time_signature: tuple[int, int], ticks_per_quarter: int) -> int:
@@ -116,20 +109,32 @@ def bar_ticks(time_signature: tuple[int, int], ticks_per_quarter: int) -> int:
     return numerator * 4 * ticks_per_quarter // denominator
 
 
-def _anchor(spec: MelodySpec) -> int:
-    return BASS_ANCHOR + spec.key_root
+def apply_palette(spec: MelodySpec) -> TonalPlan:
+    """Resolve the palette presets, honoring spec-level overrides."""
+    mode, tempo, meter, cadence = PALETTE_PRESETS[spec.palette]
+    time_signature = spec.time_signature if spec.time_signature is not None else meter
+    return TonalPlan(
+        scale=build_scale(spec.key_root, mode),
+        tempo_bpm=spec.tempo_bpm if spec.tempo_bpm is not None else tempo,
+        time_signature=time_signature,
+        cadence=cadence,
+        anchor=BASS_ANCHOR + spec.key_root,
+        bar_ticks=bar_ticks(time_signature, DEFAULT_TICKS_PER_QUARTER),
+    )
 
 
-def _ordered_series(dataset: Dataset, y_field: str, x_field: str | None) -> list[float]:
+def _ordered_series(
+    dataset: Dataset, y_field: str, x_field: str | None
+) -> tuple[float, ...]:
     """The y series in playing order: sorted by x when x is a bound
     quantitative column, dataset row order otherwise. Bar and pie bind a
     categorical x, so only line and scatter are ever reordered."""
-    y = list(dataset.column(y_field).values)
+    y = dataset.column(y_field).values
     if x_field is not None:
         x_col = dataset.column(x_field)
         if x_col.kind is ColumnKind.QUANTITATIVE:
             order = sorted(range(len(y)), key=lambda i: x_col.values[i])
-            y = [y[i] for i in order]
+            y = tuple(y[i] for i in order)
     return y
 
 
@@ -145,9 +150,8 @@ def derive_character(dataset: Dataset, spec: MelodySpec) -> DataCharacter:
         variance = VarianceClass(VarianceLevel.NARROW, 12)
     props = None
     if spec.idiom is Idiom.PIE:
-        categories = dataset.column(spec.x_field).values
-        props = proportions(zip(categories, dataset.column(spec.y_field).values))
-    return DataCharacter(segments, compute_density(n), variance, props)
+        props = proportions(zip(dataset.column(spec.x_field).values, series))
+    return DataCharacter(series, segments, compute_density(n), variance, props)
 
 
 def largest_remainder_allocation(ratios: list[float], total_units: int) -> list[int]:
@@ -201,7 +205,7 @@ def _dominant_substitute(scale: Scale, near_pitch: int) -> Chord:
     return degree_triad(scale, 5, root)
 
 
-def _cadence_chords(plan: TonalPlan, anchor: int) -> list[Chord]:
+def _cadence_chords(plan: TonalPlan) -> list[Chord]:
     """Closing chords for the plan. A minor-mode piece cadences through
     its relative major, which keeps every cadence tone inside the plan
     scale while still closing V to vi."""
@@ -209,7 +213,7 @@ def _cadence_chords(plan: TonalPlan, anchor: int) -> list[Chord]:
         cadence_scale = plan.scale
     else:
         cadence_scale = build_scale((plan.scale.root + 3) % 12, ScaleMode.MAJOR)
-    return make_cadence(plan.cadence, cadence_scale, anchor)
+    return make_cadence(plan.cadence, cadence_scale, plan.anchor)
 
 
 def _chord_events(
@@ -221,78 +225,37 @@ def _chord_events(
     ]
 
 
-def _cadence_events(plan: TonalPlan, anchor: int, start_tick: int) -> list[NoteEvent]:
-    bar = bar_ticks(plan.time_signature, DEFAULT_TICKS_PER_QUARTER)
-    events: list[NoteEvent] = []
-    for i, chord in enumerate(_cadence_chords(plan, anchor)):
-        events.extend(
-            _chord_events(chord, start_tick + i * bar, bar, VELOCITY_CADENCE)
-        )
-    return events
-
-
-def _next_bar_boundary(tick: int, bar: int) -> int:
-    return ((tick + bar - 1) // bar) * bar
-
-
-def _assemble(
-    spec: MelodySpec,
-    plan: TonalPlan,
-    events: list[Event],
-    loop: Loop | None = None,
-) -> Score:
-    return Score(
-        tempo_bpm=plan.tempo_bpm,
-        time_signature=plan.time_signature,
-        key_signature=(spec.key_root, plan.scale.mode),
-        events=sorted_events(events),
-        ticks_per_quarter=DEFAULT_TICKS_PER_QUARTER,
-        loop=loop,
-    )
-
-
-def melodify_bar(
-    dataset: Dataset,
-    spec: MelodySpec,
-    plan: TonalPlan,
-    character: DataCharacter,
-) -> Score:
+def _bar_body(
+    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
+) -> tuple[list[Event], int]:
     """One chord per category, each a full bar, roots tracking the values."""
-    values = dataset.column(spec.y_field).values
-    anchor = _anchor(spec)
+    values = character.series
     domain = (min(values), max(values))
-    bar = bar_ticks(plan.time_signature, DEFAULT_TICKS_PER_QUARTER)
+    bar = plan.bar_ticks
     span = character.variance.semitone_span
 
     events: list[Event] = []
     for i, value in enumerate(values):
-        chord = _quantized_chord(value, domain, plan.scale, span, anchor)
+        chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)
         events.extend(_chord_events(chord, i * bar, bar, VELOCITY_NORMAL))
     body_end = len(values) * bar
 
     if spec.histogram and character.density.level is DensityLevel.LOW:
         events.append(PedalEvent(0, PedalState.DOWN))
         events.append(PedalEvent(body_end, PedalState.UP))
-
-    events.extend(_cadence_events(plan, anchor, body_end))
-    return _assemble(spec, plan, events)
+    return events, body_end
 
 
-def melodify_pie(
-    dataset: Dataset,
-    spec: MelodySpec,
-    plan: TonalPlan,
-    character: DataCharacter,
-) -> Score:
+def _pie_body(
+    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
+) -> tuple[list[Event], int]:
     """A chord cycle over four bars, each chord holding its share of the
-    cycle (snapped to the sixteenth grid), repeated per the loop count."""
-    values = dataset.column(spec.y_field).values
-    anchor = _anchor(spec)
+    cycle (snapped to the sixteenth grid); the cycle is the loop region."""
+    values = character.series
     domain = (min(values), max(values))
-    bar = bar_ticks(plan.time_signature, DEFAULT_TICKS_PER_QUARTER)
     span = character.variance.semitone_span
 
-    cycle = PIE_CYCLE_BARS * bar
+    cycle = PIE_CYCLE_BARS * plan.bar_ticks
     grid = DEFAULT_TICKS_PER_QUARTER // 4
     ratios = [ratio for _, ratio in character.proportions.entries]
     units = largest_remainder_allocation(ratios, cycle // grid)
@@ -303,16 +266,13 @@ def melodify_pie(
         if unit_count == 0:
             continue
         duration = unit_count * grid
-        chord = _quantized_chord(value, domain, plan.scale, span, anchor)
+        chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)
         events.extend(_chord_events(chord, cursor, duration, VELOCITY_NORMAL))
         cursor += duration
-
-    events.extend(_cadence_events(plan, anchor, cycle))
-    loop = Loop(0, cycle, spec.loop_count)
-    return _assemble(spec, plan, events, loop=loop)
+    return events, cycle
 
 
-def _slope_unit(series: list[float]) -> float:
+def _slope_unit(series: tuple[float, ...]) -> float:
     """Slope normalizer for degree mapping: 1 when the data moves in
     integer steps, otherwise the average step of the full range."""
     differences = [b - a for a, b in zip(series, series[1:])]
@@ -328,12 +288,9 @@ def _segment_degree(segment: TrendSegment, unit: float) -> int:
     return min(7, max(1, int(normalized + 0.5)))
 
 
-def melodify_line(
-    dataset: Dataset,
-    spec: MelodySpec,
-    plan: TonalPlan,
-    character: DataCharacter,
-) -> Score:
+def _line_body(
+    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
+) -> tuple[list[Event], int]:
     """Legato arpeggios, one per trend segment.
 
     The segment's normalized slope picks a scale degree; the arpeggio
@@ -343,11 +300,7 @@ def melodify_line(
     tones more than two semitones apart. The first note of each new
     segment after the first is accented.
     """
-    series = _ordered_series(dataset, spec.y_field, spec.x_field)
-    if len(series) < 2:
-        raise TooShort("line melodification needs at least 2 points")
-    anchor = _anchor(spec)
-    unit = _slope_unit(series)
+    unit = _slope_unit(character.series)
     duration = DEFAULT_TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
         character.density.level
     ]
@@ -367,7 +320,10 @@ def melodify_line(
     cursor = 0
     for index, segment in enumerate(character.segments):
         chord = degree_triad(
-            degree_scale, _segment_degree(segment, unit), anchor, force_quality=quality
+            degree_scale,
+            _segment_degree(segment, unit),
+            plan.anchor,
+            force_quality=quality,
         )
         count = segment.end_index - segment.start_index + 1
         if segment.direction is TrendDirection.NEUTRAL:
@@ -396,10 +352,7 @@ def melodify_line(
                 )
             )
             cursor += ticks
-
-    bar = bar_ticks(plan.time_signature, DEFAULT_TICKS_PER_QUARTER)
-    events.extend(_cadence_events(plan, anchor, _next_bar_boundary(cursor, bar)))
-    return _assemble(spec, plan, events)
+    return events, cursor
 
 
 def _with_passing_tones(specs: list[list[int]]) -> list[list[int]]:
@@ -419,17 +372,13 @@ def _with_passing_tones(specs: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def melodify_scatter(
-    dataset: Dataset,
-    spec: MelodySpec,
-    plan: TonalPlan,
-    character: DataCharacter,
-) -> Score:
+def _scatter_body(
+    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
+) -> tuple[list[Event], int]:
     """A staccato note per point on an even grid, sixteenths when dense,
     quarters when sparse; sparse scatters get one sustain-pedal stroke
     across the phrase."""
-    series = _ordered_series(dataset, spec.y_field, spec.x_field)
-    anchor = _anchor(spec)
+    series = character.series
     domain = (min(series), max(series))
     span = character.variance.semitone_span
     step = DEFAULT_TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
@@ -438,7 +387,7 @@ def melodify_scatter(
 
     events: list[Event] = []
     for i, value in enumerate(series):
-        pitch = quantize_pitch(value, domain, plan.scale, span, anchor)
+        pitch = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
         events.append(
             NoteEvent(i * step, step, pitch, VELOCITY_NORMAL, Articulation.STACCATO)
         )
@@ -447,24 +396,37 @@ def melodify_scatter(
     if character.density.level is DensityLevel.LOW:
         events.append(PedalEvent(0, PedalState.DOWN))
         events.append(PedalEvent(body_end, PedalState.UP))
-
-    bar = bar_ticks(plan.time_signature, DEFAULT_TICKS_PER_QUARTER)
-    events.extend(_cadence_events(plan, anchor, _next_bar_boundary(body_end, bar)))
-    return _assemble(spec, plan, events)
+    return events, body_end
 
 
-_DISPATCH = {
-    Idiom.BAR: melodify_bar,
-    Idiom.PIE: melodify_pie,
-    Idiom.LINE: melodify_line,
-    Idiom.SCATTER: melodify_scatter,
+_BODIES = {
+    Idiom.BAR: _bar_body,
+    Idiom.PIE: _pie_body,
+    Idiom.LINE: _line_body,
+    Idiom.SCATTER: _scatter_body,
 }
 
 
 def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
     """Full pipeline: validate the binding, summarize the data, resolve
-    the palette, and hand off to the idiom's mapper."""
+    the palette, let the idiom write the body, then close it with the
+    palette's cadence from the next bar line. A pie's body is its loop."""
     validate_binding(dataset, spec)
     plan = apply_palette(spec)
     character = derive_character(dataset, spec)
-    return _DISPATCH[spec.idiom](dataset, spec, plan, character)
+    events, body_end = _BODIES[spec.idiom](spec, plan, character)
+
+    bar = plan.bar_ticks
+    cadence_start = -(-body_end // bar) * bar
+    for i, chord in enumerate(_cadence_chords(plan)):
+        events.extend(
+            _chord_events(chord, cadence_start + i * bar, bar, VELOCITY_CADENCE)
+        )
+    return Score(
+        tempo_bpm=plan.tempo_bpm,
+        time_signature=plan.time_signature,
+        key_signature=(plan.scale.root, plan.scale.mode),
+        events=sorted_events(events),
+        ticks_per_quarter=DEFAULT_TICKS_PER_QUARTER,
+        loop=Loop(0, body_end, spec.loop_count) if spec.idiom is Idiom.PIE else None,
+    )

@@ -11,9 +11,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Union
 
+from .errors import InvalidValue
 from .theory import ScaleMode, build_scale, is_tritone
 
 DEFAULT_TICKS_PER_QUARTER = 480
+
+# Most events a looped score may expand to. A 4/4 pie cycle holds at
+# most 192 notes, so this still allows over a thousand repeats.
+MAX_EXPANDED_EVENTS = 250_000
 
 
 class Articulation(str, Enum):
@@ -211,11 +216,19 @@ def expand_loops(score: Score) -> Score:
 
     Events inside the region are copied once per repetition; events after
     it shift right by the added length. Idempotent: a score without a
-    loop marker comes back unchanged.
+    loop marker comes back unchanged. The expanded size is checked
+    against ``MAX_EXPANDED_EVENTS`` before anything is copied.
     """
     if score.loop is None:
         return score
     start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
+    repeated = sum(1 for ev in score.events if start <= event_tick(ev) < end)
+    expanded = len(score.events) + repeated * (count - 1)
+    if expanded > MAX_EXPANDED_EVENTS:
+        raise InvalidValue(
+            f"loop of {count} repeats would expand to {expanded} events, "
+            f"above the cap of {MAX_EXPANDED_EVENTS}"
+        )
     length = end - start
     total_shift = (count - 1) * length
     out: list[Event] = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidValue
 from .ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 
 
@@ -114,10 +113,3 @@ TRACKS: tuple[TrackDef, ...] = (
         spec=MelodySpec(Idiom.SCATTER, Palette.GREY, "value"),
     ),
 )
-
-
-def track_by_slug(slug: str) -> TrackDef:
-    for track in TRACKS:
-        if track.slug == slug:
-            return track
-    raise InvalidValue(f"no track named {slug!r}")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from melodify.cli import main
+from melodify.score import MAX_EXPANDED_EVENTS
 from melodify.smf import parse_smf_minimal
 
 REPO = Path(__file__).resolve().parents[1]
@@ -151,6 +152,64 @@ def test_compile_rejects_time_numerator_above_one_byte(bar_csv, capsys):
     )
     assert code == 1
     assert err.startswith("error E_PARSE:") and len(err.splitlines()) == 1
+    assert not bar_csv.with_suffix(".mid").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("idiom", "table"),
+    [("line", "v\n1\n1e160\n3\n"), ("scatter", "v\n-1e308\n1e308\n")],
+)
+def test_compile_rejects_value_beyond_magnitude_bound(tmp_path, capsys, idiom, table):
+    path = tmp_path / "huge.csv"
+    path.write_text(table, encoding="utf-8")
+    code, out, err = run(
+        capsys, "compile", "--data", str(path), "--idiom", idiom,
+        "--palette", "positive", "--y", "v",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error E_PARSE:") and len(err.splitlines()) == 1
+    assert not path.with_suffix(".mid").exists()
+
+
+def test_compile_rejects_loop_beyond_event_cap(tmp_path, capsys):
+    path = tmp_path / "shares.csv"
+    path.write_text("k,v\na,3\nb,1\n", encoding="utf-8")
+    # Two 3-note chords per cycle plus a 6-note cadence: just past the cap,
+    # so code without the cap fails quickly instead of exhausting memory.
+    loop = MAX_EXPANDED_EVENTS // 6
+    code, out, err = run(
+        capsys, "compile", "--data", str(path), "--idiom", "pie",
+        "--palette", "positive", "--x", "k", "--y", "v", "--loop", str(loop),
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        f"error E_PARSE: loop of {loop} repeats would expand to "
+        f"{6 + 6 * loop} events, above the cap of {MAX_EXPANDED_EVENTS}\n"
+    )
+    assert not path.with_suffix(".mid").exists()
+
+
+def test_compile_spec_file_with_byte_order_mark(bar_csv, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec = {"idiom": "bar", "palette": "positive", "x": "k", "y": "v"}
+    spec_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(spec).encode())
+    code, out, err = run(capsys, "compile", "--data", str(bar_csv), "--spec", str(spec_path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "bar positive notes=15 ticks=9600"
+
+
+def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
+    def broken(dataset, spec):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("melodify.cli.melodify", broken)
+    code, out, err = run(
+        capsys, "compile", "--data", str(bar_csv),
+        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 2 and out == ""
+    assert err == "error E_INTERNAL: ZeroDivisionError: division by zero\n"
     assert not bar_csv.with_suffix(".mid").exists()
 
 

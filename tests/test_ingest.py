@@ -18,6 +18,7 @@ from melodify.errors import (
     UnknownPalette,
 )
 from melodify.ingest import (
+    VALUE_MAGNITUDE_MAX,
     ColumnKind,
     Idiom,
     MelodySpec,
@@ -66,6 +67,15 @@ def test_csv_non_finite_is_not_quantitative():
     # float("nan") parses, but finiteness is required for numbers.
     ds = csv_table("v\n1\nnan\n")
     assert ds.column("v").kind is ColumnKind.CATEGORICAL
+
+
+def test_value_magnitude_bound_is_inclusive_and_rejects_beyond():
+    ds = csv_table(f"v\n1\n{-VALUE_MAGNITUDE_MAX!r}\n")
+    assert ds.column("v").values == (1.0, -VALUE_MAGNITUDE_MAX)
+    with pytest.raises(InvalidValue):
+        csv_table("v\n1\n1e160\n3\n")
+    with pytest.raises(InvalidValue):
+        json_table([{"v": -1e308}, {"v": 1e308}])
 
 
 def test_csv_quoted_comma_and_newline():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from melodify.errors import InvalidValue
 from melodify.score import (
     Articulation,
     Loop,
@@ -188,6 +189,22 @@ def test_expand_loops_preserves_events_before_region():
     onsets = [e.onset_tick for e in out.events]
     # Pre-region untouched; region tripled; tail shifted by 2*480.
     assert onsets == [0, 480, 960, 1440, 1920]
+
+
+def test_expand_loops_refuses_past_the_event_cap_before_copying():
+    # Sized arithmetically: a copy of 10**12 repeats would never finish.
+    score = make_score([note(0), note(480)], loop=Loop(0, 480, 10**12))
+    with pytest.raises(InvalidValue, match="cap"):
+        expand_loops(score)
+
+
+def test_expand_loops_cap_counts_events_outside_the_region(monkeypatch):
+    monkeypatch.setattr("melodify.score.MAX_EXPANDED_EVENTS", 10)
+    events = [note(0, dur=100), note(480), note(960, dur=100)]
+    # One event before, one repeated, one after: 2 + count events.
+    assert len(expand_loops(make_score(events, loop=Loop(480, 960, 8))).events) == 10
+    with pytest.raises(InvalidValue):
+        expand_loops(make_score(events, loop=Loop(480, 960, 9)))
 
 
 def test_expanded_loop_is_structurally_valid():
