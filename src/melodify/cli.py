@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import KindMismatch, MelodifyError
+from .errors import AllZero, KindMismatch, MalformedInput, MelodifyError, NegativeProportion
 from .ingest import (
     ColumnKind,
     Dataset,
@@ -110,39 +110,37 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     x_col = dataset.column(x_field) if x_field else None
 
     n = len(series)
-    report: dict = {"rows": n}
-    if n >= 2:
-        report["segments"] = [
+    density = compute_density(n)
+    variance = compute_variance(series) if n >= 2 else None
+    ratios = None
+    if x_col is not None and x_col.kind is ColumnKind.CATEGORICAL:
+        try:
+            ratios = proportions(zip(x_col.values, y_col.values))
+        except (NegativeProportion, AllZero):
+            pass  # not part-to-whole data, though a bar chart still plays it
+    report = {
+        "rows": n,
+        "segments": [
             {
                 "start": seg.start_index,
                 "end": seg.end_index,
                 "slope": seg.slope,
                 "direction": seg.direction.value,
             }
-            for seg in segment_trends(series)
-        ]
-    else:
-        report["segments"] = []
-    density = compute_density(n)
-    report["density"] = {
-        "level": density.level.value,
-        "points_per_bar": density.points_per_bar,
-    }
-    if n >= 2:
-        variance = compute_variance(series)
-        report["variance"] = {
+            for seg in (segment_trends(series) if n >= 2 else [])
+        ],
+        "density": {
+            "level": density.level.value,
+            "points_per_bar": density.points_per_bar,
+        },
+        "variance": None if variance is None else {
             "level": variance.level.value,
             "semitone_span": variance.semitone_span,
-        }
-    else:
-        report["variance"] = None
-    if x_col is not None and x_col.kind is ColumnKind.CATEGORICAL:
-        ratios = proportions(zip(x_col.values, y_col.values))
-        report["proportions"] = [
+        },
+        "proportions": None if ratios is None else [
             {"label": label, "ratio": ratio} for label, ratio in ratios.entries
-        ]
-    else:
-        report["proportions"] = None
+        ],
+    }
 
     print(json.dumps(report, indent=2))
     return 0
@@ -160,8 +158,15 @@ def _cmd_tracklist(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise E_PARSE instead of exiting 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise MalformedInput(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="melodify",
         description="Turn tabular data and a chart intent into a musical score.",
         epilog=(
@@ -220,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except MelodifyError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ class MelodifyError(Exception):
 # Input parsing ---------------------------------------------------------------
 
 class MalformedInput(MelodifyError):
-    """Raw table or spec bytes that cannot be decoded or are inconsistent."""
+    """Raw table or spec bytes, or a command line, that cannot be decoded
+    or are inconsistent."""
 
     code = "E_PARSE"
 

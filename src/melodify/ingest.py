@@ -116,12 +116,16 @@ class MelodySpec:
     histogram: bool = False
 
 
-def _as_finite_float(value: str) -> float | None:
+def _as_number(cell: str) -> float | None:
+    """The cell's number, or None for text and the words nan and inf; a
+    literal past float range such as ``1e400`` is ±inf, over the bound."""
     try:
-        number = float(value)
+        number = float(cell)
     except ValueError:
         return None
-    return number if math.isfinite(number) else None
+    if math.isnan(number) or cell.strip().lstrip("+-").lower() in ("inf", "infinity"):
+        return None
+    return number
 
 
 def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
@@ -143,7 +147,7 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     columns = []
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
-        numbers = [_as_finite_float(c) for c in cells]
+        numbers = [_as_number(c) for c in cells]
         if all(n is not None for n in numbers):
             for i, number in enumerate(numbers):
                 if abs(number) > VALUE_MAGNITUDE_MAX:
@@ -178,7 +182,7 @@ def _rows_from_json(text: str) -> tuple[list[str], list[list[str]]]:
 
     try:
         payload = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise MalformedInput(f"json error: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedInput("json table must be an array of record objects")
@@ -211,9 +215,9 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
     """Decode raw bytes into a typed Dataset.
 
     A column is quantitative exactly when every one of its values parses
-    as a finite real number; otherwise it is categorical and every value
-    must be a non-empty string. A quantitative value beyond
-    ``VALUE_MAGNITUDE_MAX`` in magnitude is rejected.
+    as a number other than nan or inf; otherwise it is categorical and
+    every value must be a non-empty string. A quantitative value beyond
+    ``VALUE_MAGNITUDE_MAX`` in magnitude, even past float range, is rejected.
     """
     try:
         text = raw.decode("utf-8-sig")  # drops the byte-order mark Excel writes
@@ -360,7 +364,7 @@ def spec_mapping(raw: bytes) -> dict:
         raise MalformedInput("spec is not valid UTF-8") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise MalformedInput(f"spec json error: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedInput("spec must be a single JSON object")

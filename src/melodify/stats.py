@@ -97,35 +97,6 @@ def least_squares_slope(series: Sequence[float]) -> float:
     return numerator / denominator
 
 
-def _segment_cost_matrix(values: np.ndarray) -> np.ndarray:
-    """cost[a, b] = squared residual of the best line over points a..b.
-
-    Computed with prefix sums so each entry is O(1); only spans of at
-    least two points are filled. Values are pre-shifted by the caller so
-    the sums stay well conditioned.
-    """
-    n = values.size
-    idx = np.arange(n, dtype=float)
-    c_y = np.concatenate(([0.0], np.cumsum(values)))
-    c_iy = np.concatenate(([0.0], np.cumsum(idx * values)))
-    c_y2 = np.concatenate(([0.0], np.cumsum(values * values)))
-
-    cost = np.full((n, n), np.inf)
-    for a in range(n - 1):
-        b = np.arange(a + 1, n)
-        m = (b - a + 1).astype(float)
-        s_y = c_y[b + 1] - c_y[a]
-        s_xy = (c_iy[b + 1] - c_iy[a]) - a * s_y
-        s_y2 = c_y2[b + 1] - c_y2[a]
-        s_x = m * (m - 1) / 2.0
-        s_x2 = (m - 1) * m * (2 * m - 1) / 6.0
-        sxx = s_x2 - s_x * s_x / m
-        sxy = s_xy - s_x * s_y / m
-        syy = s_y2 - s_y * s_y / m
-        cost[a, a + 1 :] = np.maximum(syy - sxy * sxy / sxx, 0.0)
-    return cost
-
-
 def segment_trends(
     series: Sequence[float], max_segments: int = DEFAULT_MAX_SEGMENTS
 ) -> list[TrendSegment]:
@@ -146,23 +117,41 @@ def segment_trends(
     # Shifting by the first value keeps the DP identical under constant
     # offsets of the input (exactly so for integer-valued data).
     values = np.asarray([v - series[0] for v in series], dtype=float)
-    cost = _segment_cost_matrix(values)
-
     centered = values - values.mean()
     tolerance = 1e-12 * max(1.0, float(np.dot(centered, centered)))
-    cost[cost < tolerance] = 0.0
+
+    # Prefix sums of y, i*y and y*y give the squared residual of the best
+    # line over points a..b in O(1); the costs of all spans ending at b are
+    # computed when the DP reaches b, so memory stays linear in n.
+    idx = np.arange(n, dtype=float)
+    c_y = np.concatenate(([0.0], np.cumsum(values)))
+    c_iy = np.concatenate(([0.0], np.cumsum(idx * values)))
+    c_y2 = np.concatenate(([0.0], np.cumsum(values * values)))
+    # Index sums of a span depend only on its length m = 2..n.
+    lengths = np.arange(2, n + 1, dtype=float)
+    sums_x = lengths * (lengths - 1) / 2.0
+    sums_x2 = (lengths - 1) * lengths * (2 * lengths - 1) / 6.0
+    sxx_by_length = sums_x2 - sums_x * sums_x / lengths
 
     k_max = min(max_segments, n - 1)
     best = np.full((k_max + 1, n), np.inf)
     parent = np.zeros((k_max + 1, n), dtype=int)
-    best[1, 1:] = cost[0, 1:]
-    for k in range(2, k_max + 1):
-        for end in range(k, n):
-            lo = k - 1
-            candidates = best[k - 1, lo:end] + cost[lo:end, end]
-            i = int(np.argmin(candidates))
-            best[k, end] = candidates[i]
-            parent[k, end] = lo + i
+    for b in range(1, n):
+        by_start = slice(b - 1, None, -1)  # spans a = 0..b-1 are b+1..2 points long
+        m, s_x, sxx = lengths[by_start], sums_x[by_start], sxx_by_length[by_start]
+        s_y = c_y[b + 1] - c_y[:b]
+        s_xy = (c_iy[b + 1] - c_iy[:b]) - idx[:b] * s_y
+        s_y2 = c_y2[b + 1] - c_y2[:b]
+        sxy = s_xy - s_x * s_y / m
+        syy = s_y2 - s_y * s_y / m
+        cost = syy - sxy * sxy / sxx
+        cost[cost < tolerance] = 0.0  # also clears rounding below zero
+        best[1, b] = cost[0]
+        for k in range(2, min(k_max, b) + 1):
+            candidates = best[k - 1, k - 1 : b] + cost[k - 1 :]
+            i = int(candidates.argmin())
+            best[k, b] = candidates[i]
+            parent[k, b] = k - 1 + i
 
     exact = best[1 : k_max + 1, n - 1]
     cumulative = np.minimum.accumulate(exact)

@@ -213,6 +213,33 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert not bar_csv.with_suffix(".mid").exists()
 
 
+BAR_COMPILE = [
+    "compile", "--data", "DATA", "--idiom", "bar", "--palette", "positive",
+    "--x", "k", "--y", "v",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BAR_COMPILE + ["--tempo", "fast"],
+        BAR_COMPILE + ["--loop", "x"],
+        BAR_COMPILE + ["--emit", "wav"],
+        ["compile", "--idiom", "bar", "--palette", "positive", "--y", "v"],
+        [],
+        ["play"],
+    ],
+    ids=["tempo-not-int", "loop-not-int", "emit-unknown", "data-missing",
+         "no-subcommand", "unknown-subcommand"],
+)
+def test_usage_error_is_one_parse_line(bar_csv, capsys, argv):
+    argv = [str(bar_csv) if arg == "DATA" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error E_PARSE: ") and len(err.splitlines()) == 1
+    assert [path.name for path in bar_csv.parent.iterdir()] == ["bars.csv"]
+
+
 def test_compile_malformed_spec_json(bar_csv, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("{not json", encoding="utf-8")
@@ -258,6 +285,18 @@ def test_analyze_categorical_x_reports_proportions(bar_csv, capsys):
     shares = {p["label"]: p["ratio"] for p in report["proportions"]}
     assert shares == {"a": pytest.approx(1 / 6), "b": pytest.approx(2 / 6), "c": pytest.approx(3 / 6)}
     assert sum(shares.values()) == pytest.approx(1.0)
+
+
+def test_analyze_negative_share_has_no_proportions(tmp_path, capsys):
+    # A bar chart plays this table, so analyze reports it instead of failing.
+    path = tmp_path / "bars.csv"
+    path.write_text("k,v\na,1\nb,-2\nc,3\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--data", str(path), "--y", "v", "--x", "k")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert list(report) == ["rows", "segments", "density", "variance", "proportions"]
+    assert report["rows"] == 3 and len(report["segments"]) == 2
+    assert report["proportions"] is None
 
 
 def test_analyze_rejects_categorical_y(bar_csv, capsys):

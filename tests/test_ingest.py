@@ -27,6 +27,7 @@ from melodify.ingest import (
     parse_spec,
     parse_table,
     spec_from_mapping,
+    spec_mapping,
     validate_binding,
 )
 
@@ -76,6 +77,22 @@ def test_value_magnitude_bound_is_inclusive_and_rejects_beyond():
         csv_table("v\n1\n1e160\n3\n")
     with pytest.raises(InvalidValue):
         json_table([{"v": -1e308}, {"v": 1e308}])
+    # Literals past float range parse as inf but are numbers; the words stay text.
+    with pytest.raises(InvalidValue):
+        csv_table("v\n1\n1e400\n")
+    with pytest.raises(InvalidValue):
+        json_table([{"v": 1}, {"v": 10**400}])
+    for word in ("inf", "-Infinity", "+INF"):
+        assert csv_table(f"v\n1\n{word}\n").column("v").kind is ColumnKind.CATEGORICAL
+
+
+def test_json_integer_past_the_digit_limit_is_malformed():
+    # json.loads raises a plain ValueError past Python's int digit limit.
+    digits = b"9" * 5000
+    with pytest.raises(MalformedInput):
+        parse_table(b'[{"v": ' + digits + b"}]", TableFormat.JSON)
+    with pytest.raises(MalformedInput):
+        spec_mapping(b'{"tempo": ' + digits + b"}")
 
 
 def test_csv_quoted_comma_and_newline():

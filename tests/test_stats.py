@@ -6,6 +6,9 @@ acceptance suite and against hand-picked shapes here.
 """
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +128,100 @@ def test_segments_tile_the_series(series):
         assert left.end_index == right.start_index
     for s in segs:
         assert s.end_index - s.start_index >= 1
+
+
+def piecewise_series(n: int, seed: int) -> list[float]:
+    """A seeded random walk of 3-6 straight runs plus gaussian noise."""
+    rng = random.Random(seed)
+    corners = sorted(rng.sample(range(1, n - 1), rng.randint(2, 5)))
+    series, value, slope = [], 0.0, rng.uniform(-3, 3)
+    for i in range(n):
+        if i in corners:
+            slope = rng.uniform(-3, 3)
+        value += slope
+        series.append(round(value + rng.gauss(0, 2), 3))
+    return series
+
+
+# Boundaries and slopes of piecewise_series(n, seed=n) for max_segments
+# 1..6, recorded from the dense n-by-n cost-matrix implementation: the
+# per-end-index DP must reproduce them bit for bit.
+PINNED_SEGMENTS = {
+    50: [
+        ((0, 49),
+         (-0.8060708763505402,)),
+        ((0, 20, 49),
+         (0.11292467532467532, -2.020852725250278)),
+        ((0, 15, 22, 49),
+         (-0.3822794117647059, 2.80302380952381, -2.093688834154351)),
+        ((0, 15, 22, 42, 49),
+         (-0.3822794117647059, 2.80302380952381, -2.4531636363636364,
+          -0.4478452380952384)),
+        ((0, 9, 15, 22, 42, 49),
+         (-0.27795757575757574, -1.028, 2.80302380952381, -2.4531636363636364,
+          -0.4478452380952384)),
+        ((0, 15, 22, 38, 40, 41, 49),
+         (-0.3822794117647059, 2.80302380952381, -2.561458333333333,
+          0.45699999999999896, -7.099999999999998, -0.49470000000000075)),
+    ],
+    300: [
+        ((0, 299),
+         (-0.4991109881220902,)),
+        ((0, 184, 299),
+         (-1.9796056764337975, 1.5112655710606242)),
+        ((0, 177, 251, 299),
+         (-2.0035662725588845, 2.784651578947373, -0.5843491836734706)),
+        ((0, 177, 251, 299),
+         (-2.0035662725588845, 2.784651578947373, -0.5843491836734706)),
+        ((0, 177, 245, 251, 299),
+         (-2.0035662725588845, 2.766852393131165, 2.801321428571429,
+          -0.5843491836734706)),
+        ((0, 177, 245, 251, 299),
+         (-2.0035662725588845, 2.766852393131165, 2.801321428571429,
+          -0.5843491836734706)),
+    ],
+    1000: [
+        ((0, 999),
+         (-0.6696110511830498,)),
+        ((0, 455, 999),
+         (-2.135020211845048, -0.6315305194131274)),
+        ((0, 362, 684, 999),
+         (-2.5154579762276903, 1.018164919972566, -1.6851216068362431)),
+        ((0, 91, 363, 684, 999),
+         (-2.6242765208143886, -2.4889217970736865, 1.0186985103842756,
+          -1.6851216068362431)),
+        ((0, 91, 361, 410, 684, 999),
+         (-2.6242765208143886, -2.489975687359815, 0.7524195438175209,
+          1.0286124537664827, -1.6851216068362431)),
+        ((0, 91, 361, 410, 685, 759, 999),
+         (-2.6242765208143886, -2.489975687359815, 0.7524195438175209,
+          1.028731690472452, -1.6542948790896161, -1.6977812695037875)),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SEGMENTS))
+def test_segments_match_pinned_fits(n):
+    series = piecewise_series(n, n)
+    for max_segments, (bounds, slopes) in enumerate(PINNED_SEGMENTS[n], start=1):
+        segs = segment_trends(series, max_segments)
+        assert (segs[0].start_index,) + tuple(s.end_index for s in segs) == bounds
+        assert tuple(s.start_index for s in segs[1:]) == bounds[1:-1]
+        assert tuple(s.slope for s in segs) == slopes
+
+
+def test_segmentation_memory_is_linear():
+    # A dense n-by-n float matrix alone would be 72 MB at n = 3000. Every
+    # span cost is computed whatever the segment count, and one segment
+    # keeps tracemalloc's per-allocation overhead off the k loop.
+    series = piecewise_series(3000, 3000)
+    tracemalloc.start()
+    try:
+        segment_trends(series, max_segments=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # --- compute_density ----------------------------------------------------------
