@@ -128,6 +128,12 @@ def _as_number(cell: str) -> float | None:
     return number
 
 
+def _shortened(cell: str) -> str:
+    """The cell as written, cut to 24 characters so that an error naming
+    a 400-digit literal stays one short line."""
+    return cell if len(cell) <= 24 else cell[:21] + "..."
+
+
 def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     if not header:
         raise MalformedInput("header row is empty")
@@ -152,8 +158,8 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
             for i, number in enumerate(numbers):
                 if abs(number) > VALUE_MAGNITUDE_MAX:
                     raise InvalidValue(
-                        f"value {number:g} at row {i + 1}, column {name!r} exceeds "
-                        f"the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
+                        f"value {_shortened(cells[i])!r} at row {i + 1}, column "
+                        f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
                     )
             columns.append(Column(name, ColumnKind.QUANTITATIVE, tuple(numbers)))
         else:

@@ -7,6 +7,7 @@ describing a repeated region.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Union
@@ -207,8 +208,14 @@ def _shifted(event: Event, by: int) -> Event:
     if by == 0:
         return event
     if isinstance(event, NoteEvent):
-        return replace(event, onset_tick=event.onset_tick + by)
-    return replace(event, tick=event.tick + by)
+        return NoteEvent(
+            event.onset_tick + by,
+            event.duration_ticks,
+            event.pitch,
+            event.velocity,
+            event.articulation,
+        )
+    return PedalEvent(event.tick + by, event.state)
 
 
 def expand_loops(score: Score) -> Score:
@@ -218,27 +225,32 @@ def expand_loops(score: Score) -> Score:
     it shift right by the added length. Idempotent: a score without a
     loop marker comes back unchanged. The expanded size is checked
     against ``MAX_EXPANDED_EVENTS`` before anything is copied.
+
+    Only the unexpanded events are sorted. Each repetition's ticks lie
+    after the previous one's, so emitting the events before the region,
+    the repeats in order, then the shifted tail gives sorted output. An
+    empty or inverted region, or a count below one, is refused.
     """
     if score.loop is None:
         return score
     start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
-    repeated = sum(1 for ev in score.events if start <= event_tick(ev) < end)
-    expanded = len(score.events) + repeated * (count - 1)
+    if count < 1 or end <= start:
+        raise InvalidValue(
+            f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
+        )
+    events = sorted_events(score.events)
+    ticks = [event_tick(ev) for ev in events]
+    first, after = bisect_left(ticks, start), bisect_left(ticks, end)
+    region = events[first:after]
+    expanded = len(events) + len(region) * (count - 1)
     if expanded > MAX_EXPANDED_EVENTS:
         raise InvalidValue(
             f"loop of {count} repeats would expand to {expanded} events, "
             f"above the cap of {MAX_EXPANDED_EVENTS}"
         )
     length = end - start
-    total_shift = (count - 1) * length
-    out: list[Event] = []
-    for ev in score.events:
-        tick = event_tick(ev)
-        if tick < start:
-            out.append(ev)
-        elif tick < end:
-            for i in range(count):
-                out.append(_shifted(ev, i * length))
-        else:
-            out.append(_shifted(ev, total_shift))
-    return replace(score, events=sorted_events(out), loop=None)
+    out = list(events[:first])
+    for i in range(count):
+        out.extend([_shifted(ev, i * length) for ev in region])
+    out.extend([_shifted(ev, (count - 1) * length) for ev in events[after:]])
+    return replace(score, events=tuple(out), loop=None)

@@ -8,14 +8,16 @@ of a score for golden tests.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Sequence
 
 from .errors import MalformedSmf, StructuralViolation, UnexpandedLoop
 from .score import (
     Articulation,
     NoteEvent,
-    PedalEvent,
     PedalState,
     Score,
     structural_errors,
@@ -41,12 +43,6 @@ META_TEMPO = 0x51
 META_TIME_SIGNATURE = 0x58
 META_KEY_SIGNATURE = 0x59
 META_END_OF_TRACK = 0x2F
-
-# Stable ordering for events sharing a tick.
-_ORDER_META = 0
-_ORDER_PEDAL = 1
-_ORDER_NOTE_OFF = 2
-_ORDER_NOTE_ON = 3
 
 
 def encode_vlq(value: int) -> bytes:
@@ -76,28 +72,45 @@ def key_signature_bytes(root: int, mode: ScaleMode) -> bytes:
     return struct.pack(">bB", sharps, 1 if mode is ScaleMode.NATURAL_MINOR else 0)
 
 
-def _gate_for(notes: list[NoteEvent], index: int) -> float:
-    """Accent borrows its gate from the nearest plainly articulated note."""
-    articulation = notes[index].articulation
-    if articulation is not Articulation.ACCENT:
-        return GATE_BY_ARTICULATION[articulation]
-    for j in range(index - 1, -1, -1):
-        if notes[j].articulation is not Articulation.ACCENT:
-            return GATE_BY_ARTICULATION[notes[j].articulation]
-    for j in range(index + 1, len(notes)):
-        if notes[j].articulation is not Articulation.ACCENT:
-            return GATE_BY_ARTICULATION[notes[j].articulation]
-    return GATE_BY_ARTICULATION[Articulation.NORMAL]
+def sounding_durations(notes: Sequence[NoteEvent]) -> list[int]:
+    """Ticks each note actually holds once its articulation gate applies.
+
+    An accent borrows its gate from the nearest plainly articulated note
+    before it, or from the first one after it when none comes before; a
+    run of accents alone plays at the normal gate.
+    """
+    accent, gates = Articulation.ACCENT, GATE_BY_ARTICULATION
+    gate = next(
+        (gates[n.articulation] for n in notes if n.articulation is not accent),
+        gates[Articulation.NORMAL],
+    )
+    held = []
+    for n in notes:
+        if n.articulation is not accent:
+            gate = gates[n.articulation]
+        held.append(int(gate * n.duration_ticks) or 1)  # at least one tick
+    return held
 
 
-def sounding_duration(notes: list[NoteEvent], index: int) -> int:
-    """Ticks the note actually holds once its articulation gate applies."""
-    gate = _gate_for(notes, index)
-    return max(1, int(gate * notes[index].duration_ticks))
+# Shared encodings: a delta below 128 is its own one-byte VLQ.
+_SHORT_VLQ = tuple(bytes([delta]) for delta in range(128))
+_NOTE_ON = bytes([0x90 | CHANNEL])
+_NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
+_PEDAL = {
+    PedalState.DOWN: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 127]),
+    PedalState.UP: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 0]),
+}
 
 
 def write_smf(score: Score) -> bytes:
-    """Serialize a loop-free, structurally valid score to SMF format 0."""
+    """Serialize a loop-free, structurally valid score to SMF format 0.
+
+    Messages sharing a tick go meta, pedal, note-off, note-on, each group
+    in score order. The events are walked once, in the order
+    ``structural_errors`` guarantees; note-offs wait in a heap keyed
+    (off tick, event index) and leave it before a pedal at a later tick
+    or a note-on at the same or a later tick.
+    """
     if score.loop is not None:
         raise UnexpandedLoop("expand the score's loop before writing MIDI")
     problems = structural_errors(score)
@@ -110,50 +123,52 @@ def write_smf(score: Score) -> bytes:
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
 
-    messages: list[tuple[int, int, bytes]] = [
-        (0, _ORDER_META, bytes([0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]),
-        (
-            0,
-            _ORDER_META,
-            bytes([0xFF, META_TIME_SIGNATURE, 0x04, numerator,
-                   denominator.bit_length() - 1, 24, 8]),
-        ),
-        (0, _ORDER_META, bytes([0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)),
-        (0, _ORDER_META, bytes([0xC0 | CHANNEL, PROGRAM])),
-    ]
+    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, score.ticks_per_quarter))
+    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
+    track_start = len(out)
+    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
+    out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
+                  denominator.bit_length() - 1, 24, 8])
+    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
+    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
+
+    append = out.append
+    pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
+    cursor = 0
+
+    def release_before(due: float) -> None:
+        nonlocal cursor
+        while pending and pending[0][0] < due:
+            tick, _, pitch = heappop(pending)
+            delta = tick - cursor
+            out.extend(_SHORT_VLQ[delta] if delta < 128 else encode_vlq(delta))
+            out.extend(_NOTE_OFF[pitch])
+            cursor = tick
 
     notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
-    note_index = 0
-    for ev in score.events:
-        if isinstance(ev, PedalEvent):
-            value = 127 if ev.state is PedalState.DOWN else 0
-            messages.append(
-                (ev.tick, _ORDER_PEDAL, bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, value]))
-            )
+    held = iter(sounding_durations(notes))
+    for index, ev in enumerate(score.events):
+        if isinstance(ev, NoteEvent):
+            tick = ev.onset_tick
+            release_before(tick + 1)
         else:
-            held = sounding_duration(notes, note_index)
-            note_index += 1
-            messages.append(
-                (ev.onset_tick, _ORDER_NOTE_ON, bytes([0x90 | CHANNEL, ev.pitch, ev.velocity]))
-            )
-            messages.append(
-                (ev.onset_tick + held, _ORDER_NOTE_OFF, bytes([0x80 | CHANNEL, ev.pitch, 0]))
-            )
-
-    messages.sort(key=lambda m: (m[0], m[1]))
-
-    body = bytearray()
-    cursor = 0
-    for tick, _, data in messages:
-        body += encode_vlq(tick - cursor)
-        body += data
+            tick = ev.tick
+            release_before(tick)
+        delta = tick - cursor
+        out += _SHORT_VLQ[delta] if delta < 128 else encode_vlq(delta)
         cursor = tick
-    body += encode_vlq(0)
-    body += bytes([0xFF, META_END_OF_TRACK, 0x00])
+        if isinstance(ev, NoteEvent):
+            out += _NOTE_ON
+            append(ev.pitch)
+            append(ev.velocity)
+            heappush(pending, (tick + next(held), index, ev.pitch))
+        else:
+            out += _PEDAL[ev.state]
+    release_before(math.inf)
+    out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
 
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, score.ticks_per_quarter)
-    track = b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-    return header + track
+    struct.pack_into(">I", out, track_start - 4, len(out) - track_start)
+    return bytes(out)
 
 
 @dataclass(frozen=True)

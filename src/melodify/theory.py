@@ -7,8 +7,10 @@ minor (3, 4), diminished (3, 3).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ChromaticMode, InvalidDegree, OutOfMidiRange
@@ -187,10 +189,26 @@ def quantize_pitch(
     fraction = (value - low) / (high - low)
     fraction = min(1.0, max(0.0, fraction))
     target = anchor + fraction * span_semitones
-    members = [
+    members = _members_in_span(scale, anchor, span_semitones)
+    if not members:
+        raise ValueError(
+            f"no scale member within {span_semitones} semitones above {anchor}"
+        )
+    above = bisect_left(members, target)
+    if above == 0:
+        return members[0]
+    if above == len(members):
+        return members[-1]
+    lower, upper = members[above - 1], members[above]
+    return upper if upper - target < target - lower else lower
+
+
+@lru_cache(maxsize=256)
+def _members_in_span(scale: Scale, anchor: int, span_semitones: int) -> tuple[int, ...]:
+    """Scale member pitches from anchor to anchor + span, ascending."""
+    return tuple(
         p for p in range(anchor, anchor + span_semitones + 1) if scale.contains(p)
-    ]
-    return min(members, key=lambda p: (abs(p - target), p))
+    )
 
 
 def arpeggiate(

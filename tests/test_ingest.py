@@ -77,11 +77,19 @@ def test_value_magnitude_bound_is_inclusive_and_rejects_beyond():
         csv_table("v\n1\n1e160\n3\n")
     with pytest.raises(InvalidValue):
         json_table([{"v": -1e308}, {"v": 1e308}])
-    # Literals past float range parse as inf but are numbers; the words stay text.
-    with pytest.raises(InvalidValue):
+    # Literals past float range parse as inf but are numbers; the words stay
+    # text. The message names the cell as written, cut to 24 characters.
+    with pytest.raises(InvalidValue) as excinfo:
         csv_table("v\n1\n1e400\n")
-    with pytest.raises(InvalidValue):
+    assert str(excinfo.value) == (
+        "value '1e400' at row 2, column 'v' exceeds the magnitude bound 1e+100"
+    )
+    with pytest.raises(InvalidValue) as excinfo:
         json_table([{"v": 1}, {"v": 10**400}])
+    assert str(excinfo.value) == (
+        f"value '{'1' + '0' * 20}...' at row 2, column 'v' exceeds the magnitude "
+        "bound 1e+100"
+    )
     for word in ("inf", "-Infinity", "+INF"):
         assert csv_table(f"v\n1\n{word}\n").column("v").kind is ColumnKind.CATEGORICAL
 

@@ -15,6 +15,7 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
+    event_tick,
     expand_loops,
     lint,
     sorted_events,
@@ -205,6 +206,66 @@ def test_expand_loops_cap_counts_events_outside_the_region(monkeypatch):
     assert len(expand_loops(make_score(events, loop=Loop(480, 960, 8))).events) == 10
     with pytest.raises(InvalidValue):
         expand_loops(make_score(events, loop=Loop(480, 960, 9)))
+
+
+def test_expand_loops_refuses_an_empty_or_inverted_region():
+    for loop in (Loop(480, 480, 2), Loop(960, 480, 2), Loop(0, 960, 0)):
+        with pytest.raises(InvalidValue, match="cannot be expanded"):
+            expand_loops(make_score([note(0, dur=960), note(480)], loop=loop))
+
+
+def _shifted_oracle(event, by):
+    if isinstance(event, NoteEvent):
+        return replace(event, onset_tick=event.onset_tick + by)
+    return replace(event, tick=event.tick + by)
+
+
+def sort_based_expand_oracle(score):
+    """Copy the region per repeat in input order, then sort everything:
+    the expansion as it was before it emitted repeats in order."""
+    start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
+    length = end - start
+    out = []
+    for ev in score.events:
+        tick = event_tick(ev)
+        if tick < start:
+            out.append(ev)
+        elif tick < end:
+            out.extend(_shifted_oracle(ev, i * length) for i in range(count))
+        else:
+            out.append(_shifted_oracle(ev, (count - 1) * length))
+    return replace(score, events=sorted_events(out), loop=None)
+
+
+@given(
+    st.lists(
+        # Ticks in units of 60 over 0..24: the region's edges, the
+        # ticks before it and the tail after it all get events.
+        st.tuples(st.booleans(), st.integers(0, 24), st.integers(0, 127)),
+        max_size=25,
+    ),
+    st.integers(0, 12),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.booleans(),
+)
+def test_expand_loops_matches_sort_based_oracle(specs, start, length, count, shuffle):
+    events = [
+        note(60 * tick, dur=60, pitch=pitch)
+        if is_note
+        else PedalEvent(60 * tick, PedalState.DOWN if pitch % 2 else PedalState.UP)
+        for is_note, tick, pitch in specs
+    ]
+    ordered = sorted_events(events)
+    # Unsorted input: the raw draw order, or the sorted order reversed.
+    score = Score(
+        tempo_bpm=120,
+        time_signature=(4, 4),
+        key_signature=(0, ScaleMode.MAJOR),
+        events=tuple(events) if shuffle else ordered[::-1],
+        loop=Loop(60 * start, 60 * (start + length), count),
+    )
+    assert expand_loops(score) == sort_based_expand_oracle(score)
 
 
 def test_expanded_loop_is_structurally_valid():

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from melodify.errors import MalformedSmf, StructuralViolation, UnexpandedLoop
+from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from melodify.melodifier import melodify
 from melodify.score import (
     Articulation,
     Loop,
@@ -15,13 +18,22 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
+    expand_loops,
     sorted_events,
 )
 from melodify.smf import (
+    CHANNEL,
+    GATE_BY_ARTICULATION,
+    META_END_OF_TRACK,
+    META_KEY_SIGNATURE,
+    META_TEMPO,
+    META_TIME_SIGNATURE,
+    PROGRAM,
+    SUSTAIN_CONTROLLER,
     encode_vlq,
     key_signature_bytes,
     parse_smf_minimal,
-    sounding_duration,
+    sounding_durations,
     write_smf,
     write_text_score,
 )
@@ -111,14 +123,14 @@ def test_gate_ratios():
         note(480, art=Articulation.STACCATO),
         note(960, art=Articulation.LEGATO),
     ]
-    assert sounding_duration(notes, 0) == 408  # 0.85 * 480
-    assert sounding_duration(notes, 1) == 240  # 0.50 * 480
-    assert sounding_duration(notes, 2) == 480  # 1.00 * 480
+    assert sounding_durations(notes)[0] == 408  # 0.85 * 480
+    assert sounding_durations(notes)[1] == 240  # 0.50 * 480
+    assert sounding_durations(notes)[2] == 480  # 1.00 * 480
 
 
 def test_gate_minimum_one_tick():
     notes = [note(0, dur=1, art=Articulation.STACCATO)]
-    assert sounding_duration(notes, 0) == 1
+    assert sounding_durations(notes)[0] == 1
 
 
 def test_accent_inherits_previous_gate():
@@ -126,7 +138,7 @@ def test_accent_inherits_previous_gate():
         note(0, art=Articulation.STACCATO),
         note(480, art=Articulation.ACCENT),
     ]
-    assert sounding_duration(notes, 1) == 240
+    assert sounding_durations(notes)[1] == 240
 
 
 def test_accent_inherits_forward_when_first():
@@ -134,12 +146,12 @@ def test_accent_inherits_forward_when_first():
         note(0, art=Articulation.ACCENT),
         note(480, art=Articulation.LEGATO),
     ]
-    assert sounding_duration(notes, 0) == 480
+    assert sounding_durations(notes)[0] == 480
 
 
 def test_accent_alone_defaults_to_normal_gate():
     notes = [note(0, art=Articulation.ACCENT)]
-    assert sounding_duration(notes, 0) == 408
+    assert sounding_durations(notes)[0] == 408
 
 
 # --- write_smf ----------------------------------------------------------------
@@ -195,6 +207,120 @@ def test_write_rejects_invalid_score():
 def test_write_is_deterministic():
     score = make_score([note(0), note(480, pitch=64)])
     assert write_smf(score) == write_smf(score)
+
+
+def _gate_oracle(notes, index):
+    """Nearest plainly articulated note's gate, searched back then forward."""
+    if notes[index].articulation is not Articulation.ACCENT:
+        return GATE_BY_ARTICULATION[notes[index].articulation]
+    for j in [*range(index - 1, -1, -1), *range(index + 1, len(notes))]:
+        if notes[j].articulation is not Articulation.ACCENT:
+            return GATE_BY_ARTICULATION[notes[j].articulation]
+    return GATE_BY_ARTICULATION[Articulation.NORMAL]
+
+
+def sort_based_smf_oracle(score):
+    """Every message in one list, stably sorted by (tick, kind): the
+    encoder as it was before it streamed."""
+    tempo_us = round(60_000_000 / score.tempo_bpm)
+    numerator, denominator = score.time_signature
+    root, mode = score.key_signature
+    messages = [
+        (0, 0, bytes([0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]),
+        (0, 0, bytes([0xFF, META_TIME_SIGNATURE, 0x04, numerator,
+                      denominator.bit_length() - 1, 24, 8])),
+        (0, 0, bytes([0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)),
+        (0, 0, bytes([0xC0 | CHANNEL, PROGRAM])),
+    ]
+    notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
+    note_index = 0
+    for ev in score.events:
+        if isinstance(ev, PedalEvent):
+            value = 127 if ev.state is PedalState.DOWN else 0
+            messages.append((ev.tick, 1, bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, value])))
+        else:
+            gate = _gate_oracle(notes, note_index)
+            held = max(1, int(gate * ev.duration_ticks))
+            note_index += 1
+            messages.append((ev.onset_tick, 3, bytes([0x90 | CHANNEL, ev.pitch, ev.velocity])))
+            messages.append((ev.onset_tick + held, 2, bytes([0x80 | CHANNEL, ev.pitch, 0])))
+    messages.sort(key=lambda m: (m[0], m[1]))
+    body = bytearray()
+    cursor = 0
+    for tick, _, data in messages:
+        body += encode_vlq(tick - cursor) + data
+        cursor = tick
+    body += encode_vlq(0) + bytes([0xFF, META_END_OF_TRACK, 0x00])
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, score.ticks_per_quarter)
+    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+
+
+ARTICULATIONS = st.sampled_from(list(Articulation))
+
+
+@st.composite
+def writable_scores(draw):
+    # Ticks on a coarse grid times a unit, so notes, pedals and note-offs
+    # often share a tick; units of 97 and 1000 make multi-byte deltas.
+    unit = draw(st.sampled_from([1, 2, 97, 1000]))
+    all_accent = draw(st.booleans())
+    notes = [
+        note(
+            unit * onset,
+            dur=dur,
+            pitch=pitch,
+            vel=vel,
+            art=Articulation.ACCENT if all_accent else art,
+        )
+        for onset, dur, pitch, vel, art in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 12),
+                    st.one_of(st.just(1), st.integers(1, 4).map(lambda k: k * unit)),
+                    st.integers(0, 127),
+                    st.integers(1, 127),
+                    st.one_of(st.just(Articulation.ACCENT), ARTICULATIONS),
+                ),
+                max_size=30,
+            )
+        )
+    ]
+    presses = sorted(unit * t for t in draw(st.lists(st.integers(0, 14), max_size=8)))
+    if len(presses) % 2:
+        presses.pop()
+    pedals = [
+        PedalEvent(tick, PedalState.DOWN if i % 2 == 0 else PedalState.UP)
+        for i, tick in enumerate(presses)
+    ]
+    return make_score(pedals + notes)
+
+
+@given(writable_scores())
+def test_streamed_encoder_matches_sort_based_oracle(score):
+    assert write_smf(score) == sort_based_smf_oracle(score)
+
+
+def test_write_smf_memory_stays_small_on_a_long_loop():
+    # A 32-slice pie looped 128 times expands to about 12k events. A list
+    # of every message, sorted, peaked near 4.4 MB here.
+    shares = [80 + (i * 37) % 41 for i in range(32)]
+    dataset = Dataset(
+        (
+            Column("k", ColumnKind.CATEGORICAL, tuple(f"c{i}" for i in range(32))),
+            Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in shares)),
+        ),
+        32,
+    )
+    spec = MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k", loop_count=128)
+    score = expand_loops(melodify(dataset, spec))
+    assert len(score.events) > 12_000
+    tracemalloc.start()
+    try:
+        write_smf(score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # --- parse_smf_minimal --------------------------------------------------------

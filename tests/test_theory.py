@@ -210,6 +210,30 @@ def test_quantize_stays_in_scale(value, span):
     assert C_MAJOR.contains(pitch)
 
 
+@given(
+    st.integers(0, 11),
+    st.sampled_from(list(ScaleMode)),
+    st.integers(0, 90),
+    st.integers(0, 36),
+    # Half semitones up the span give exact ties between two members.
+    st.one_of(
+        st.integers(-4, 80).map(lambda k: k / 2),
+        st.floats(-1, 41, allow_nan=False),
+    ),
+)
+def test_quantize_matches_all_members_oracle(root, mode, anchor, span, value):
+    scale = build_scale(root, mode)
+    top = max(span, 1)
+    target = anchor + min(1.0, max(0.0, value / top)) * span
+    members = [p for p in range(anchor, anchor + span + 1) if scale.contains(p)]
+    if not members:
+        with pytest.raises(ValueError):
+            quantize_pitch(value, (0, top), scale, span, anchor)
+        return
+    expected = min(members, key=lambda p: (abs(p - target), p))
+    assert quantize_pitch(value, (0, top), scale, span, anchor) == expected
+
+
 # --- arpeggiate ---------------------------------------------------------------
 
 def test_arpeggio_up_walks_triad_then_octave():
