@@ -79,6 +79,12 @@ class AllZero(MelodifyError):
     code = "E_PROPORTION"
 
 
+class UnsoundedSlice(MelodifyError):
+    """A positive pie slice too small to get one unit of the cycle."""
+
+    code = "E_PROPORTION"
+
+
 # Music theory misuse (internal contract violations) --------------------------
 
 class InvalidDegree(MelodifyError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import UnsoundedSlice
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
 from .score import (
     DEFAULT_TICKS_PER_QUARTER,
@@ -250,20 +251,28 @@ def _pie_body(
     spec: MelodySpec, plan: TonalPlan, character: DataCharacter
 ) -> tuple[list[Event], int]:
     """A chord cycle over four bars, each chord holding its share of the
-    cycle (snapped to the sixteenth grid); the cycle is the loop region."""
+    cycle (snapped to the sixteenth grid); the cycle is the loop region.
+    A zero-valued slice is silent; a positive one that rounds to no unit
+    is refused rather than dropped."""
     values = character.series
     domain = (min(values), max(values))
     span = character.variance.semitone_span
 
     cycle = PIE_CYCLE_BARS * plan.bar_ticks
     grid = DEFAULT_TICKS_PER_QUARTER // 4
-    ratios = [ratio for _, ratio in character.proportions.entries]
-    units = largest_remainder_allocation(ratios, cycle // grid)
+    entries = character.proportions.entries
+    total_units = cycle // grid
+    units = largest_remainder_allocation([ratio for _, ratio in entries], total_units)
 
     events: list[Event] = []
     cursor = 0
-    for value, unit_count in zip(values, units):
+    for (name, ratio), value, unit_count in zip(entries, values, units):
         if unit_count == 0:
+            if ratio > 0:
+                raise UnsoundedSlice(
+                    f"pie slice {name!r} (share {ratio:.3g}) rounds to 0 of "
+                    f"the cycle's {total_units} sixteenth units"
+                )
             continue
         duration = unit_count * grid
         chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import AllZero, NegativeProportion, TooShort
 
 
@@ -113,6 +111,9 @@ def segment_trends(
         raise TooShort(f"need at least 2 points to segment, got {n}")
     if max_segments < 1:
         raise ValueError("max_segments must be positive")
+    # Imported here, not at module level, so that compiles which never
+    # segment a line start without numpy.
+    import numpy as np
 
     # Shifting by the first value keeps the DP identical under constant
     # offsets of the input (exactly so for integer-valued data).
@@ -196,6 +197,19 @@ def compute_density(series_length: int, bar_count: int = DEFAULT_BAR_COUNT) -> D
     return DensityClass(level, per_bar)
 
 
+def _quartile(ordered: list[float], q: float) -> float:
+    """Hyndman & Fan's definition 7 (numpy's default ``linear``) on a
+    sorted sample, interpolated the way numpy's ``_lerp`` does it so the
+    result is bit-identical to ``np.percentile``."""
+    virtual = (len(ordered) - 1) * q
+    below = int(virtual)
+    t = virtual - below
+    a, b = ordered[below], ordered[below + 1]
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
 def compute_variance(series: Sequence[float]) -> VarianceClass:
     """Classify spread by the coefficient of quartile dispersion.
 
@@ -206,15 +220,18 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
     n = len(series)
     if n < 2:
         raise TooShort(f"need at least 2 points to classify spread, got {n}")
-    arr = np.asarray(series, dtype=float)
-    low, high = float(arr.min()), float(arr.max())
+    ordered = sorted(float(v) for v in series)
+    low, high = ordered[0], ordered[-1]
     if low == high:
         return VarianceClass(VarianceLevel.NARROW, SPAN_BY_LEVEL[VarianceLevel.NARROW])
-    q1, q3 = (float(q) for q in np.percentile(arr, [25.0, 75.0]))
+    q1, q3 = _quartile(ordered, 0.25), _quartile(ordered, 0.75)
     if q1 + q3 != 0:
         dispersion = (q3 - q1) / abs(q3 + q1)
     else:
-        mean_abs = float(np.mean(np.abs(arr)))
+        # Rare enough to pay numpy's import for its pairwise-summed mean.
+        import numpy as np
+
+        mean_abs = float(np.mean(np.abs(np.asarray(series, dtype=float))))
         dispersion = (high - low) / mean_abs if mean_abs > 0 else 0.0
     if dispersion < VARIANCE_MEDIUM_AT:
         level = VarianceLevel.NARROW

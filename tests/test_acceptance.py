@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from melodify.cli import main
+from melodify.errors import UnsoundedSlice
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
@@ -87,6 +88,33 @@ def chords_by_onset(score):
 
 def classes(pitches):
     return {p % 12 for p in pitches}
+
+
+def _oracle_largest_remainder(ratios, total):
+    exact = [r * total for r in ratios]
+    floors = [int(e) for e in exact]
+    order = sorted(range(len(ratios)), key=lambda i: (-(exact[i] - floors[i]), i))
+    for i in order[: total - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
+# Sixteenths in the four-bar pie cycle, from each palette's meter.
+PIE_UNITS = {
+    Palette.POSITIVE: 64,
+    Palette.NEGATIVE: 64,
+    Palette.GREY: 64,
+    Palette.EXCITING: 32,
+    Palette.CALM: 48,
+}
+
+
+def unsounded_slice(values, palette):
+    """Whether the oracle gives some positive pie slice no sixteenth of
+    the cycle, which melodify must refuse with E_PROPORTION."""
+    ratios = [v / sum(values) for v in values]
+    units = _oracle_largest_remainder(ratios, PIE_UNITS[palette])
+    return any(v > 0 and u == 0 for v, u in zip(values, units))
 
 
 # --- 1: closing cadences ------------------------------------------------------
@@ -180,9 +208,12 @@ def test_criterion_03_scale_conformance():
                     [rng.uniform(-50, 100) for _ in range(rng.randint(1, 12))]
                 )
             elif idiom is Idiom.PIE:
-                dataset = cat_dataset(
-                    [rng.uniform(0.05, 10) for _ in range(rng.randint(1, 12))]
-                )
+                values = [rng.uniform(0.05, 10) for _ in range(rng.randint(1, 12))]
+                dataset = cat_dataset(values)
+                if unsounded_slice(values, palette):
+                    with pytest.raises(UnsoundedSlice):
+                        melodify(dataset, mk_spec(idiom, palette, key))
+                    continue
             elif idiom is Idiom.LINE:
                 n = rng.randint(2, 40)
                 if trial % 3 == 0:
@@ -276,21 +307,21 @@ def test_criterion_05_scatter_pedal():
 
 # --- 6: pie conservation ------------------------------------------------------
 
-def _oracle_largest_remainder(ratios, total):
-    exact = [r * total for r in ratios]
-    floors = [int(e) for e in exact]
-    order = sorted(range(len(ratios)), key=lambda i: (-(exact[i] - floors[i]), i))
-    for i in order[: total - sum(floors)]:
-        floors[i] += 1
-    return floors
-
-
 def test_criterion_06_pie_conservation():
     rng = random.Random(64064)
+    refused = 0
     for _ in range(200):
         k = rng.randint(1, 12)
         values = [rng.uniform(0.01, 10) for _ in range(k)]
         ratios = [v / sum(values) for v in values]
+
+        # A positive slice that rounds to no sixteenth is refused, never
+        # dropped from the cycle.
+        if unsounded_slice(values, Palette.GREY):
+            with pytest.raises(UnsoundedSlice):
+                melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.GREY))
+            refused += 1
+            continue
 
         # Grey has no closing chords, so the loop doubles the whole
         # score exactly.
@@ -304,7 +335,7 @@ def test_criterion_06_pie_conservation():
         rendered = [durations[onset] for onset in sorted(durations)]
         assert sum(rendered) == CYCLE_TICKS
         units = _oracle_largest_remainder(ratios, CYCLE_TICKS // SIXTEENTH)
-        assert rendered == [u * SIXTEENTH for u in units if u > 0]
+        assert rendered == [u * SIXTEENTH for u in units]
         for ratio, unit in zip(ratios, units):
             assert abs(unit * SIXTEENTH - ratio * CYCLE_TICKS) <= SIXTEENTH
         single_pass_end = max(
@@ -314,11 +345,16 @@ def test_criterion_06_pie_conservation():
         assert total_duration_ticks(expand_loops(score)) == 2 * single_pass_end
         # The loop-aware total agrees with the expanded one.
         assert total_duration_ticks(score) == total_duration_ticks(expand_loops(score))
+    assert 0 < refused < 100
 
     # With a cadence the repeats still double the cycle; the closing
     # bars land once, after the last repetition.
     for _ in range(20):
         values = [rng.uniform(0.01, 10) for _ in range(rng.randint(1, 12))]
+        if unsounded_slice(values, Palette.POSITIVE):
+            with pytest.raises(UnsoundedSlice):
+                melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
+            continue
         score = melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
         assert total_duration_ticks(expand_loops(score)) == 2 * CYCLE_TICKS + 2 * BAR_TICKS
         cadence_onsets = {
@@ -489,7 +525,12 @@ def test_criterion_09_smf_round_trip():
         key = rng.randrange(12)
         n = rng.randint(2, 24)
         if idiom in (Idiom.BAR, Idiom.PIE):
-            dataset = cat_dataset([rng.uniform(0.1, 50) for _ in range(n)])
+            values = [rng.uniform(0.1, 50) for _ in range(n)]
+            dataset = cat_dataset(values)
+            if idiom is Idiom.PIE and unsounded_slice(values, palette):
+                with pytest.raises(UnsoundedSlice):
+                    melodify(dataset, mk_spec(idiom, palette, key))
+                continue
         else:
             dataset = q_dataset([rng.uniform(-30, 70) for _ in range(n)])
         score = melodify(dataset, mk_spec(idiom, palette, key))

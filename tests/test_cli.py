@@ -1,16 +1,19 @@
 """Command-line surface: exit codes, stderr codes, and emitted files."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from melodify.cli import main
+from melodify import errors
+from melodify.cli import USER_ERROR_CODES, _build_parser, main
 from melodify.score import MAX_EXPANDED_EVENTS
 from melodify.smf import parse_smf_minimal
 
@@ -143,6 +146,24 @@ def test_compile_negative_pie_share(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error E_PROPORTION:")
+
+
+def test_compile_refuses_a_pie_slice_below_one_sixteenth(tmp_path, capsys):
+    # A 1/32 cycle is 2 sixteenths, so only the first two of five equal
+    # slices could sound; the third is named and nothing is written.
+    path = tmp_path / "shares.csv"
+    path.write_text("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "compile", "--data", str(path), "--idiom", "pie",
+        "--palette", "positive", "--x", "k", "--y", "v",
+        "--time", "1/32", "--loop", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of "
+        "the cycle's 2 sixteenth units\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["shares.csv"]
 
 
 def test_compile_rejects_time_numerator_above_one_byte(bar_csv, capsys):
@@ -344,3 +365,155 @@ def test_compile_demo_script_runs(tmp_path):
         parse_smf_minimal(midi.read_bytes())
         assert midi.with_suffix(".txt").read_text(encoding="utf-8").startswith("tpq 480\n")
     assert len(list(tmp_path.glob("revenue-bar-*.mid"))) == 5
+
+
+def test_analyze_output_is_pinned(tmp_path, capsys):
+    line = tmp_path / "line.csv"
+    line.write_text(
+        "day,price\n1,10\n2,12.5\n3,11\n4,15\n5,19.25\n6,18\n7,9\n8,4.5\n",
+        encoding="utf-8",
+    )
+    bar = tmp_path / "bar.csv"
+    bar.write_text("region,sales\nnorth,12\nsouth,31\neast,8\nwest,22\n", encoding="utf-8")
+    digests = []
+    for path, y, x in ((line, "price", "day"), (bar, "sales", "region")):
+        code, out, err = run(capsys, "analyze", "--data", str(path), "--y", y, "--x", x)
+        assert code == 0 and err == ""
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [
+        "5d118285c134a8b097f97157d7c08c15471d7a16e76f7e150aef3e3988c21434",
+        "b94cf14aa4572b4083e998f6e05c5fb0fc2e89b3b7273617e58d95965da56614",
+    ]
+
+
+# --- numpy stays off the import path ------------------------------------------
+
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from melodify.cli import main
+
+tables = {
+    "bar": ("k,v\\na,1\\nb,3\\nc,2\\n", "k"),
+    "pie": ("k,v\\na,1\\nb,3\\nc,2\\n", "k"),
+    "scatter": ("t,v\\n0,5\\n1,30\\n2,12\\n", "t"),
+    "line": ("t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
+}
+loaded = ["numpy" in sys.modules]
+for idiom in sys.argv[2:]:
+    table, x = tables[idiom]
+    path = Path(sys.argv[1]) / f"{idiom}.csv"
+    path.write_text(table, encoding="utf-8")
+    argv = ["compile", "--data", str(path), "--idiom", idiom,
+            "--palette", "positive", "--x", x, "--y", "v"]
+    assert main(argv) == 0, idiom
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path), "bar", "pie", "scatter", "line"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # After the import and each of bar, pie and scatter: no numpy. The
+    # line compile, the positive control, loads it.
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+
+# --- delta-times stay far inside the variable-length quantity -----------------
+
+def track_delta_times(data: bytes) -> list[int]:
+    """Every delta-time of the one track, read without melodify's parser."""
+
+    def quantity(pos):
+        value = 0
+        while True:
+            byte = data[pos]
+            pos += 1
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                return value, pos
+
+    assert data[14:18] == b"MTrk"
+    pos, deltas = 22, []
+    while pos < len(data):
+        delta, pos = quantity(pos)
+        deltas.append(delta)
+        status = data[pos]
+        pos += 1
+        if status == 0xFF:
+            length, pos = quantity(pos + 1)
+            pos += length
+        else:
+            pos += 1 if status & 0xF0 == 0xC0 else 2
+    assert pos == len(data)
+    return deltas
+
+
+@pytest.mark.parametrize("idiom", ["bar", "pie", "line", "scatter"])
+def test_longest_meter_keeps_deltas_below_vlq_limit(tmp_path, capsys, idiom):
+    # 255/1 is the longest bar the CLI accepts: 489,600 ticks, so a pie
+    # cycle is 1,958,400. No delta comes near encode_vlq's 2**28 limit.
+    path = tmp_path / "table.csv"
+    path.write_text("k,t,v\na,0,5\nb,1,30\nc,2,12\nd,3,1\n", encoding="utf-8")
+    x = "k" if idiom in ("bar", "pie") else "t"
+    code, out, err = run(
+        capsys, "compile", "--data", str(path), "--idiom", idiom,
+        "--palette", "positive", "--x", x, "--y", "v",
+        "--time", "255/1", "--loop", "1",
+    )
+    assert code == 0, err
+    data = path.with_suffix(".mid").read_bytes()
+    parse_smf_minimal(data)
+    deltas = track_delta_times(data)
+    assert 0 < max(deltas) < 2**28
+
+
+# --- the README's command-line reference --------------------------------------
+
+README = (REPO / "README.md").read_text(encoding="utf-8")
+
+
+def compile_options() -> dict[str, argparse.Action]:
+    (subparsers,) = (
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        action.option_strings[-1]: action
+        for action in subparsers.choices["compile"]._actions
+        if action.option_strings and action.option_strings[-1] != "--help"
+    }
+
+
+def test_readme_compile_flag_table_matches_the_parser():
+    section = README.split("### `melodify compile`", 1)[1].split("###", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z]+)[^`]*` \| (.*) \|$", section, re.MULTILINE)
+    documented = dict(rows)
+    options = compile_options()
+    assert len(documented) == len(rows)
+    assert sorted(documented) == sorted(options)
+    for flag, action in options.items():
+        assert ("(required)" in documented[flag]) == action.required, flag
+        for choice in action.choices or ():
+            assert f"`{choice}`" in documented[flag], (flag, choice)
+
+
+def test_readme_exit_codes_match_the_cli():
+    paragraph = README.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    success, rest = paragraph.split("`1`", 1)
+    inputs, internal = rest.split("`2`", 1)
+    assert success.strip() == "`0` success,"
+    assert tuple(re.findall(r"E_[A-Z]+", inputs.split(")", 1)[0])) == USER_ERROR_CODES
+    assert re.findall(r"E_[A-Z]+", internal.split(")", 1)[0]) == ["E_INTERNAL"]
+    # Every code an error class carries is one the README lists.
+    carried = {
+        cls.code for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.MelodifyError)
+    }
+    assert carried <= set(USER_ERROR_CODES) | {"E_INTERNAL"}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from melodify.errors import EmptyDataset, TooShort
+from melodify.errors import EmptyDataset, TooShort, UnsoundedSlice
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
     PALETTE_PRESETS,
@@ -256,6 +256,16 @@ def test_pie_zero_category_is_silent_but_cycle_is_full():
     score = melodify(dataset([1, 0, 1], ["a", "b", "c"]), spec(Idiom.PIE, x="k"))
     body = sorted({(n.onset_tick, n.duration_ticks) for n in notes_of(score) if n.onset_tick < 7680})
     assert body == [(0, 3840), (3840, 3840)]
+
+
+def test_pie_slice_rounding_to_no_sixteenth_is_refused():
+    # 100 equal slices share 64 sixteenths: 36 would never sound.
+    labels = [f"s{i:02d}" for i in range(100)]
+    with pytest.raises(UnsoundedSlice, match=r"'s64' .* 0 of the cycle's 64 sixteenth"):
+        melodify(dataset([1] * 100, labels), spec(Idiom.PIE, x="k"))
+    # Every slice of 64 equal ones gets its sixteenth.
+    score = melodify(dataset([1] * 64, labels[:64]), spec(Idiom.PIE, x="k"))
+    assert len({n.onset_tick for n in notes_of(score) if n.onset_tick < 7680}) == 64
 
 
 def test_pie_track06_durations():

@@ -11,14 +11,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melodify.errors import AllZero, NegativeProportion, TooShort
 from melodify.stats import (
+    SPAN_BY_LEVEL,
+    VARIANCE_MEDIUM_AT,
+    VARIANCE_WIDE_AT,
     DensityLevel,
     TrendDirection,
+    VarianceClass,
     VarianceLevel,
+    _quartile,
     compute_density,
     compute_variance,
     least_squares_slope,
@@ -282,6 +287,70 @@ def test_variance_zero_quartile_sum_falls_back_to_range():
 def test_variance_too_short():
     with pytest.raises(TooShort):
         compute_variance([1])
+
+
+def numpy_variance(series):
+    """The numpy implementation compute_variance replaced, as its oracle."""
+    arr = np.asarray(series, dtype=float)
+    low, high = float(arr.min()), float(arr.max())
+    if low == high:
+        return VarianceClass(VarianceLevel.NARROW, SPAN_BY_LEVEL[VarianceLevel.NARROW])
+    q1, q3 = (float(q) for q in np.percentile(arr, [25.0, 75.0]))
+    if q1 + q3 != 0:
+        dispersion = (q3 - q1) / abs(q3 + q1)
+    else:
+        mean_abs = float(np.mean(np.abs(arr)))
+        dispersion = (high - low) / mean_abs if mean_abs > 0 else 0.0
+    if dispersion < VARIANCE_MEDIUM_AT:
+        level = VarianceLevel.NARROW
+    elif dispersion < VARIANCE_WIDE_AT:
+        level = VarianceLevel.MEDIUM
+    else:
+        level = VarianceLevel.WIDE
+    return VarianceClass(level, SPAN_BY_LEVEL[level])
+
+
+quartile_samples = st.one_of(
+    st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=60),
+    # Few distinct values: duplicates straddle the quartiles, and ±1e99
+    # makes b - a as large as the magnitude bound allows.
+    st.lists(
+        st.sampled_from([-1e99, 1e99, -2.5, -1.0, 0.0, 0.1, 1.0, 3.0]),
+        min_size=2, max_size=60,
+    ),
+    st.lists(
+        st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+        min_size=2, max_size=60,
+    ),
+)
+
+
+@given(quartile_samples)
+@settings(max_examples=500, deadline=None)
+@example([3, 1])
+@example([1e99, -1e99])
+@example([0.1, 0.2, 0.2, 0.7, 1e99])
+def test_quartiles_match_numpy_percentile(series):
+    ordered = sorted(float(v) for v in series)
+    q1, q3 = np.percentile(np.asarray(series, dtype=float), [25.0, 75.0])
+    assert (_quartile(ordered, 0.25), _quartile(ordered, 0.75)) == (float(q1), float(q3))
+    assert compute_variance(series) == numpy_variance(series)
+
+
+# An even-length sample symmetric about zero puts its quartiles at
+# fractions 1/4 and 3/4 of a step, where both interpolation formulas
+# mirror exactly, so q1 + q3 == 0 and the mean-magnitude branch runs.
+symmetric_samples = st.lists(
+    st.floats(min_value=1e-300, max_value=1e99), min_size=1, max_size=30
+).map(lambda xs: xs + [-x for x in xs]).flatmap(st.permutations)
+
+
+@given(symmetric_samples)
+@settings(max_examples=200, deadline=None)
+def test_zero_quartile_sum_branch_matches_numpy_code(series):
+    q1, q3 = np.percentile(np.asarray(series, dtype=float), [25.0, 75.0])
+    assert q1 + q3 == 0
+    assert compute_variance(series) == numpy_variance(series)
 
 
 # --- proportions --------------------------------------------------------------
