@@ -5,12 +5,15 @@ The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
 into a `Score`, `expand_loops` makes its loop concrete, and `write_smf`
 / `write_text_score` serialize it. `melodify` is the one mapping entry
 point for every idiom: it checks the binding (`validate_binding`),
-summarizes the data (`derive_character` -> `DataCharacter`), resolves
-the palette (`apply_palette` -> `TonalPlan`), has the idiom write its
-body and closes it with the palette's cadence. `write_smf` refuses a
-score with `structural_errors`; `lint` lists advisory musical warnings
-and is never run on the way to the bytes. The names below are the
-public API.
+summarizes the data (`derive_character(dataset, y_field, x_field)` ->
+`DataCharacter`), resolves the palette (`apply_palette` -> `TonalPlan`),
+has the idiom write its body and closes it with the palette's cadence.
+A `DataCharacter` holds the ordered series, density and spread; its
+trend `segments` and `proportions` are computed on first use, so only
+the idioms that read them pay for them, and `melodify analyze` prints
+the same record. `write_smf` refuses a score with `structural_errors`;
+`lint` lists advisory musical warnings and is never run on the way to
+the bytes. The names below are the public API.
 """
 from .errors import MelodifyError
 from .ingest import (

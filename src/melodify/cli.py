@@ -23,15 +23,9 @@ from .ingest import (
     spec_from_mapping,
     spec_mapping,
 )
-from .melodifier import _ordered_series, melodify
+from .melodifier import derive_character, melodify
 from .score import NoteEvent, Score, expand_loops, total_duration_ticks
 from .smf import write_smf, write_text_score
-from .stats import (
-    compute_density,
-    compute_variance,
-    proportions,
-    segment_trends,
-)
 from .tracks import TRACKS
 
 USER_ERROR_CODES = ("E_PARSE", "E_BINDING", "E_PROPORTION", "E_IO")
@@ -101,23 +95,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data)
-    y_col = dataset.column(args.y)
-    if y_col.kind is not ColumnKind.QUANTITATIVE:
+    if dataset.column(args.y).kind is not ColumnKind.QUANTITATIVE:
         raise KindMismatch(f"y column {args.y!r} must be quantitative")
 
-    x_field = args.x or None
-    series = _ordered_series(dataset, args.y, x_field)
-    x_col = dataset.column(x_field) if x_field else None
-
-    n = len(series)
-    density = compute_density(n)
-    variance = compute_variance(series) if n >= 2 else None
-    ratios = None
-    if x_col is not None and x_col.kind is ColumnKind.CATEGORICAL:
-        try:
-            ratios = proportions(zip(x_col.values, y_col.values))
-        except (NegativeProportion, AllZero):
-            pass  # not part-to-whole data, though a bar chart still plays it
+    character = derive_character(dataset, args.y, args.x or None)
+    n = len(character.series)
+    try:
+        ratios = character.proportions
+    except (NegativeProportion, AllZero):
+        ratios = None  # not part-to-whole data, though a bar chart still plays it
     report = {
         "rows": n,
         "segments": [
@@ -127,15 +113,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "slope": seg.slope,
                 "direction": seg.direction.value,
             }
-            for seg in (segment_trends(series) if n >= 2 else [])
+            for seg in (character.segments if n >= 2 else ())
         ],
         "density": {
-            "level": density.level.value,
-            "points_per_bar": density.points_per_bar,
+            "level": character.density.level.value,
+            "points_per_bar": character.density.points_per_bar,
         },
-        "variance": None if variance is None else {
-            "level": variance.level.value,
-            "semitone_span": variance.semitone_span,
+        # One row has no spread to measure; compile plays it as narrow.
+        "variance": None if n < 2 else {
+            "level": character.variance.level.value,
+            "semitone_span": character.variance.semitone_span,
         },
         "proportions": None if ratios is None else [
             {"label": label, "ratio": ratio} for label, ratio in ratios.entries

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsoundedSlice
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
@@ -95,14 +96,25 @@ class TonalPlan:
 
 @dataclass(frozen=True)
 class DataCharacter:
-    """Summaries the data dictates regardless of palette choice, and the
-    y series in playing order that they summarize."""
+    """Summaries the data dictates regardless of idiom and palette, and
+    the y series in playing order that they summarize. Trend segments and
+    proportions are computed on first use, so only a line segments and
+    only a pie apportions."""
 
     series: tuple[float, ...]
-    segments: tuple[TrendSegment, ...] | None
+    labels: tuple[str, ...] | None
     density: DensityClass
     variance: VarianceClass
-    proportions: Proportions | None
+
+    @cached_property
+    def segments(self) -> tuple[TrendSegment, ...]:
+        return tuple(segment_trends(self.series))
+
+    @cached_property
+    def proportions(self) -> Proportions | None:
+        if self.labels is None:
+            return None
+        return proportions(zip(self.labels, self.series))
 
 
 def bar_ticks(time_signature: tuple[int, int], ticks_per_quarter: int) -> int:
@@ -124,35 +136,28 @@ def apply_palette(spec: MelodySpec) -> TonalPlan:
     )
 
 
-def _ordered_series(
+def derive_character(
     dataset: Dataset, y_field: str, x_field: str | None
-) -> tuple[float, ...]:
-    """The y series in playing order: sorted by x when x is a bound
-    quantitative column, dataset row order otherwise. Bar and pie bind a
-    categorical x, so only line and scatter are ever reordered."""
-    y = dataset.column(y_field).values
+) -> DataCharacter:
+    """Summarize the y series in playing order: sorted by x when x is a
+    quantitative column, dataset row order otherwise. A categorical x
+    labels the rows; a single point has no spread to measure and counts
+    as narrow."""
+    series = dataset.column(y_field).values
+    labels = None
     if x_field is not None:
         x_col = dataset.column(x_field)
         if x_col.kind is ColumnKind.QUANTITATIVE:
-            order = sorted(range(len(y)), key=lambda i: x_col.values[i])
-            y = tuple(y[i] for i in order)
-    return y
-
-
-def derive_character(dataset: Dataset, spec: MelodySpec) -> DataCharacter:
-    series = _ordered_series(dataset, spec.y_field, spec.x_field)
+            order = sorted(range(len(series)), key=lambda i: x_col.values[i])
+            series = tuple(series[i] for i in order)
+        else:
+            labels = x_col.values
     n = len(series)
-    segments = None
-    if spec.idiom is Idiom.LINE:
-        segments = tuple(segment_trends(series))
     if n >= 2:
         variance = compute_variance(series)
     else:
         variance = VarianceClass(VarianceLevel.NARROW, 12)
-    props = None
-    if spec.idiom is Idiom.PIE:
-        props = proportions(zip(dataset.column(spec.x_field).values, series))
-    return DataCharacter(series, segments, compute_density(n), variance, props)
+    return DataCharacter(series, labels, compute_density(n), variance)
 
 
 def largest_remainder_allocation(ratios: list[float], total_units: int) -> list[int]:
@@ -422,7 +427,7 @@ def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
     palette's cadence from the next bar line. A pie's body is its loop."""
     validate_binding(dataset, spec)
     plan = apply_palette(spec)
-    character = derive_character(dataset, spec)
+    character = derive_character(dataset, spec.y_field, spec.x_field)
     events, body_end = _BODIES[spec.idiom](spec, plan, character)
 
     bar = plan.bar_ticks

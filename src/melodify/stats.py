@@ -214,8 +214,8 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
     """Classify spread by the coefficient of quartile dispersion.
 
     Quartiles use linear interpolation over the sorted sample. When the
-    quartiles sum to zero the range-to-mean-absolute ratio stands in; a
-    constant series is always narrow.
+    quartiles sum to zero the spread is wide; a constant series is always
+    narrow.
     """
     n = len(series)
     if n < 2:
@@ -225,14 +225,12 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
     if low == high:
         return VarianceClass(VarianceLevel.NARROW, SPAN_BY_LEVEL[VarianceLevel.NARROW])
     q1, q3 = _quartile(ordered, 0.25), _quartile(ordered, 0.75)
-    if q1 + q3 != 0:
-        dispersion = (q3 - q1) / abs(q3 + q1)
-    else:
-        # Rare enough to pay numpy's import for its pairwise-summed mean.
-        import numpy as np
-
-        mean_abs = float(np.mean(np.abs(np.asarray(series, dtype=float))))
-        dispersion = (high - low) / mean_abs if mean_abs > 0 else 0.0
+    if q1 + q3 == 0:
+        # Quartiles straddling zero mean low <= q1 <= 0 <= q3 <= high, so
+        # high - low >= max|x| >= mean|x|: the range-to-mean-absolute ratio
+        # is about 1 or more, above VARIANCE_WIDE_AT.
+        return VarianceClass(VarianceLevel.WIDE, SPAN_BY_LEVEL[VarianceLevel.WIDE])
+    dispersion = (q3 - q1) / abs(q3 + q1)
     if dispersion < VARIANCE_MEDIUM_AT:
         level = VarianceLevel.NARROW
     elif dispersion < VARIANCE_WIDE_AT:

@@ -375,14 +375,32 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
     )
     bar = tmp_path / "bar.csv"
     bar.write_text("region,sales\nnorth,12\nsouth,31\neast,8\nwest,22\n", encoding="utf-8")
+    # One row: no segments, no variance, a single whole share.
+    single = tmp_path / "single.csv"
+    single.write_text("k,v\na,5\n", encoding="utf-8")
+    # Rows out of x order: segments follow the sorted x.
+    unordered = tmp_path / "unordered.csv"
+    unordered.write_text("t,v\n3,9\n1,7\n5,1\n2,8.5\n4,2\n", encoding="utf-8")
+    # A negative share: proportions are null.
+    negative = tmp_path / "negative.csv"
+    negative.write_text("k,v\na,1\nb,-2\nc,3", encoding="utf-8")
     digests = []
-    for path, y, x in ((line, "price", "day"), (bar, "sales", "region")):
+    for path, y, x in (
+        (line, "price", "day"),
+        (bar, "sales", "region"),
+        (single, "v", "k"),
+        (unordered, "v", "t"),
+        (negative, "v", "k"),
+    ):
         code, out, err = run(capsys, "analyze", "--data", str(path), "--y", y, "--x", x)
         assert code == 0 and err == ""
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert digests == [
         "5d118285c134a8b097f97157d7c08c15471d7a16e76f7e150aef3e3988c21434",
         "b94cf14aa4572b4083e998f6e05c5fb0fc2e89b3b7273617e58d95965da56614",
+        "271d8c0000fd287f329e608fa97952c5107664611249c8a0c48853063f6ef3da",
+        "b06d5b71f2aa46e9fb3a80f7c57d1eacb83c89460df81e1f37146030fdd2b0f1",
+        "3aefe73d94a0810874a62ea82ab46e0e99d597132cc9262bc9bb2e01c682a835",
     ]
 
 
@@ -394,19 +412,21 @@ from pathlib import Path
 from melodify.cli import main
 
 tables = {
-    "bar": ("k,v\\na,1\\nb,3\\nc,2\\n", "k"),
-    "pie": ("k,v\\na,1\\nb,3\\nc,2\\n", "k"),
-    "scatter": ("t,v\\n0,5\\n1,30\\n2,12\\n", "t"),
-    "line": ("t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
+    "bar": ("bar", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
+    "pie": ("pie", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
+    "scatter": ("scatter", "t,v\\n0,5\\n1,30\\n2,12\\n", "t"),
+    # Quartiles summing to zero.
+    "bar-straddle": ("bar", "k,v\\na,-10\\nb,0\\nc,10\\n", "k"),
+    "line": ("line", "t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
 }
 loaded = ["numpy" in sys.modules]
-for idiom in sys.argv[2:]:
-    table, x = tables[idiom]
-    path = Path(sys.argv[1]) / f"{idiom}.csv"
+for name in sys.argv[2:]:
+    idiom, table, x = tables[name]
+    path = Path(sys.argv[1]) / f"{name}.csv"
     path.write_text(table, encoding="utf-8")
     argv = ["compile", "--data", str(path), "--idiom", idiom,
             "--palette", "positive", "--x", x, "--y", "v"]
-    assert main(argv) == 0, idiom
+    assert main(argv) == 0, name
     loaded.append("numpy" in sys.modules)
 print(json.dumps(loaded))
 """
@@ -416,13 +436,15 @@ def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path), "bar", "pie", "scatter", "line"],
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path),
+         "bar", "pie", "scatter", "bar-straddle", "line"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    # After the import and each of bar, pie and scatter: no numpy. The
-    # line compile, the positive control, loads it.
-    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    # After the import and each of bar, pie, scatter and a bar whose
+    # quartiles sum to zero: no numpy. The line compile, the positive
+    # control, loads it.
+    assert json.loads(result.stdout.splitlines()[-1]) == [False] * 5 + [True]
 
 
 # --- delta-times stay far inside the variable-length quantity -----------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from melodify import melodifier
 from melodify.errors import EmptyDataset, TooShort, UnsoundedSlice
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
@@ -96,15 +97,14 @@ def test_bar_ticks():
 # --- derive_character ---------------------------------------------------------
 
 def test_character_shapes_by_idiom():
-    bar = derive_character(dataset([1, 2], ["a", "b"]), spec(Idiom.BAR, x="k"))
-    assert bar.segments is None and bar.proportions is None
+    categorical = derive_character(dataset([1, 3], ["a", "b"]), "v", "k")
+    assert categorical.labels == ("a", "b")
+    assert categorical.proportions.entries == (("a", 0.25), ("b", 0.75))
+    assert len(categorical.segments) == 1
 
-    pie = derive_character(dataset([1, 3], ["a", "b"]), spec(Idiom.PIE, x="k"))
-    assert pie.proportions is not None
-    assert pie.proportions.entries == (("a", 0.25), ("b", 0.75))
-
-    line = derive_character(dataset([1, 2, 3]), spec(Idiom.LINE))
-    assert line.segments is not None and len(line.segments) == 1
+    unlabelled = derive_character(dataset([1, 2, 3]), "v", None)
+    assert unlabelled.labels is None and unlabelled.proportions is None
+    assert len(unlabelled.segments) == 1
 
 
 def test_character_orders_by_x_for_line():
@@ -115,15 +115,38 @@ def test_character_orders_by_x_for_line():
         ),
         3,
     )
-    ch = derive_character(ds, MelodySpec(Idiom.LINE, Palette.POSITIVE, "v", x_field="t"))
+    ch = derive_character(ds, "v", "t")
     # Sorted by t, v is 7,8,9: one clean ascending segment.
     assert len(ch.segments) == 1
     assert ch.segments[0].slope == pytest.approx(1.0)
 
 
 def test_character_single_point_line_raises():
+    character = derive_character(dataset([5]), "v", None)
     with pytest.raises(TooShort):
-        derive_character(dataset([5]), spec(Idiom.LINE))
+        character.segments
+
+
+def test_character_segments_and_apportions_only_when_an_idiom_reads_it(monkeypatch):
+    # Segmenting is O(k·n²): a bar, pie or scatter compile must never pay it.
+    def refuse(*_):
+        raise AssertionError("summary computed although no idiom reads it")
+
+    tables = {
+        Idiom.BAR: dataset([1, 3, 2], ["a", "b", "c"]),
+        Idiom.PIE: dataset([1, 3, 2], ["a", "b", "c"]),
+        Idiom.LINE: dataset([1, 3, 2]),
+        Idiom.SCATTER: dataset([1, 3, 2]),
+    }
+    for summary, idioms in (
+        ("segment_trends", (Idiom.BAR, Idiom.PIE, Idiom.SCATTER)),
+        ("proportions", (Idiom.BAR, Idiom.LINE, Idiom.SCATTER)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(melodifier, summary, refuse)
+            for idiom in idioms:
+                x = "k" if idiom in (Idiom.BAR, Idiom.PIE) else None
+                assert notes_of(melodify(tables[idiom], spec(idiom, x=x)))
 
 
 # --- largest remainder --------------------------------------------------------
