@@ -9,11 +9,12 @@ summarizes the data (`derive_character(dataset, y_field, x_field)` ->
 `DataCharacter`), resolves the palette (`apply_palette` -> `TonalPlan`),
 has the idiom write its body and closes it with the palette's cadence.
 A `DataCharacter` holds the ordered series, density and spread; its
-trend `segments` and `proportions` are computed on first use, so only
-the idioms that read them pay for them, and `melodify analyze` prints
-the same record. `write_smf` refuses a score with `structural_errors`;
-`lint` lists advisory musical warnings and is never run on the way to
-the bytes. The names below are the public API.
+trend `segments` and `proportions` (plain `(label, ratio)` pairs) are
+computed on first use, so only the idioms that read them pay for them,
+and `melodify analyze` prints the same record. Every `Score` counts
+time at a fixed 480 ticks per quarter note. `write_smf` refuses a score
+with `structural_errors`; `lint` lists advisory musical warnings and is
+never run on the way to the bytes. The names below are the public API.
 """
 from .errors import MelodifyError
 from .ingest import (

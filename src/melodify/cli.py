@@ -125,7 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "semitone_span": character.variance.semitone_span,
         },
         "proportions": None if ratios is None else [
-            {"label": label, "ratio": ratio} for label, ratio in ratios.entries
+            {"label": label, "ratio": ratio} for label, ratio in ratios
         ],
     }
 

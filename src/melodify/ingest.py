@@ -22,8 +22,6 @@ from .errors import (
     KindMismatch,
     MalformedInput,
     MissingField,
-    NegativeProportion,
-    AllZero,
     UnknownField,
     UnknownIdiom,
     UnknownPalette,
@@ -310,55 +308,42 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
     if not isinstance(y_field, str) or not y_field:
         raise InvalidValue("y must be a non-empty column name")
 
-    x_field = mapping.get("x")
-    if x_field is not None and (not isinstance(x_field, str) or not x_field):
-        raise InvalidValue("x must be a non-empty column name when given")
+    # An optional key set to null is absent; MelodySpec holds the defaults.
+    given = {key: value for key, value in mapping.items() if value is not None}
+    fields = {}
+    if "x" in given:
+        if not isinstance(given["x"], str) or not given["x"]:
+            raise InvalidValue("x must be a non-empty column name when given")
+        fields["x_field"] = given["x"]
 
-    key_root = 0
-    if "key" in mapping:
-        key_raw = mapping["key"]
-        if not isinstance(key_raw, str):
+    if "key" in given:
+        if not isinstance(given["key"], str):
             raise InvalidValue("key must be a note name such as C, F# or Bb")
-        key_root = _parse_key_name(key_raw)
+        fields["key_root"] = _parse_key_name(given["key"])
 
-    tempo_bpm = None
-    if "tempo" in mapping and mapping["tempo"] is not None:
-        tempo_bpm = _require_int(mapping["tempo"], "tempo")
+    if "tempo" in given:
+        tempo_bpm = fields["tempo_bpm"] = _require_int(given["tempo"], "tempo")
         if not TEMPO_MIN <= tempo_bpm <= TEMPO_MAX:
             raise InvalidValue(
                 f"tempo must be within [{TEMPO_MIN}, {TEMPO_MAX}], got {tempo_bpm}"
             )
 
-    time_signature = None
-    if "time_signature" in mapping and mapping["time_signature"] is not None:
-        raw = mapping["time_signature"]
-        if not isinstance(raw, str):
+    if "time_signature" in given:
+        if not isinstance(given["time_signature"], str):
             raise InvalidValue("time_signature must be a string such as 3/4")
-        time_signature = _parse_time_signature(raw)
+        fields["time_signature"] = _parse_time_signature(given["time_signature"])
 
-    loop_count = 2
-    if "loop" in mapping and mapping["loop"] is not None:
-        loop_count = _require_int(mapping["loop"], "loop")
+    if "loop" in given:
+        loop_count = fields["loop_count"] = _require_int(given["loop"], "loop")
         if loop_count < 1:
             raise InvalidValue("loop must be a positive integer")
 
-    histogram = False
-    if "histogram" in mapping:
-        if not isinstance(mapping["histogram"], bool):
+    if "histogram" in given:
+        if not isinstance(given["histogram"], bool):
             raise InvalidValue("histogram must be true or false")
-        histogram = mapping["histogram"]
+        fields["histogram"] = given["histogram"]
 
-    return MelodySpec(
-        idiom=idiom,
-        palette=palette,
-        y_field=y_field,
-        x_field=x_field,
-        key_root=key_root,
-        tempo_bpm=tempo_bpm,
-        time_signature=time_signature,
-        loop_count=loop_count,
-        histogram=histogram,
-    )
+    return MelodySpec(idiom, palette, y_field, **fields)
 
 
 def spec_mapping(raw: bytes) -> dict:
@@ -387,8 +372,9 @@ def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
 
     Bar and pie need a categorical x column paired with a quantitative y;
     line and scatter need a quantitative y and, when x is bound at all, a
-    quantitative x to order the rows by. Pie values must be non-negative
-    and not all zero. Raises on the first check that fails.
+    quantitative x to order the rows by. Raises on the first check that
+    fails. A pie's values are checked where they are apportioned, by
+    ``stats.proportions``.
     """
     if dataset.row_count == 0:
         raise EmptyDataset("dataset has no rows")
@@ -413,12 +399,3 @@ def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
             raise KindMismatch(
                 f"x column {spec.x_field!r} must be quantitative for {spec.idiom.value}"
             )
-
-    if spec.idiom is Idiom.PIE:
-        for value in y_col.values:
-            if value < 0:
-                raise NegativeProportion(
-                    f"pie value {value} is negative in column {spec.y_field!r}"
-                )
-        if sum(y_col.values) <= 0:
-            raise AllZero(f"pie values in column {spec.y_field!r} sum to zero")

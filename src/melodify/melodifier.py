@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import UnsoundedSlice
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
 from .score import (
-    DEFAULT_TICKS_PER_QUARTER,
+    TICKS_PER_QUARTER,
     Articulation,
     Event,
     Loop,
@@ -30,7 +30,7 @@ from .score import (
 from .stats import (
     DensityClass,
     DensityLevel,
-    Proportions,
+    SPAN_BY_LEVEL,
     TrendDirection,
     TrendSegment,
     VarianceClass,
@@ -111,15 +111,15 @@ class DataCharacter:
         return tuple(segment_trends(self.series))
 
     @cached_property
-    def proportions(self) -> Proportions | None:
+    def proportions(self) -> tuple[tuple[str, float], ...] | None:
         if self.labels is None:
             return None
         return proportions(zip(self.labels, self.series))
 
 
-def bar_ticks(time_signature: tuple[int, int], ticks_per_quarter: int) -> int:
+def bar_ticks(time_signature: tuple[int, int]) -> int:
     numerator, denominator = time_signature
-    return numerator * 4 * ticks_per_quarter // denominator
+    return numerator * 4 * TICKS_PER_QUARTER // denominator
 
 
 def apply_palette(spec: MelodySpec) -> TonalPlan:
@@ -132,7 +132,7 @@ def apply_palette(spec: MelodySpec) -> TonalPlan:
         time_signature=time_signature,
         cadence=cadence,
         anchor=BASS_ANCHOR + spec.key_root,
-        bar_ticks=bar_ticks(time_signature, DEFAULT_TICKS_PER_QUARTER),
+        bar_ticks=bar_ticks(time_signature),
     )
 
 
@@ -152,12 +152,11 @@ def derive_character(
             series = tuple(series[i] for i in order)
         else:
             labels = x_col.values
-    n = len(series)
-    if n >= 2:
+    if len(series) >= 2:
         variance = compute_variance(series)
     else:
-        variance = VarianceClass(VarianceLevel.NARROW, 12)
-    return DataCharacter(series, labels, compute_density(n), variance)
+        variance = VarianceClass(VarianceLevel.NARROW, SPAN_BY_LEVEL[VarianceLevel.NARROW])
+    return DataCharacter(series, labels, compute_density(len(series)), variance)
 
 
 def largest_remainder_allocation(ratios: list[float], total_units: int) -> list[int]:
@@ -264,8 +263,8 @@ def _pie_body(
     span = character.variance.semitone_span
 
     cycle = PIE_CYCLE_BARS * plan.bar_ticks
-    grid = DEFAULT_TICKS_PER_QUARTER // 4
-    entries = character.proportions.entries
+    grid = TICKS_PER_QUARTER // 4
+    entries = character.proportions
     total_units = cycle // grid
     units = largest_remainder_allocation([ratio for _, ratio in entries], total_units)
 
@@ -315,7 +314,7 @@ def _line_body(
     segment after the first is accented.
     """
     unit = _slope_unit(character.series)
-    duration = DEFAULT_TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
+    duration = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
         character.density.level
     ]
 
@@ -333,12 +332,9 @@ def _line_body(
     events: list[Event] = []
     cursor = 0
     for index, segment in enumerate(character.segments):
-        chord = degree_triad(
-            degree_scale,
-            _segment_degree(segment, unit),
-            plan.anchor,
-            force_quality=quality,
-        )
+        root_class = degree_scale.member_classes[_segment_degree(segment, unit) - 1]
+        root = plan.anchor + (root_class - plan.anchor) % 12  # at or above the anchor
+        chord = triad_on_pitch(root, quality)
         count = segment.end_index - segment.start_index + 1
         if segment.direction is TrendDirection.NEUTRAL:
             pitches = [chord.root] * count
@@ -395,7 +391,7 @@ def _scatter_body(
     series = character.series
     domain = (min(series), max(series))
     span = character.variance.semitone_span
-    step = DEFAULT_TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
+    step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
         character.density.level
     ]
 
@@ -441,6 +437,5 @@ def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
         time_signature=plan.time_signature,
         key_signature=(plan.scale.root, plan.scale.mode),
         events=sorted_events(events),
-        ticks_per_quarter=DEFAULT_TICKS_PER_QUARTER,
         loop=Loop(0, body_end, spec.loop_count) if spec.idiom is Idiom.PIE else None,
     )

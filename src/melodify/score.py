@@ -2,8 +2,8 @@
 
 A Score is an immutable, fully deterministic timeline: note and pedal
 events sorted by tick, plus the metadata a MIDI writer needs (tempo,
-time signature, key signature, resolution) and an optional loop marker
-describing a repeated region.
+time signature, key signature) and an optional loop marker describing a
+repeated region. Every score counts time at ``TICKS_PER_QUARTER``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Iterable, Union
 from .errors import InvalidValue
 from .theory import ScaleMode, build_scale, is_tritone
 
-DEFAULT_TICKS_PER_QUARTER = 480
+TICKS_PER_QUARTER = 480
 
 # Most events a looped score may expand to. A 4/4 pie cycle holds at
 # most 192 notes, so this still allows over a thousand repeats.
@@ -67,7 +67,6 @@ class Score:
     time_signature: tuple[int, int]
     key_signature: tuple[int, ScaleMode]
     events: tuple[Event, ...] = ()
-    ticks_per_quarter: int = DEFAULT_TICKS_PER_QUARTER
     loop: Loop | None = None
 
 
@@ -116,8 +115,6 @@ def structural_errors(score: Score) -> list[str]:
     problems: list[str] = []
     error = problems.append
 
-    if score.ticks_per_quarter < 1:
-        error(f"ticks_per_quarter must be positive, got {score.ticks_per_quarter}")
     if score.tempo_bpm < 1:
         error(f"tempo must be positive, got {score.tempo_bpm}")
     numerator, denominator = score.time_signature

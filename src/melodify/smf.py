@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import MalformedSmf, StructuralViolation, UnexpandedLoop
 from .score import (
+    TICKS_PER_QUARTER,
     Articulation,
     NoteEvent,
     PedalState,
@@ -123,7 +124,7 @@ def write_smf(score: Score) -> bytes:
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
 
-    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, score.ticks_per_quarter))
+    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER))
     out += b"MTrk\0\0\0\0"  # length filled in once the track is written
     track_start = len(out)
     out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
@@ -330,7 +331,7 @@ def write_text_score(score: Score) -> str:
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
     lines = [
-        f"tpq {score.ticks_per_quarter}",
+        f"tpq {TICKS_PER_QUARTER}",
         f"tempo {score.tempo_bpm}",
         f"time {numerator}/{denominator}",
         f"key {root} {mode.value}",

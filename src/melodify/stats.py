@@ -55,13 +55,6 @@ class VarianceClass:
     semitone_span: int
 
 
-@dataclass(frozen=True)
-class Proportions:
-    """Per-category ratios in dataset row order, summing to 1."""
-
-    entries: tuple[tuple[str, float], ...]
-
-
 SPAN_BY_LEVEL = {
     VarianceLevel.NARROW: 12,
     VarianceLevel.MEDIUM: 24,
@@ -69,7 +62,7 @@ SPAN_BY_LEVEL = {
 }
 
 # Four bars make one phrase; density is measured against that window.
-DEFAULT_BAR_COUNT = 4
+PHRASE_BARS = 4
 
 DENSITY_MEDIUM_AT = 2.0
 DENSITY_HIGH_AT = 8.0
@@ -183,11 +176,9 @@ def segment_trends(
     return segments
 
 
-def compute_density(series_length: int, bar_count: int = DEFAULT_BAR_COUNT) -> DensityClass:
+def compute_density(series_length: int) -> DensityClass:
     """Classify how many points must sound per bar of the phrase."""
-    if bar_count < 1:
-        raise ValueError("bar_count must be positive")
-    per_bar = series_length / bar_count
+    per_bar = series_length / PHRASE_BARS
     if per_bar < DENSITY_MEDIUM_AT:
         level = DensityLevel.LOW
     elif per_bar < DENSITY_HIGH_AT:
@@ -240,8 +231,9 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
     return VarianceClass(level, SPAN_BY_LEVEL[level])
 
 
-def proportions(pairs: Iterable[tuple[str, float]]) -> Proportions:
-    """Normalize (category, value) pairs into ratios summing to one."""
+def proportions(pairs: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
+    """Normalize (category, value) pairs into (category, ratio) pairs in
+    the same order, the ratios summing to one."""
     items = list(pairs)
     for name, value in items:
         if value < 0:
@@ -249,4 +241,4 @@ def proportions(pairs: Iterable[tuple[str, float]]) -> Proportions:
     total = sum(value for _, value in items)
     if total <= 0:
         raise AllZero("proportions need at least one positive value")
-    return Proportions(tuple((name, value / total) for name, value in items))
+    return tuple((name, value / total) for name, value in items)

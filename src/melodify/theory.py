@@ -68,9 +68,8 @@ class Scale:
 
 @dataclass(frozen=True)
 class Chord:
-    """Root-position triad; degree is the 1-based scale step of the root."""
+    """Root-position triad."""
 
-    degree: int
     quality: ChordQuality
     pitches: tuple[int, int, int]
 
@@ -86,49 +85,29 @@ def build_scale(root: int, mode: ScaleMode) -> Scale:
     return Scale(root, mode, members)
 
 
-def _first_at_or_above(pitch_class: int, floor: int) -> int:
-    return floor + ((pitch_class - floor) % 12)
-
-
 def _check_range(pitches: Sequence[int]) -> None:
     for p in pitches:
         if not 0 <= p <= MIDI_MAX:
             raise OutOfMidiRange(f"pitch {p} outside MIDI range 0..{MIDI_MAX}")
 
 
-def degree_triad(
-    scale: Scale,
-    degree: int,
-    octave_anchor: int,
-    *,
-    force_quality: ChordQuality | None = None,
-) -> Chord:
-    """Triad on a scale degree, rooted at or above ``octave_anchor``.
-
-    By default the triad is diatonic: third and fifth are the next scale
-    members two and four steps up. With ``force_quality`` the triad is
-    built from the degree's pitch class with that fixed quality instead,
-    treating the degree as a local key of its own.
-    """
+def degree_triad(scale: Scale, degree: int, octave_anchor: int) -> Chord:
+    """Diatonic triad on a scale degree, rooted at or above
+    ``octave_anchor``: third and fifth are the next scale members two and
+    four steps up."""
     if scale.mode is ScaleMode.CHROMATIC:
         raise ChromaticMode("a chromatic scale has no functional degrees")
     if not 1 <= degree <= 7:
         raise InvalidDegree(f"degree must be 1..7, got {degree}")
     root_class = scale.member_classes[degree - 1]
-    root = _first_at_or_above(root_class, octave_anchor)
-    if force_quality is not None:
-        first, second = INTERVALS_BY_QUALITY[force_quality]
-        pitches = (root, root + first, root + first + second)
-        quality = force_quality
-    else:
-        third_class = scale.member_classes[(degree + 1) % 7]
-        fifth_class = scale.member_classes[(degree + 3) % 7]
-        third = root + ((third_class - root) % 12)
-        fifth = third + ((fifth_class - third) % 12)
-        pitches = (root, third, fifth)
-        quality = QUALITY_BY_INTERVALS[(third - root, fifth - third)]
+    root = octave_anchor + ((root_class - octave_anchor) % 12)
+    third_class = scale.member_classes[(degree + 1) % 7]
+    fifth_class = scale.member_classes[(degree + 3) % 7]
+    third = root + ((third_class - root) % 12)
+    fifth = third + ((fifth_class - third) % 12)
+    pitches = (root, third, fifth)
     _check_range(pitches)
-    return Chord(degree, quality, pitches)
+    return Chord(QUALITY_BY_INTERVALS[(third - root, fifth - third)], pitches)
 
 
 def triad_on_pitch(root: int, quality: ChordQuality) -> Chord:
@@ -136,7 +115,7 @@ def triad_on_pitch(root: int, quality: ChordQuality) -> Chord:
     first, second = INTERVALS_BY_QUALITY[quality]
     pitches = (root, root + first, root + first + second)
     _check_range(pitches)
-    return Chord(1, quality, pitches)
+    return Chord(quality, pitches)
 
 
 def interval_class(a: int, b: int) -> int:

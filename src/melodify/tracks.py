@@ -16,7 +16,6 @@ from .ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 @dataclass(frozen=True)
 class TrackDef:
     slug: str
-    title: str
     dataset: Dataset
     spec: MelodySpec
 
@@ -51,7 +50,6 @@ _SPRAY_Y = [
 TRACKS: tuple[TrackDef, ...] = (
     TrackDef(
         slug="01-bar-positive",
-        title="Rising stairs, bright",
         dataset=_dataset(
             _categorical("category", ["A", "B", "C", "D", "E"]),
             _quantitative("value", [1, 2, 3, 4, 5]),
@@ -60,7 +58,6 @@ TRACKS: tuple[TrackDef, ...] = (
     ),
     TrackDef(
         slug="02-bar-negative",
-        title="Falling stairs, dark",
         dataset=_dataset(
             _categorical("category", ["A", "B", "C", "D", "E"]),
             _quantitative("value", [5, 4, 3, 2, 1]),
@@ -69,25 +66,21 @@ TRACKS: tuple[TrackDef, ...] = (
     ),
     TrackDef(
         slug="03-line-positive",
-        title="Climb and tumble, bright",
         dataset=_dataset(_quantitative("value", _LINE_Y)),
         spec=MelodySpec(Idiom.LINE, Palette.POSITIVE, "value"),
     ),
     TrackDef(
         slug="04-line-negative",
-        title="Climb and tumble, dark",
         dataset=_dataset(_quantitative("value", _LINE_Y)),
         spec=MelodySpec(Idiom.LINE, Palette.NEGATIVE, "value"),
     ),
     TrackDef(
         slug="05-line-grey",
-        title="Climb and tumble, deadpan",
         dataset=_dataset(_quantitative("value", _LINE_Y)),
         spec=MelodySpec(Idiom.LINE, Palette.GREY, "value"),
     ),
     TrackDef(
         slug="06-pie-positive",
-        title="Four shrinking slices",
         dataset=_dataset(
             _categorical("category", ["A", "B", "C", "D"]),
             _quantitative("value", [4, 3, 2, 1]),
@@ -96,19 +89,16 @@ TRACKS: tuple[TrackDef, ...] = (
     ),
     TrackDef(
         slug="07-scatter-sparse-wide",
-        title="Seven far-flung points",
         dataset=_dataset(_quantitative("value", [5, 90, 20, 70, 1, 55, 35])),
         spec=MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "value"),
     ),
     TrackDef(
         slug="08-scatter-dense-narrow",
-        title="A crowded flat band",
         dataset=_dataset(_quantitative("value", _STEADY_Y)),
         spec=MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "value"),
     ),
     TrackDef(
         slug="09-scatter-grey",
-        title="A crowded spray, deadpan",
         dataset=_dataset(_quantitative("value", _SPRAY_Y)),
         spec=MelodySpec(Idiom.SCATTER, Palette.GREY, "value"),
     ),

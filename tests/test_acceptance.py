@@ -21,6 +21,7 @@ from melodify.errors import UnsoundedSlice
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
+    TICKS_PER_QUARTER,
     Articulation,
     Loop,
     NoteEvent,
@@ -484,7 +485,7 @@ def _assert_round_trip(score):
     assert struct.unpack(">I", data[18:22])[0] == len(data) - 22
     parsed = parse_smf_minimal(data)
     assert parsed == parse_smf_minimal(bytes(data))  # lengths re-slice cleanly
-    assert parsed.ticks_per_quarter == score.ticks_per_quarter
+    assert parsed.ticks_per_quarter == TICKS_PER_QUARTER
     assert parsed.tempo_us == round(60_000_000 / score.tempo_bpm)
     assert parsed.time_signature == score.time_signature
 

@@ -110,6 +110,25 @@ def test_compile_spec_file_with_flag_override(bar_csv, tmp_path, capsys):
     assert out.startswith("bar positive ")
 
 
+@pytest.mark.parametrize("key", ["x", "key", "tempo", "time_signature", "loop", "histogram"])
+def test_compile_spec_null_is_an_absent_key(bar_csv, tmp_path, capsys, key):
+    # A line may leave x out; every other optional key rides on a pie.
+    spec = {"idiom": "line", "palette": "positive", "y": "v"}
+    if key != "x":
+        spec.update(idiom="pie", x="k")
+    written = []
+    for i, variant in enumerate((spec, {**spec, key: None})):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / f"{i}.mid"
+        spec_path.write_text(json.dumps(variant), encoding="utf-8")
+        code, _, err = run(
+            capsys, "compile", "--data", str(bar_csv),
+            "--spec", str(spec_path), "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_compile_missing_data_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "compile", "--data", str(tmp_path / "absent.csv"),

@@ -6,13 +6,11 @@ import json
 import pytest
 
 from melodify.errors import (
-    AllZero,
     EmptyDataset,
     InvalidValue,
     KindMismatch,
     MalformedInput,
     MissingField,
-    NegativeProportion,
     UnknownField,
     UnknownIdiom,
     UnknownPalette,
@@ -349,12 +347,3 @@ def test_binding_line_x_must_be_quantitative_when_bound():
     ds = csv_table("k,v\na,1\nb,2\n")
     with pytest.raises(KindMismatch):
         validate_binding(ds, MelodySpec(Idiom.LINE, Palette.POSITIVE, "v", x_field="k"))
-
-
-def test_binding_pie_rejects_negative_and_all_zero():
-    neg = csv_table("k,v\na,1\nb,-1\n")
-    with pytest.raises(NegativeProportion):
-        validate_binding(neg, MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k"))
-    zero = csv_table("k,v\na,0\nb,0\n")
-    with pytest.raises(AllZero):
-        validate_binding(zero, MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k"))

@@ -9,7 +9,13 @@ from __future__ import annotations
 import pytest
 
 from melodify import melodifier
-from melodify.errors import EmptyDataset, TooShort, UnsoundedSlice
+from melodify.errors import (
+    AllZero,
+    EmptyDataset,
+    NegativeProportion,
+    TooShort,
+    UnsoundedSlice,
+)
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
     PALETTE_PRESETS,
@@ -88,10 +94,10 @@ def test_palette_key_root_carries_into_scale():
 
 
 def test_bar_ticks():
-    assert bar_ticks((4, 4), 480) == 1920
-    assert bar_ticks((3, 4), 480) == 1440
-    assert bar_ticks((2, 4), 480) == 960
-    assert bar_ticks((6, 8), 480) == 1440
+    assert bar_ticks((4, 4)) == 1920
+    assert bar_ticks((3, 4)) == 1440
+    assert bar_ticks((2, 4)) == 960
+    assert bar_ticks((6, 8)) == 1440
 
 
 # --- derive_character ---------------------------------------------------------
@@ -99,7 +105,7 @@ def test_bar_ticks():
 def test_character_shapes_by_idiom():
     categorical = derive_character(dataset([1, 3], ["a", "b"]), "v", "k")
     assert categorical.labels == ("a", "b")
-    assert categorical.proportions.entries == (("a", 0.25), ("b", 0.75))
+    assert categorical.proportions == (("a", 0.25), ("b", 0.75))
     assert len(categorical.segments) == 1
 
     unlabelled = derive_character(dataset([1, 2, 3]), "v", None)
@@ -289,6 +295,13 @@ def test_pie_slice_rounding_to_no_sixteenth_is_refused():
     # Every slice of 64 equal ones gets its sixteenth.
     score = melodify(dataset([1] * 64, labels[:64]), spec(Idiom.PIE, x="k"))
     assert len({n.onset_tick for n in notes_of(score) if n.onset_tick < 7680}) == 64
+
+
+def test_pie_rejects_negative_and_all_zero():
+    with pytest.raises(NegativeProportion, match="category 'b'"):
+        melodify(dataset([1, -1], ["a", "b"]), spec(Idiom.PIE, x="k"))
+    with pytest.raises(AllZero):
+        melodify(dataset([0, 0], ["a", "b"]), spec(Idiom.PIE, x="k"))
 
 
 def test_pie_track06_durations():

@@ -251,7 +251,7 @@ def sort_based_smf_oracle(score):
         body += encode_vlq(tick - cursor) + data
         cursor = tick
     body += encode_vlq(0) + bytes([0xFF, META_END_OF_TRACK, 0x00])
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, score.ticks_per_quarter)
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
     return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
 
 

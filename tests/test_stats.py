@@ -357,18 +357,18 @@ def test_zero_quartile_sum_branch_matches_numpy_code(series):
 
 def test_proportions_basic():
     p = proportions([("a", 1.0), ("b", 3.0)])
-    assert p.entries == (("a", 0.25), ("b", 0.75))
+    assert p == (("a", 0.25), ("b", 0.75))
 
 
 def test_proportions_preserve_order_and_sum():
     p = proportions([("x", 2.0), ("y", 2.0), ("z", 4.0)])
-    assert [label for label, _ in p.entries] == ["x", "y", "z"]
-    assert sum(r for _, r in p.entries) == pytest.approx(1.0)
+    assert [label for label, _ in p] == ["x", "y", "z"]
+    assert sum(r for _, r in p) == pytest.approx(1.0)
 
 
 def test_proportions_zero_entry_allowed():
     p = proportions([("a", 0.0), ("b", 5.0)])
-    assert p.entries[0][1] == 0.0
+    assert p[0][1] == 0.0
 
 
 def test_proportions_errors():
@@ -391,5 +391,5 @@ def test_proportions_sum_to_one(pairs):
         with pytest.raises(AllZero):
             proportions(pairs)
     else:
-        total = sum(r for _, r in proportions(pairs).entries)
+        total = sum(r for _, r in proportions(pairs))
         assert total == pytest.approx(1.0)
