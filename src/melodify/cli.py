@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AllZero, KindMismatch, MalformedInput, MelodifyError, NegativeProportion
+from .errors import BindingError, MelodifyError, ParseError, ProportionError
 from .ingest import (
     ColumnKind,
     Dataset,
@@ -96,13 +96,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data)
     if dataset.column(args.y).kind is not ColumnKind.QUANTITATIVE:
-        raise KindMismatch(f"y column {args.y!r} must be quantitative")
+        raise BindingError(f"y column {args.y!r} must be quantitative")
 
     character = derive_character(dataset, args.y, args.x or None)
     n = len(character.series)
     try:
         ratios = character.proportions
-    except (NegativeProportion, AllZero):
+    except ProportionError:
         ratios = None  # not part-to-whole data, though a bar chart still plays it
     report = {
         "rows": n,
@@ -149,7 +149,7 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors raise E_PARSE instead of exiting 2; subparsers inherit it."""
 
     def error(self, message: str):
-        raise MalformedInput(message)
+        raise ParseError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,19 +13,11 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    EmptyDataset,
-    InvalidValue,
-    KindMismatch,
-    MalformedInput,
-    MissingField,
-    UnknownField,
-    UnknownIdiom,
-    UnknownPalette,
-)
+from .errors import BindingError, ParseError
 
 
 class TableFormat(str, Enum):
@@ -93,10 +85,7 @@ class Dataset:
         for col in self.columns:
             if col.name == name:
                 return col
-        raise UnknownField(f"no column named {name!r}")
-
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
+        raise BindingError(f"no column named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -114,16 +103,17 @@ class MelodySpec:
     histogram: bool = False
 
 
+# An ASCII decimal literal: no digit separators, no other scripts' digits,
+# and no nan or inf words, all of which float() would take.
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
 def _as_number(cell: str) -> float | None:
-    """The cell's number, or None for text and the words nan and inf; a
-    literal past float range such as ``1e400`` is ±inf, over the bound."""
-    try:
-        number = float(cell)
-    except ValueError:
-        return None
-    if math.isnan(number) or cell.strip().lstrip("+-").lower() in ("inf", "infinity"):
-        return None
-    return number
+    """The cell's number when, stripped, it is an ASCII decimal literal;
+    None for text. A literal past float range such as ``1e400`` is ±inf,
+    over the bound."""
+    cell = cell.strip()
+    return float(cell) if _NUMBER.fullmatch(cell) else None
 
 
 def _shortened(cell: str) -> str:
@@ -134,19 +124,17 @@ def _shortened(cell: str) -> str:
 
 def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     if not header:
-        raise MalformedInput("header row is empty")
+        raise ParseError("header row is empty")
     for name in header:
         if not isinstance(name, str) or not name:
-            raise MalformedInput("column names must be non-empty strings")
+            raise ParseError("column names must be non-empty strings")
     if len(set(header)) != len(header):
-        raise MalformedInput("duplicate column names in header")
+        raise ParseError("duplicate column names in header")
     if not rows:
-        raise EmptyDataset("table has a header but no data rows")
+        raise ParseError("table has a header but no data rows")
     for i, row in enumerate(rows):
         if len(row) != len(header):
-            raise MalformedInput(
-                f"row {i + 1} has {len(row)} cells, expected {len(header)}"
-            )
+            raise ParseError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
 
     columns = []
     for j, name in enumerate(header):
@@ -155,7 +143,7 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
         if all(n is not None for n in numbers):
             for i, number in enumerate(numbers):
                 if abs(number) > VALUE_MAGNITUDE_MAX:
-                    raise InvalidValue(
+                    raise ParseError(
                         f"value {_shortened(cells[i])!r} at row {i + 1}, column "
                         f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
                     )
@@ -163,9 +151,7 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
         else:
             for i, cell in enumerate(cells):
                 if cell == "":
-                    raise MalformedInput(
-                        f"empty cell at row {i + 1}, column {name!r}"
-                    )
+                    raise ParseError(f"empty cell at row {i + 1}, column {name!r}")
             columns.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
     return Dataset(tuple(columns), len(rows))
 
@@ -174,42 +160,42 @@ def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
     try:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
-        raise MalformedInput(f"csv error: {exc}") from exc
+        raise ParseError(f"csv error: {exc}") from exc
     if not records:
-        raise MalformedInput("input contains no header row")
+        raise ParseError("input contains no header row")
     return records[0], records[1:]
 
 
 def _rows_from_json(text: str) -> tuple[list[str], list[list[str]]]:
     def reject_constant(token):
-        raise MalformedInput(f"non-finite number {token!r} in table")
+        raise ParseError(f"non-finite number {token!r} in table")
 
     try:
         payload = json.loads(text, parse_constant=reject_constant)
     except ValueError as exc:  # also an integer past Python's digit limit
-        raise MalformedInput(f"json error: {exc}") from exc
+        raise ParseError(f"json error: {exc}") from exc
     if not isinstance(payload, list):
-        raise MalformedInput("json table must be an array of record objects")
+        raise ParseError("json table must be an array of record objects")
     if not payload:
-        raise EmptyDataset("json table is an empty array")
+        raise ParseError("json table is an empty array")
     first = payload[0]
     if not isinstance(first, dict) or not first:
-        raise MalformedInput("json table rows must be non-empty objects")
+        raise ParseError("json table rows must be non-empty objects")
     header = list(first.keys())
     key_set = set(header)
     rows = []
     for i, record in enumerate(payload):
         if not isinstance(record, dict) or set(record.keys()) != key_set:
-            raise MalformedInput(f"record {i + 1} does not match the first row's keys")
+            raise ParseError(f"record {i + 1} does not match the first row's keys")
         cells = []
         for name in header:
             value = record[name]
             if isinstance(value, bool) or value is None or isinstance(value, (dict, list)):
-                raise MalformedInput(
+                raise ParseError(
                     f"record {i + 1}, key {name!r}: values must be strings or numbers"
                 )
             if isinstance(value, float) and not math.isfinite(value):
-                raise MalformedInput(f"non-finite number in record {i + 1}")
+                raise ParseError(f"non-finite number in record {i + 1}")
             cells.append(value if isinstance(value, str) else repr(value))
         rows.append(cells)
     return header, rows
@@ -218,15 +204,16 @@ def _rows_from_json(text: str) -> tuple[list[str], list[list[str]]]:
 def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
     """Decode raw bytes into a typed Dataset.
 
-    A column is quantitative exactly when every one of its values parses
-    as a number other than nan or inf; otherwise it is categorical and
-    every value must be a non-empty string. A quantitative value beyond
+    A column is quantitative exactly when every one of its values is an
+    ASCII decimal literal such as ``12``, ``-0.5``, ``.5`` or ``1e5``,
+    surrounding whitespace allowed; otherwise it is categorical and every
+    value must be a non-empty string. A quantitative value beyond
     ``VALUE_MAGNITUDE_MAX`` in magnitude, even past float range, is rejected.
     """
     try:
         text = raw.decode("utf-8-sig")  # drops the byte-order mark Excel writes
     except UnicodeDecodeError as exc:
-        raise MalformedInput("input is not valid UTF-8") from exc
+        raise ParseError("input is not valid UTF-8") from exc
     if fmt is TableFormat.CSV:
         header, rows = _rows_from_csv(text)
     else:
@@ -238,26 +225,22 @@ def _parse_key_name(name: str) -> int:
     cleaned = name.strip()
     cleaned = cleaned[:1].upper() + cleaned[1:].lower()
     if cleaned not in PITCH_CLASS_BY_NAME:
-        raise InvalidValue(f"unknown key name {name!r}")
+        raise ParseError(f"unknown key name {name!r}")
     return PITCH_CLASS_BY_NAME[cleaned]
 
 
 def _parse_time_signature(text: str) -> tuple[int, int]:
     parts = text.split("/")
     if len(parts) != 2:
-        raise InvalidValue(f"time signature must look like 4/4, got {text!r}")
+        raise ParseError(f"time signature must look like 4/4, got {text!r}")
     try:
         numerator, denominator = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise InvalidValue(f"time signature must be two integers, got {text!r}") from exc
+        raise ParseError(f"time signature must be two integers, got {text!r}") from exc
     if not 1 <= numerator <= NUMERATOR_MAX:
-        raise InvalidValue(
-            f"time signature numerator must be within [1, {NUMERATOR_MAX}]"
-        )
+        raise ParseError(f"time signature numerator must be within [1, {NUMERATOR_MAX}]")
     if denominator not in VALID_DENOMINATORS:
-        raise InvalidValue(
-            f"time signature denominator must be one of {VALID_DENOMINATORS}"
-        )
+        raise ParseError(f"time signature denominator must be one of {VALID_DENOMINATORS}")
     return numerator, denominator
 
 
@@ -265,7 +248,7 @@ def _require_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise InvalidValue(f"{key} must be an integer")
+        raise ParseError(f"{key} must be an integer")
     return value
 
 
@@ -279,68 +262,68 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
     """Build a MelodySpec from a plain dict of spec keys."""
     unknown = set(mapping) - _SPEC_KEYS
     if unknown:
-        raise InvalidValue(f"unknown spec keys: {sorted(unknown)}")
+        raise ParseError(f"unknown spec keys: {sorted(unknown)}")
 
     if "idiom" not in mapping:
-        raise MissingField("spec is missing 'idiom'")
+        raise ParseError("spec is missing 'idiom'")
     if "palette" not in mapping:
-        raise MissingField("spec is missing 'palette'")
+        raise ParseError("spec is missing 'palette'")
     if "y" not in mapping:
-        raise MissingField("spec is missing 'y'")
+        raise ParseError("spec is missing 'y'")
 
     idiom_raw = mapping["idiom"]
     if not isinstance(idiom_raw, str):
-        raise UnknownIdiom(f"idiom must be a string, got {idiom_raw!r}")
+        raise ParseError(f"idiom must be a string, got {idiom_raw!r}")
     try:
         idiom = Idiom(idiom_raw.strip().lower())
     except ValueError:
-        raise UnknownIdiom(f"unknown idiom {idiom_raw!r}") from None
+        raise ParseError(f"unknown idiom {idiom_raw!r}") from None
 
     palette_raw = mapping["palette"]
     if not isinstance(palette_raw, str):
-        raise UnknownPalette(f"palette must be a string, got {palette_raw!r}")
+        raise ParseError(f"palette must be a string, got {palette_raw!r}")
     try:
         palette = Palette(palette_raw.strip().lower())
     except ValueError:
-        raise UnknownPalette(f"unknown palette {palette_raw!r}") from None
+        raise ParseError(f"unknown palette {palette_raw!r}") from None
 
     y_field = mapping["y"]
     if not isinstance(y_field, str) or not y_field:
-        raise InvalidValue("y must be a non-empty column name")
+        raise ParseError("y must be a non-empty column name")
 
     # An optional key set to null is absent; MelodySpec holds the defaults.
     given = {key: value for key, value in mapping.items() if value is not None}
     fields = {}
     if "x" in given:
         if not isinstance(given["x"], str) or not given["x"]:
-            raise InvalidValue("x must be a non-empty column name when given")
+            raise ParseError("x must be a non-empty column name when given")
         fields["x_field"] = given["x"]
 
     if "key" in given:
         if not isinstance(given["key"], str):
-            raise InvalidValue("key must be a note name such as C, F# or Bb")
+            raise ParseError("key must be a note name such as C, F# or Bb")
         fields["key_root"] = _parse_key_name(given["key"])
 
     if "tempo" in given:
         tempo_bpm = fields["tempo_bpm"] = _require_int(given["tempo"], "tempo")
         if not TEMPO_MIN <= tempo_bpm <= TEMPO_MAX:
-            raise InvalidValue(
+            raise ParseError(
                 f"tempo must be within [{TEMPO_MIN}, {TEMPO_MAX}], got {tempo_bpm}"
             )
 
     if "time_signature" in given:
         if not isinstance(given["time_signature"], str):
-            raise InvalidValue("time_signature must be a string such as 3/4")
+            raise ParseError("time_signature must be a string such as 3/4")
         fields["time_signature"] = _parse_time_signature(given["time_signature"])
 
     if "loop" in given:
         loop_count = fields["loop_count"] = _require_int(given["loop"], "loop")
         if loop_count < 1:
-            raise InvalidValue("loop must be a positive integer")
+            raise ParseError("loop must be a positive integer")
 
     if "histogram" in given:
         if not isinstance(given["histogram"], bool):
-            raise InvalidValue("histogram must be true or false")
+            raise ParseError("histogram must be true or false")
         fields["histogram"] = given["histogram"]
 
     return MelodySpec(idiom, palette, y_field, **fields)
@@ -352,13 +335,13 @@ def spec_mapping(raw: bytes) -> dict:
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise MalformedInput("spec is not valid UTF-8") from exc
+        raise ParseError("spec is not valid UTF-8") from exc
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer past Python's digit limit
-        raise MalformedInput(f"spec json error: {exc}") from exc
+        raise ParseError(f"spec json error: {exc}") from exc
     if not isinstance(payload, dict):
-        raise MalformedInput("spec must be a single JSON object")
+        raise ParseError("spec must be a single JSON object")
     return payload
 
 
@@ -377,25 +360,25 @@ def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
     ``stats.proportions``.
     """
     if dataset.row_count == 0:
-        raise EmptyDataset("dataset has no rows")
+        raise ParseError("dataset has no rows")
 
     y_col = dataset.column(spec.y_field)
     if y_col.kind is not ColumnKind.QUANTITATIVE:
-        raise KindMismatch(f"y column {spec.y_field!r} must be quantitative")
+        raise BindingError(f"y column {spec.y_field!r} must be quantitative")
 
     x_col = dataset.column(spec.x_field) if spec.x_field is not None else None
 
     if spec.idiom in (Idiom.BAR, Idiom.PIE):
         if x_col is None:
-            raise KindMismatch(
+            raise BindingError(
                 f"{spec.idiom.value} needs a categorical x column naming each slice"
             )
         if x_col.kind is not ColumnKind.CATEGORICAL:
-            raise KindMismatch(
+            raise BindingError(
                 f"x column {spec.x_field!r} must be categorical for {spec.idiom.value}"
             )
     else:
         if x_col is not None and x_col.kind is not ColumnKind.QUANTITATIVE:
-            raise KindMismatch(
+            raise BindingError(
                 f"x column {spec.x_field!r} must be quantitative for {spec.idiom.value}"
             )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnsoundedSlice
+from .errors import ProportionError
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
 from .score import (
     TICKS_PER_QUARTER,
@@ -273,7 +273,7 @@ def _pie_body(
     for (name, ratio), value, unit_count in zip(entries, values, units):
         if unit_count == 0:
             if ratio > 0:
-                raise UnsoundedSlice(
+                raise ProportionError(
                     f"pie slice {name!r} (share {ratio:.3g}) rounds to 0 of "
                     f"the cycle's {total_units} sixteenth units"
                 )

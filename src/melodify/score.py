@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Union
 
-from .errors import InvalidValue
+from .errors import ParseError
 from .theory import ScaleMode, build_scale, is_tritone
 
 TICKS_PER_QUARTER = 480
@@ -232,7 +232,7 @@ def expand_loops(score: Score) -> Score:
         return score
     start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
     if count < 1 or end <= start:
-        raise InvalidValue(
+        raise ParseError(
             f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
         )
     events = sorted_events(score.events)
@@ -241,7 +241,7 @@ def expand_loops(score: Score) -> Score:
     region = events[first:after]
     expanded = len(events) + len(region) * (count - 1)
     if expanded > MAX_EXPANDED_EVENTS:
-        raise InvalidValue(
+        raise ParseError(
             f"loop of {count} repeats would expand to {expanded} events, "
             f"above the cap of {MAX_EXPANDED_EVENTS}"
         )

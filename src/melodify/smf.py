@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .errors import MalformedSmf, StructuralViolation, UnexpandedLoop
+from .errors import MelodifyError
 from .score import (
     TICKS_PER_QUARTER,
     Articulation,
@@ -113,12 +113,10 @@ def write_smf(score: Score) -> bytes:
     or a note-on at the same or a later tick.
     """
     if score.loop is not None:
-        raise UnexpandedLoop("expand the score's loop before writing MIDI")
+        raise MelodifyError("expand the score's loop before writing MIDI")
     problems = structural_errors(score)
     if problems:
-        raise StructuralViolation(
-            "score fails validation: " + "; ".join(problems)
-        )
+        raise MelodifyError("score fails validation: " + "; ".join(problems))
 
     tempo_us = round(60_000_000 / score.tempo_bpm)
     numerator, denominator = score.time_signature
@@ -197,7 +195,7 @@ class _Reader:
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.data):
-            raise MalformedSmf("unexpected end of data")
+            raise MelodifyError("unexpected end of data")
         chunk = self.data[self.pos : self.pos + count]
         self.pos += count
         return chunk
@@ -212,7 +210,7 @@ class _Reader:
             value = (value << 7) | (b & 0x7F)
             if not b & 0x80:
                 return value
-        raise MalformedSmf("variable-length quantity longer than 4 bytes")
+        raise MelodifyError("variable-length quantity longer than 4 bytes")
 
 
 def parse_smf_minimal(data: bytes) -> ParsedSmf:
@@ -223,20 +221,20 @@ def parse_smf_minimal(data: bytes) -> ParsedSmf:
     """
     reader = _Reader(data)
     if reader.take(4) != b"MThd":
-        raise MalformedSmf("missing MThd magic")
+        raise MelodifyError("missing MThd magic")
     header_length, fmt, n_tracks, division = struct.unpack(">IHHH", reader.take(10))
     if header_length != 6:
-        raise MalformedSmf(f"header length {header_length}, expected 6")
+        raise MelodifyError(f"header length {header_length}, expected 6")
     if fmt != 0 or n_tracks != 1:
-        raise MalformedSmf(f"expected format 0 with 1 track, got {fmt}/{n_tracks}")
+        raise MelodifyError(f"expected format 0 with 1 track, got {fmt}/{n_tracks}")
     if division & 0x8000:
-        raise MalformedSmf("SMPTE divisions not supported")
+        raise MelodifyError("SMPTE divisions not supported")
     if reader.take(4) != b"MTrk":
-        raise MalformedSmf("missing MTrk magic")
+        raise MelodifyError("missing MTrk magic")
     (track_length,) = struct.unpack(">I", reader.take(4))
     track_end = reader.pos + track_length
     if track_end > len(data):
-        raise MalformedSmf("track chunk longer than the file")
+        raise MelodifyError("track chunk longer than the file")
 
     tempo_us = None
     time_signature = None
@@ -249,11 +247,11 @@ def parse_smf_minimal(data: bytes) -> ParsedSmf:
 
     while not ended:
         if reader.pos >= track_end:
-            raise MalformedSmf("track ended without an end-of-track meta")
+            raise MelodifyError("track ended without an end-of-track meta")
         tick += reader.vlq()
         status = reader.byte()
         if status < 0x80:
-            raise MalformedSmf(f"running status byte {status:#x} not supported")
+            raise MelodifyError(f"running status byte {status:#x} not supported")
         kind = status & 0xF0
         if status == 0xFF:
             meta = reader.byte()
@@ -263,19 +261,19 @@ def parse_smf_minimal(data: bytes) -> ParsedSmf:
                 ended = True
             elif meta == META_TEMPO:
                 if length != 3:
-                    raise MalformedSmf("tempo meta must carry 3 bytes")
+                    raise MelodifyError("tempo meta must carry 3 bytes")
                 tempo_us = int.from_bytes(payload, "big")
             elif meta == META_TIME_SIGNATURE:
                 if length != 4:
-                    raise MalformedSmf("time signature meta must carry 4 bytes")
+                    raise MelodifyError("time signature meta must carry 4 bytes")
                 time_signature = (payload[0], 1 << payload[1])
             elif meta == META_KEY_SIGNATURE:
                 if length != 2:
-                    raise MalformedSmf("key signature meta must carry 2 bytes")
+                    raise MelodifyError("key signature meta must carry 2 bytes")
                 sf = struct.unpack(">b", payload[:1])[0]
                 key_signature = (sf, payload[1])
             else:
-                raise MalformedSmf(f"unexpected meta type {meta:#x}")
+                raise MelodifyError(f"unexpected meta type {meta:#x}")
         elif kind == 0x90:
             pitch, velocity = reader.byte(), reader.byte()
             if velocity == 0:
@@ -288,19 +286,19 @@ def parse_smf_minimal(data: bytes) -> ParsedSmf:
         elif kind == 0xB0:
             controller, value = reader.byte(), reader.byte()
             if controller != SUSTAIN_CONTROLLER:
-                raise MalformedSmf(f"unexpected controller {controller}")
+                raise MelodifyError(f"unexpected controller {controller}")
             pedals.append((tick, PedalState.DOWN if value >= 64 else PedalState.UP))
         elif kind == 0xC0:
             reader.byte()
         else:
-            raise MalformedSmf(f"unexpected status byte {status:#x}")
+            raise MelodifyError(f"unexpected status byte {status:#x}")
 
     if reader.pos != track_end:
-        raise MalformedSmf("track length does not match its contents")
+        raise MelodifyError("track length does not match its contents")
     if reader.pos != len(data):
-        raise MalformedSmf("trailing bytes after the track chunk")
+        raise MelodifyError("trailing bytes after the track chunk")
     if any(open_notes.values()):
-        raise MalformedSmf("note on without a matching note off")
+        raise MelodifyError("note on without a matching note off")
 
     return ParsedSmf(
         ticks_per_quarter=division,
@@ -320,7 +318,7 @@ def _close_note(
 ) -> None:
     stack = open_notes.get(pitch)
     if not stack:
-        raise MalformedSmf(f"note off for pitch {pitch} with no open note")
+        raise MelodifyError(f"note off for pitch {pitch} with no open note")
     onset, velocity = stack.pop(0)
     notes.append(ParsedNote(onset, tick - onset, pitch, velocity))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import AllZero, NegativeProportion, TooShort
+from .errors import BindingError, ProportionError
 
 
 class TrendDirection(str, Enum):
@@ -81,7 +81,7 @@ def least_squares_slope(series: Sequence[float]) -> float:
     """Ordinary least-squares slope of values against their indices."""
     n = len(series)
     if n < 2:
-        raise TooShort(f"need at least 2 points for a slope, got {n}")
+        raise BindingError(f"need at least 2 points for a slope, got {n}")
     mid = (n - 1) / 2
     numerator = sum((i - mid) * y for i, y in enumerate(series))
     denominator = sum((i - mid) ** 2 for i in range(n))
@@ -101,7 +101,7 @@ def segment_trends(
     """
     n = len(series)
     if n < 2:
-        raise TooShort(f"need at least 2 points to segment, got {n}")
+        raise BindingError(f"need at least 2 points to segment, got {n}")
     if max_segments < 1:
         raise ValueError("max_segments must be positive")
     # Imported here, not at module level, so that compiles which never
@@ -210,7 +210,7 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
     """
     n = len(series)
     if n < 2:
-        raise TooShort(f"need at least 2 points to classify spread, got {n}")
+        raise BindingError(f"need at least 2 points to classify spread, got {n}")
     ordered = sorted(float(v) for v in series)
     low, high = ordered[0], ordered[-1]
     if low == high:
@@ -237,8 +237,8 @@ def proportions(pairs: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], 
     items = list(pairs)
     for name, value in items:
         if value < 0:
-            raise NegativeProportion(f"category {name!r} has negative value {value}")
+            raise ProportionError(f"category {name!r} has negative value {value}")
     total = sum(value for _, value in items)
     if total <= 0:
-        raise AllZero("proportions need at least one positive value")
+        raise ProportionError("proportions need at least one positive value")
     return tuple((name, value / total) for name, value in items)

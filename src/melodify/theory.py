@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ChromaticMode, InvalidDegree, OutOfMidiRange
+from .errors import MelodifyError
 
 MIDI_MAX = 127
 
@@ -88,7 +88,7 @@ def build_scale(root: int, mode: ScaleMode) -> Scale:
 def _check_range(pitches: Sequence[int]) -> None:
     for p in pitches:
         if not 0 <= p <= MIDI_MAX:
-            raise OutOfMidiRange(f"pitch {p} outside MIDI range 0..{MIDI_MAX}")
+            raise MelodifyError(f"pitch {p} outside MIDI range 0..{MIDI_MAX}")
 
 
 def degree_triad(scale: Scale, degree: int, octave_anchor: int) -> Chord:
@@ -96,9 +96,9 @@ def degree_triad(scale: Scale, degree: int, octave_anchor: int) -> Chord:
     ``octave_anchor``: third and fifth are the next scale members two and
     four steps up."""
     if scale.mode is ScaleMode.CHROMATIC:
-        raise ChromaticMode("a chromatic scale has no functional degrees")
+        raise MelodifyError("a chromatic scale has no functional degrees")
     if not 1 <= degree <= 7:
-        raise InvalidDegree(f"degree must be 1..7, got {degree}")
+        raise MelodifyError(f"degree must be 1..7, got {degree}")
     root_class = scale.member_classes[degree - 1]
     root = octave_anchor + ((root_class - octave_anchor) % 12)
     third_class = scale.member_classes[(degree + 1) % 7]
@@ -136,7 +136,7 @@ def make_cadence(kind: CadenceKind, scale: Scale, octave_anchor: int) -> list[Ch
     if kind is CadenceKind.NONE:
         return []
     if scale.mode is ScaleMode.CHROMATIC:
-        raise ChromaticMode("cadences need a functional scale, not chromatic")
+        raise MelodifyError("cadences need a functional scale, not chromatic")
     if kind is CadenceKind.PERFECT:
         return [degree_triad(scale, 5, octave_anchor), degree_triad(scale, 1, octave_anchor)]
     return [degree_triad(scale, 5, octave_anchor), degree_triad(scale, 6, octave_anchor)]
@@ -160,7 +160,7 @@ def quantize_pitch(
     if high < low:
         raise ValueError("domain must be ordered (min, max)")
     if anchor < 0 or anchor + span_semitones > MIDI_MAX:
-        raise OutOfMidiRange(
+        raise MelodifyError(
             f"span {span_semitones} above anchor {anchor} leaves MIDI range"
         )
     if high == low:
@@ -195,28 +195,25 @@ def arpeggiate(
     direction: ArpeggioDirection,
     note_count: int,
     *,
-    max_octaves: int | None = None,
+    max_octaves: int,
 ) -> list[int]:
     """Walk chord tones: root, third, fifth, then the same an octave up.
 
     Down is the reverse of the generated walk, starting from its highest
-    tone. With ``max_octaves`` the walk wraps back to the root octave
-    instead of climbing without bound, which keeps long walks inside the
-    MIDI range.
+    tone. After ``max_octaves`` octaves the walk wraps back to the root
+    octave, which keeps long walks inside the MIDI range.
     """
     if note_count < 1:
         raise ValueError("note_count must be positive")
-    if max_octaves is not None and max_octaves < 1:
-        raise ValueError("max_octaves must be positive when given")
+    if max_octaves < 1:
+        raise ValueError("max_octaves must be positive")
     tones = chord.pitches
     walk = []
     for i in range(note_count):
         octave, position = divmod(i, 3)
-        if max_octaves is not None:
-            octave %= max_octaves
-        pitch = tones[position] + 12 * octave
+        pitch = tones[position] + 12 * (octave % max_octaves)
         if pitch > MIDI_MAX:
-            raise OutOfMidiRange(f"arpeggio tone {pitch} above MIDI range")
+            raise MelodifyError(f"arpeggio tone {pitch} above MIDI range")
         walk.append(pitch)
     if direction is ArpeggioDirection.DOWN:
         walk.reverse()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from melodify.cli import main
-from melodify.errors import UnsoundedSlice
+from melodify.errors import ProportionError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
@@ -212,7 +212,7 @@ def test_criterion_03_scale_conformance():
                 values = [rng.uniform(0.05, 10) for _ in range(rng.randint(1, 12))]
                 dataset = cat_dataset(values)
                 if unsounded_slice(values, palette):
-                    with pytest.raises(UnsoundedSlice):
+                    with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
                         melodify(dataset, mk_spec(idiom, palette, key))
                     continue
             elif idiom is Idiom.LINE:
@@ -319,7 +319,7 @@ def test_criterion_06_pie_conservation():
         # A positive slice that rounds to no sixteenth is refused, never
         # dropped from the cycle.
         if unsounded_slice(values, Palette.GREY):
-            with pytest.raises(UnsoundedSlice):
+            with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
                 melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.GREY))
             refused += 1
             continue
@@ -353,7 +353,7 @@ def test_criterion_06_pie_conservation():
     for _ in range(20):
         values = [rng.uniform(0.01, 10) for _ in range(rng.randint(1, 12))]
         if unsounded_slice(values, Palette.POSITIVE):
-            with pytest.raises(UnsoundedSlice):
+            with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
                 melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
             continue
         score = melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
@@ -529,7 +529,7 @@ def test_criterion_09_smf_round_trip():
             values = [rng.uniform(0.1, 50) for _ in range(n)]
             dataset = cat_dataset(values)
             if idiom is Idiom.PIE and unsounded_slice(values, palette):
-                with pytest.raises(UnsoundedSlice):
+                with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
                     melodify(dataset, mk_spec(idiom, palette, key))
                 continue
         else:

@@ -280,6 +280,52 @@ def test_usage_error_is_one_parse_line(bar_csv, capsys, argv):
     assert [path.name for path in bar_csv.parent.iterdir()] == ["bars.csv"]
 
 
+BAR_FLAGS = ["--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v"]
+PIE_FLAGS = ["--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v"]
+
+
+@pytest.mark.parametrize(
+    ("table", "flags", "line"),
+    [
+        ("k,v\na,1\nb\n", BAR_FLAGS,
+         "error E_PARSE: row 2 has 1 cells, expected 2"),
+        ("k,v\n", BAR_FLAGS,
+         "error E_PARSE: table has a header but no data rows"),
+        ("k,v\na,1\n", ["--idiom", "sparkline", "--palette", "positive", "--x", "k", "--y", "v"],
+         "error E_PARSE: unknown idiom 'sparkline'"),
+        ("k,v\na,1\n", ["--idiom", "bar", "--palette", "loud", "--x", "k", "--y", "v"],
+         "error E_PARSE: unknown palette 'loud'"),
+        ("k,v\na,1\n", ["--idiom", "bar", "--palette", "positive", "--x", "k"],
+         "error E_PARSE: spec is missing 'y'"),
+        ("k,v\na,1\n", BAR_FLAGS + ["--key", "H"],
+         "error E_PARSE: unknown key name 'H'"),
+        ("k,v\na,1\n", ["--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "nope"],
+         "error E_BINDING: no column named 'nope'"),
+        ("k,v\na,1\n", ["--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "k"],
+         "error E_BINDING: y column 'k' must be quantitative"),
+        ("v\n5\n", ["--idiom", "line", "--palette", "positive", "--y", "v"],
+         "error E_BINDING: need at least 2 points to segment, got 1"),
+        ("k,v\na,3\nb,-1\n", PIE_FLAGS,
+         "error E_PROPORTION: category 'b' has negative value -1.0"),
+        ("k,v\na,0\nb,0\n", PIE_FLAGS,
+         "error E_PROPORTION: proportions need at least one positive value"),
+        ("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", PIE_FLAGS + ["--time", "1/32", "--loop", "1"],
+         "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of the "
+         "cycle's 2 sixteenth units"),
+    ],
+    ids=["ragged-row", "no-rows", "unknown-idiom", "unknown-palette", "missing-y",
+         "invalid-key", "unknown-column", "categorical-y", "one-point-line",
+         "negative-share", "all-zero-shares", "unsounded-slice"],
+)
+def test_rejection_line_is_pinned(tmp_path, capsys, table, flags, line):
+    path = tmp_path / "table.csv"
+    path.write_text(table, encoding="utf-8")
+    code, out, err = run(capsys, "compile", "--data", str(path), *flags)
+    assert code == 1 and out == ""
+    assert err == line + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_compile_malformed_spec_json(bar_csv, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("{not json", encoding="utf-8")

@@ -9,13 +9,7 @@ from __future__ import annotations
 import pytest
 
 from melodify import melodifier
-from melodify.errors import (
-    AllZero,
-    EmptyDataset,
-    NegativeProportion,
-    TooShort,
-    UnsoundedSlice,
-)
+from melodify.errors import BindingError, ParseError, ProportionError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
     PALETTE_PRESETS,
@@ -129,7 +123,7 @@ def test_character_orders_by_x_for_line():
 
 def test_character_single_point_line_raises():
     character = derive_character(dataset([5]), "v", None)
-    with pytest.raises(TooShort):
+    with pytest.raises(BindingError, match="at least 2 points to segment"):
         character.segments
 
 
@@ -290,7 +284,7 @@ def test_pie_zero_category_is_silent_but_cycle_is_full():
 def test_pie_slice_rounding_to_no_sixteenth_is_refused():
     # 100 equal slices share 64 sixteenths: 36 would never sound.
     labels = [f"s{i:02d}" for i in range(100)]
-    with pytest.raises(UnsoundedSlice, match=r"'s64' .* 0 of the cycle's 64 sixteenth"):
+    with pytest.raises(ProportionError, match=r"pie slice 's64' .* 0 of the cycle's 64 sixteenth"):
         melodify(dataset([1] * 100, labels), spec(Idiom.PIE, x="k"))
     # Every slice of 64 equal ones gets its sixteenth.
     score = melodify(dataset([1] * 64, labels[:64]), spec(Idiom.PIE, x="k"))
@@ -298,9 +292,9 @@ def test_pie_slice_rounding_to_no_sixteenth_is_refused():
 
 
 def test_pie_rejects_negative_and_all_zero():
-    with pytest.raises(NegativeProportion, match="category 'b'"):
+    with pytest.raises(ProportionError, match="category 'b' has negative value"):
         melodify(dataset([1, -1], ["a", "b"]), spec(Idiom.PIE, x="k"))
-    with pytest.raises(AllZero):
+    with pytest.raises(ProportionError, match="at least one positive value"):
         melodify(dataset([0, 0], ["a", "b"]), spec(Idiom.PIE, x="k"))
 
 
@@ -375,7 +369,7 @@ def test_line_cadence_starts_on_a_bar_boundary():
 
 
 def test_line_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BindingError, match="at least 2 points to segment"):
         melodify(dataset([1]), spec(Idiom.LINE))
 
 
@@ -449,7 +443,7 @@ def test_melodify_populates_metadata():
 
 def test_melodify_empty_dataset():
     empty = Dataset((Column("v", ColumnKind.QUANTITATIVE, ()),), 0)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ParseError, match="dataset has no rows"):
         melodify(empty, spec(Idiom.SCATTER))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from melodify.errors import InvalidValue
+from melodify.errors import ParseError
 from melodify.score import (
     Articulation,
     Loop,
@@ -195,7 +195,7 @@ def test_expand_loops_preserves_events_before_region():
 def test_expand_loops_refuses_past_the_event_cap_before_copying():
     # Sized arithmetically: a copy of 10**12 repeats would never finish.
     score = make_score([note(0), note(480)], loop=Loop(0, 480, 10**12))
-    with pytest.raises(InvalidValue, match="cap"):
+    with pytest.raises(ParseError, match="cap"):
         expand_loops(score)
 
 
@@ -204,13 +204,13 @@ def test_expand_loops_cap_counts_events_outside_the_region(monkeypatch):
     events = [note(0, dur=100), note(480), note(960, dur=100)]
     # One event before, one repeated, one after: 2 + count events.
     assert len(expand_loops(make_score(events, loop=Loop(480, 960, 8))).events) == 10
-    with pytest.raises(InvalidValue):
+    with pytest.raises(ParseError, match="11 events, above the cap of 10"):
         expand_loops(make_score(events, loop=Loop(480, 960, 9)))
 
 
 def test_expand_loops_refuses_an_empty_or_inverted_region():
     for loop in (Loop(480, 480, 2), Loop(960, 480, 2), Loop(0, 960, 0)):
-        with pytest.raises(InvalidValue, match="cannot be expanded"):
+        with pytest.raises(ParseError, match="cannot be expanded"):
             expand_loops(make_score([note(0, dur=960), note(480)], loop=loop))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from melodify.errors import MalformedSmf, StructuralViolation, UnexpandedLoop
+from melodify.errors import MelodifyError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
@@ -194,13 +194,13 @@ def test_pedal_bytes():
 
 def test_write_rejects_unexpanded_loop():
     score = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
-    with pytest.raises(UnexpandedLoop):
+    with pytest.raises(MelodifyError, match="expand the score's loop"):
         write_smf(score)
 
 
 def test_write_rejects_invalid_score():
     score = make_score([note(0, pitch=200)])
-    with pytest.raises(StructuralViolation):
+    with pytest.raises(MelodifyError, match="score fails validation"):
         write_smf(score)
 
 
@@ -368,21 +368,21 @@ def test_roundtrip_overlapping_chord():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(MalformedSmf):
+    with pytest.raises(MelodifyError, match="missing MThd magic"):
         parse_smf_minimal(b"not midi at all")
-    with pytest.raises(MalformedSmf):
+    with pytest.raises(MelodifyError, match="expected format 0 with 1 track"):
         parse_smf_minimal(b"MThd" + struct.pack(">IHHH", 6, 1, 2, 480))
 
 
 def test_parse_rejects_truncated_track():
     data = write_smf(make_score([note(0)]))
-    with pytest.raises(MalformedSmf):
+    with pytest.raises(MelodifyError, match="track chunk longer than the file"):
         parse_smf_minimal(data[:-1])
 
 
 def test_parse_rejects_trailing_bytes():
     data = write_smf(make_score([note(0)]))
-    with pytest.raises(MalformedSmf):
+    with pytest.raises(MelodifyError, match="trailing bytes after the track chunk"):
         parse_smf_minimal(data + b"\x00")
 
 
@@ -391,7 +391,7 @@ def test_parse_rejects_wrong_track_length():
     # Inflate the declared MTrk length so it overruns the file.
     (length,) = struct.unpack(">I", data[18:22])
     data[18:22] = struct.pack(">I", length + 1)
-    with pytest.raises(MalformedSmf):
+    with pytest.raises(MelodifyError, match="track chunk longer than the file"):
         parse_smf_minimal(bytes(data))
 
 

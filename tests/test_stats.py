@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from melodify.errors import AllZero, NegativeProportion, TooShort
+from melodify.errors import BindingError, ProportionError
 from melodify.stats import (
     SPAN_BY_LEVEL,
     VARIANCE_MEDIUM_AT,
@@ -59,7 +59,7 @@ def test_slope_exact_lines():
 
 
 def test_slope_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BindingError, match="at least 2 points for a slope"):
         least_squares_slope([1])
 
 
@@ -106,7 +106,7 @@ def test_vee_shape():
 
 
 def test_segments_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BindingError, match="at least 2 points to segment"):
         segment_trends([1])
 
 
@@ -285,7 +285,7 @@ def test_variance_zero_quartile_sum_falls_back_to_range():
 
 
 def test_variance_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(BindingError, match="at least 2 points to classify spread"):
         compute_variance([1])
 
 
@@ -372,9 +372,9 @@ def test_proportions_zero_entry_allowed():
 
 
 def test_proportions_errors():
-    with pytest.raises(NegativeProportion):
+    with pytest.raises(ProportionError, match="category 'a' has negative value"):
         proportions([("a", -1.0), ("b", 2.0)])
-    with pytest.raises(AllZero):
+    with pytest.raises(ProportionError, match="at least one positive value"):
         proportions([("a", 0.0), ("b", 0.0)])
 
 
@@ -388,7 +388,7 @@ def test_proportions_errors():
 def test_proportions_sum_to_one(pairs):
     pairs = [(k, float(v)) for k, v in pairs]
     if all(v == 0 for _, v in pairs):
-        with pytest.raises(AllZero):
+        with pytest.raises(ProportionError, match="at least one positive value"):
             proportions(pairs)
     else:
         total = sum(r for _, r in proportions(pairs))
