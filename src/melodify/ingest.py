@@ -104,8 +104,9 @@ class MelodySpec:
 
 
 # An ASCII decimal literal: no digit separators, no other scripts' digits,
-# and no nan or inf words, all of which float() would take.
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# and no nan or inf words, all of which float() would take. Each digit run
+# has one way to match, so a failing match takes time linear in the cell.
+_NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 def _as_number(cell: str) -> float | None:

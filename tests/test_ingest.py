@@ -70,6 +70,26 @@ def test_csv_only_ascii_decimal_literals_are_numbers(cell):
     assert ds.column("v").values == (cell, "2")
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "1" * 100_000 + "x",
+        "1" * 50_000 + "." + "1" * 50_000 + "x",
+        "." + "1" * 100_000 + "x",
+        "1e" + "1" * 100_000 + "x",
+    ],
+    ids=["digits", "digits-dot-digits", "dot-digits", "exponent-digits"],
+)
+def test_long_digit_run_ending_in_text_is_categorical(cell):
+    # A grammar with two ways to split a digit run would try about N²/2
+    # splits here before failing; these cells would then take minutes.
+    ds = csv_table(f"k,v\na,{cell}\nb,2\n")
+    assert ds.column("v").kind is ColumnKind.CATEGORICAL
+    ds = json_table([{"k": "a", "v": cell}, {"k": "b", "v": "2"}])
+    assert ds.column("v").kind is ColumnKind.CATEGORICAL
+    assert ds.column("v").values == (cell, "2")
+
+
 @given(
     st.one_of(
         st.integers(-(10**100), 10**100),
