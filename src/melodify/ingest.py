@@ -14,8 +14,8 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BindingError, ParseError
 
@@ -67,8 +67,7 @@ TEMPO_MAX = 300
 VALUE_MAGNITUDE_MAX = 1e100
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     """One named column; values are all floats or all non-empty strings."""
 
     name: str
@@ -76,8 +75,7 @@ class Column:
     values: tuple
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     columns: tuple[Column, ...]
     row_count: int
 
@@ -88,8 +86,7 @@ class Dataset:
         raise BindingError(f"no column named {name!r}")
 
 
-@dataclass(frozen=True)
-class MelodySpec:
+class MelodySpec(NamedTuple):
     """What to play: chart idiom, mood palette, field binding, overrides."""
 
     idiom: Idiom

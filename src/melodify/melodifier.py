@@ -11,8 +11,8 @@ else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ProportionError
 from .ingest import ColumnKind, Dataset, Idiom, MelodySpec, Palette, validate_binding
@@ -81,8 +81,7 @@ SUBDIVISION_BY_DENSITY = {
 }
 
 
-@dataclass(frozen=True)
-class TonalPlan:
+class TonalPlan(NamedTuple):
     """Palette rendered concrete: the scale and performance parameters,
     plus the bass anchor pitch and the bar length every idiom plays to."""
 
@@ -94,17 +93,23 @@ class TonalPlan:
     bar_ticks: int
 
 
-@dataclass(frozen=True)
 class DataCharacter:
     """Summaries the data dictates regardless of idiom and palette, and
     the y series in playing order that they summarize. Trend segments and
     proportions are computed on first use, so only a line segments and
     only a pie apportions."""
 
-    series: tuple[float, ...]
-    labels: tuple[str, ...] | None
-    density: DensityClass
-    variance: VarianceClass
+    def __init__(
+        self,
+        series: tuple[float, ...],
+        labels: tuple[str, ...] | None,
+        density: DensityClass,
+        variance: VarianceClass,
+    ):
+        self.series = series
+        self.labels = labels
+        self.density = density
+        self.variance = variance
 
     @cached_property
     def segments(self) -> tuple[TrendSegment, ...]:

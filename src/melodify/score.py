@@ -8,11 +8,10 @@ repeated region. Every score counts time at ``TICKS_PER_QUARTER``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .errors import ParseError
+from .errors import MelodifyError, ParseError
 from .theory import ScaleMode, build_scale, is_tritone
 
 TICKS_PER_QUARTER = 480
@@ -34,8 +33,7 @@ class PedalState(str, Enum):
     UP = "up"
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class NoteEvent(NamedTuple):
     onset_tick: int
     duration_ticks: int
     pitch: int
@@ -43,8 +41,7 @@ class NoteEvent:
     articulation: Articulation
 
 
-@dataclass(frozen=True)
-class PedalEvent:
+class PedalEvent(NamedTuple):
     tick: int
     state: PedalState
 
@@ -52,8 +49,7 @@ class PedalEvent:
 Event = Union[NoteEvent, PedalEvent]
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """Half-open region [start_tick, end_tick) played ``count`` times."""
 
     start_tick: int
@@ -61,8 +57,7 @@ class Loop:
     count: int
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(NamedTuple):
     tempo_bpm: int
     time_signature: tuple[int, int]
     key_signature: tuple[int, ScaleMode]
@@ -225,14 +220,18 @@ def expand_loops(score: Score) -> Score:
 
     Only the unexpanded events are sorted. Each repetition's ticks lie
     after the previous one's, so emitting the events before the region,
-    the repeats in order, then the shifted tail gives sorted output. An
-    empty or inverted region, or a count below one, is refused.
+    the repeats in order, then the shifted tail gives sorted output.
+
+    A score past the cap is a user error (``E_PARSE``). An empty or
+    inverted region, or a count below one, is ``E_INTERNAL``: the spec
+    parser rejects such a count and ``melodify`` never builds such a
+    region, so reaching it is a bug.
     """
     if score.loop is None:
         return score
     start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
     if count < 1 or end <= start:
-        raise ParseError(
+        raise MelodifyError(
             f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
         )
     events = sorted_events(score.events)
@@ -250,4 +249,4 @@ def expand_loops(score: Score) -> Score:
     for i in range(count):
         out.extend([_shifted(ev, i * length) for ev in region])
     out.extend([_shifted(ev, (count - 1) * length) for ev in events[after:]])
-    return replace(score, events=tuple(out), loop=None)
+    return score._replace(events=tuple(out), loop=None)

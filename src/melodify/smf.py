@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MelodifyError
 from .score import (
@@ -170,16 +169,14 @@ def write_smf(score: Score) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class ParsedNote:
+class ParsedNote(NamedTuple):
     onset_tick: int
     duration_ticks: int
     pitch: int
     velocity: int
 
 
-@dataclass(frozen=True)
-class ParsedSmf:
+class ParsedSmf(NamedTuple):
     ticks_per_quarter: int
     tempo_us: int | None
     time_signature: tuple[int, int] | None

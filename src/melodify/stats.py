@@ -7,9 +7,8 @@ normalized category proportions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BindingError, ProportionError
 
@@ -20,8 +19,7 @@ class TrendDirection(str, Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class TrendSegment:
+class TrendSegment(NamedTuple):
     """One fitted span; end_index is inclusive and shared with the next
     segment, the way adjacent edges of a polyline share a vertex."""
 
@@ -37,8 +35,7 @@ class DensityLevel(str, Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class DensityClass:
+class DensityClass(NamedTuple):
     level: DensityLevel
     points_per_bar: float
 
@@ -49,8 +46,7 @@ class VarianceLevel(str, Enum):
     WIDE = "wide"
 
 
-@dataclass(frozen=True)
-class VarianceClass:
+class VarianceClass(NamedTuple):
     level: VarianceLevel
     semitone_span: int
 
@@ -130,6 +126,7 @@ def segment_trends(
     k_max = min(max_segments, n - 1)
     best = np.full((k_max + 1, n), np.inf)
     parent = np.zeros((k_max + 1, n), dtype=int)
+    rows = np.arange(k_max - 1)
     for b in range(1, n):
         by_start = slice(b - 1, None, -1)  # spans a = 0..b-1 are b+1..2 points long
         m, s_x, sxx = lengths[by_start], sums_x[by_start], sxx_by_length[by_start]
@@ -141,11 +138,14 @@ def segment_trends(
         cost = syy - sxy * sxy / sxx
         cost[cost < tolerance] = 0.0  # also clears rounding below zero
         best[1, b] = cost[0]
-        for k in range(2, min(k_max, b) + 1):
-            candidates = best[k - 1, k - 1 : b] + cost[k - 1 :]
-            i = int(candidates.argmin())
-            best[k, b] = candidates[i]
-            parent[k, b] = k - 1 + i
+        # Every segment count k = 2..k_max at once: row k-2 ends its last
+        # segment on span a..b. best[k-1, a] is inf for a < k-1, so argmin
+        # takes the same first minimum as a scan from a = k-1, and a k
+        # above b, whose row is all inf, keeps best inf and parent 0.
+        candidates = best[1:k_max, :b] + cost
+        i = candidates.argmin(axis=1)
+        best[2:, b] = candidates[rows, i]
+        parent[2:, b] = i
 
     exact = best[1 : k_max + 1, n - 1]
     cumulative = np.minimum.accumulate(exact)

@@ -8,10 +8,9 @@ minor (3, 4), diminished (3, 3).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MelodifyError
 
@@ -56,8 +55,7 @@ class ArpeggioDirection(str, Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     root: int
     mode: ScaleMode
     member_classes: tuple[int, ...]
@@ -66,8 +64,7 @@ class Scale:
         return pitch % 12 in self.member_classes
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     """Root-position triad."""
 
     quality: ChordQuality

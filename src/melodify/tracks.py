@@ -8,13 +8,12 @@ writes them all out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 
 
-@dataclass(frozen=True)
-class TrackDef:
+class TrackDef(NamedTuple):
     slug: str
     dataset: Dataset
     spec: MelodySpec

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -469,13 +470,14 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
     ]
 
 
-# --- numpy stays off the import path ------------------------------------------
+# --- numpy, dataclasses and inspect stay off the import path ------------------
 
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 from melodify.cli import main
 
+heavy = ("numpy", "dataclasses", "inspect")
 tables = {
     "bar": ("bar", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
     "pie": ("pie", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
@@ -484,7 +486,7 @@ tables = {
     "bar-straddle": ("bar", "k,v\\na,-10\\nb,0\\nc,10\\n", "k"),
     "line": ("line", "t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
 }
-loaded = ["numpy" in sys.modules]
+loaded = [[m in sys.modules for m in heavy]]
 for name in sys.argv[2:]:
     idiom, table, x = tables[name]
     path = Path(sys.argv[1]) / f"{name}.csv"
@@ -492,24 +494,53 @@ for name in sys.argv[2:]:
     argv = ["compile", "--data", str(path), "--idiom", idiom,
             "--palette", "positive", "--x", x, "--y", "v"]
     assert main(argv) == 0, name
-    loaded.append("numpy" in sys.modules)
+    loaded.append([m in sys.modules for m in heavy])
 print(json.dumps(loaded))
 """
 
+NUMPY_PROBE = """
+import json, sys
+import numpy
+print(json.dumps([m in sys.modules for m in ("numpy", "dataclasses", "inspect")]))
+"""
 
-def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
+
+def _probe(*args):
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path),
-         "bar", "pie", "scatter", "bar-straddle", "line"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
+    loaded = _probe(
+        IMPORT_PROBE, str(tmp_path), "bar", "pie", "scatter", "bar-straddle", "line"
+    )
     # After the import and each of bar, pie, scatter and a bar whose
-    # quartiles sum to zero: no numpy. The line compile, the positive
-    # control, loads it.
-    assert json.loads(result.stdout.splitlines()[-1]) == [False] * 5 + [True]
+    # quartiles sum to zero: none of numpy, dataclasses (about 10 ms with
+    # the inspect, ast and dis it imports) or inspect.
+    assert loaded[:5] == [[False, False, False]] * 5
+    # The line compile, the positive control, loads numpy, and with it only
+    # what numpy imports on its own (inspect, in numpy 2).
+    assert loaded[5] == _probe(NUMPY_PROBE)
+
+
+def test_no_module_imports_dataclasses():
+    # Records are NamedTuples; a dataclass would put the dataclasses module
+    # back on every CLI call's import path.
+    for path in sorted((REPO / "src" / "melodify").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
 
 
 # --- delta-times stay far inside the variable-length quantity -----------------

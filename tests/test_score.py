@@ -1,13 +1,11 @@
 """Score timeline invariants, structural checks, lint, and loop expansion."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from melodify.errors import ParseError
+from melodify.errors import MelodifyError, ParseError
 from melodify.score import (
     Articulation,
     Loop,
@@ -54,6 +52,15 @@ def test_sorted_events_is_stable_for_equal_notes():
     assert sorted_events([b, a]) == (b, a)
 
 
+@pytest.mark.parametrize(
+    "record,field",
+    [(note(0), "pitch"), (make_score([note(0)]), "events")],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
 # --- structural_errors and lint ----------------------------------------------
 
 def test_valid_score_has_no_errors():
@@ -70,7 +77,7 @@ def test_valid_score_has_no_errors():
 
 def test_out_of_order_events_flagged():
     score = make_score([])
-    score = replace(score, events=(note(480), note(0)))
+    score = score._replace(events=(note(480), note(0)))
     assert any("out of order" in m for m in structural_errors(score))
 
 
@@ -93,7 +100,7 @@ def test_unbalanced_pedal_flagged():
 
 
 def test_bad_time_signature_flagged():
-    score = replace(make_score([note(0)]), time_signature=(4, 6))
+    score = make_score([note(0)])._replace(time_signature=(4, 6))
     assert any("time signature" in m for m in structural_errors(score))
 
 
@@ -210,14 +217,26 @@ def test_expand_loops_cap_counts_events_outside_the_region(monkeypatch):
 
 def test_expand_loops_refuses_an_empty_or_inverted_region():
     for loop in (Loop(480, 480, 2), Loop(960, 480, 2), Loop(0, 960, 0)):
-        with pytest.raises(ParseError, match="cannot be expanded"):
+        with pytest.raises(MelodifyError, match="cannot be expanded") as exc:
             expand_loops(make_score([note(0, dur=960), note(480)], loop=loop))
+        # No user input reaches this branch, so it is a bug, not E_PARSE.
+        assert exc.value.code == "E_INTERNAL"
+
+
+def test_expanded_score_compares_by_value():
+    score = make_score([note(0, dur=240), note(240, pitch=64)], loop=Loop(0, 480, 2))
+    expected = make_score(
+        [note(0, dur=240), note(240, pitch=64), note(480, dur=240), note(720, pitch=64)]
+    )
+    assert expand_loops(score) == expected
+    assert hash(expand_loops(score)) == hash(expected)
+    assert expand_loops(score) != expected._replace(tempo_bpm=121)
 
 
 def _shifted_oracle(event, by):
     if isinstance(event, NoteEvent):
-        return replace(event, onset_tick=event.onset_tick + by)
-    return replace(event, tick=event.tick + by)
+        return event._replace(onset_tick=event.onset_tick + by)
+    return event._replace(tick=event.tick + by)
 
 
 def sort_based_expand_oracle(score):
@@ -234,7 +253,7 @@ def sort_based_expand_oracle(score):
             out.extend(_shifted_oracle(ev, i * length) for i in range(count))
         else:
             out.append(_shifted_oracle(ev, (count - 1) * length))
-    return replace(score, events=sorted_events(out), loop=None)
+    return score._replace(events=sorted_events(out), loop=None)
 
 
 @given(

@@ -11,6 +11,7 @@ from melodify.theory import (
     CadenceKind,
     ChordQuality,
     ScaleMode,
+    _members_in_span,
     arpeggiate,
     build_scale,
     degree_triad,
@@ -150,6 +151,21 @@ def test_cadence_rejects_chromatic():
 
 
 # --- quantize_pitch -----------------------------------------------------------
+
+def test_equal_scales_share_one_cache_entry():
+    # quantize_pitch caches members per (scale, anchor, span); two equal
+    # scales, such as two compiles' plans in one process, must hash and
+    # compare alike for the cache to hit.
+    first, second = build_scale(2, ScaleMode.MAJOR), build_scale(2, ScaleMode.MAJOR)
+    assert first is not second and first == second and hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.root = 3
+    _members_in_span.cache_clear()
+    quantize_pitch(3, (0, 10), first, 24, 50)
+    quantize_pitch(7, (0, 10), second, 24, 50)
+    info = _members_in_span.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
 
 def test_quantize_endpoints_hit_anchor_and_span():
     # Spans are multiples of 12, so both ends are scale members.
