@@ -7,14 +7,16 @@ into a `Score`, `expand_loops` makes its loop concrete, and `write_smf`
 point for every idiom: it checks the binding (`validate_binding`),
 summarizes the data (`derive_character(dataset, y_field, x_field)` ->
 `DataCharacter`), resolves the palette (`apply_palette` -> `TonalPlan`),
-has the idiom write its body and closes it with the palette's cadence.
+has the idiom write its body and closes it with the palette's cadence,
+in score order without a sort.
 A `DataCharacter` holds the ordered series, density and spread; its
 trend `segments` and `proportions` (plain `(label, ratio)` pairs) are
 computed on first use, so only the idioms that read them pay for them,
 and `melodify analyze` prints the same record. Every `Score` counts
 time at a fixed 480 ticks per quarter note. `write_smf` refuses a score
-with `structural_errors`; `lint` lists advisory musical warnings and is
-never run on the way to the bytes. The names below are the public API.
+with `structural_errors`, the one-pass gate that also proves the events
+are in order; `lint` lists advisory musical warnings and is never run on
+the way to the bytes. The names below are the public API.
 """
 from .errors import MelodifyError
 from .ingest import (

@@ -11,7 +11,7 @@ else.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import ProportionError
@@ -25,7 +25,6 @@ from .score import (
     PedalEvent,
     PedalState,
     Score,
-    sorted_events,
 )
 from .stats import (
     DensityClass,
@@ -189,10 +188,19 @@ def _quantized_chord(
     anchor: int,
 ) -> Chord:
     """Chord for one category: quantize the value to a scale member and
-    stack the diatonic triad on it. A diminished triad gives way to the
-    dominant so bar charts never land on a bare tritone. In a chromatic
-    plan every root carries a plain major triad, a local key of its own."""
-    root = quantize_pitch(value, domain, scale, span_semitones, anchor)
+    stack the chord for that root on it."""
+    return _chord_on_root(
+        quantize_pitch(value, domain, scale, span_semitones, anchor), scale
+    )
+
+
+# Enough for every MIDI root under each of the 36 scales build_scale makes.
+@lru_cache(maxsize=128 * 36)
+def _chord_on_root(root: int, scale: Scale) -> Chord:
+    """The diatonic triad on a scale member. A diminished triad gives way
+    to the dominant so bar charts never land on a bare tritone. In a
+    chromatic plan every root carries a plain major triad, a local key of
+    its own."""
     if scale.mode is ScaleMode.CHROMATIC:
         return triad_on_pitch(root, ChordQuality.MAJOR)
     degree = scale.member_classes.index(root % 12) + 1
@@ -244,14 +252,13 @@ def _bar_body(
     bar = plan.bar_ticks
     span = character.variance.semitone_span
 
-    events: list[Event] = []
+    pedal = spec.histogram and character.density.level is DensityLevel.LOW
+    events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
     for i, value in enumerate(values):
         chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)
         events.extend(_chord_events(chord, i * bar, bar, VELOCITY_NORMAL))
     body_end = len(values) * bar
-
-    if spec.histogram and character.density.level is DensityLevel.LOW:
-        events.append(PedalEvent(0, PedalState.DOWN))
+    if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end
 
@@ -400,16 +407,15 @@ def _scatter_body(
         character.density.level
     ]
 
-    events: list[Event] = []
+    pedal = character.density.level is DensityLevel.LOW
+    events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
     for i, value in enumerate(series):
         pitch = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
         events.append(
             NoteEvent(i * step, step, pitch, VELOCITY_NORMAL, Articulation.STACCATO)
         )
     body_end = len(series) * step
-
-    if character.density.level is DensityLevel.LOW:
-        events.append(PedalEvent(0, PedalState.DOWN))
+    if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end
 
@@ -425,7 +431,13 @@ _BODIES = {
 def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
     """Full pipeline: validate the binding, summarize the data, resolve
     the palette, let the idiom write the body, then close it with the
-    palette's cadence from the next bar line. A pie's body is its loop."""
+    palette's cadence from the next bar line. A pie's body is its loop.
+
+    Every body writes its events in score order (``event_sort_key``):
+    ticks never fall, and a pedal change comes before the notes at its
+    tick. The cadence starts at or after the body's end, so the events
+    need no sort; ``structural_errors`` proves the order before any
+    bytes are written."""
     validate_binding(dataset, spec)
     plan = apply_palette(spec)
     character = derive_character(dataset, spec.y_field, spec.x_field)
@@ -441,6 +453,6 @@ def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
         tempo_bpm=plan.tempo_bpm,
         time_signature=plan.time_signature,
         key_signature=(plan.scale.root, plan.scale.mode),
-        events=sorted_events(events),
+        events=tuple(events),
         loop=Loop(0, body_end, spec.loop_count) if spec.idiom is Idiom.PIE else None,
     )

@@ -7,6 +7,7 @@ repeated region. Every score counts time at ``TICKS_PER_QUARTER``.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
@@ -79,26 +80,28 @@ def sorted_events(events: Iterable[Event]) -> tuple[Event, ...]:
 
 
 def _base_end_tick(events: Iterable[Event]) -> int:
-    end = 0
-    for ev in events:
-        if isinstance(ev, NoteEvent):
-            end = max(end, ev.onset_tick + ev.duration_ticks)
-        else:
-            end = max(end, ev.tick)
-    return end
+    """The latest note end or pedal tick, and never below 0."""
+    ends = (
+        ev.onset_tick + ev.duration_ticks if type(ev) is NoteEvent else ev.tick
+        for ev in events
+    )
+    return max(0, max(ends, default=0))
 
 
 def total_duration_ticks(score: Score) -> int:
     """Ticks from zero to the last event end, loop repetitions included."""
     if score.loop is None:
         return _base_end_tick(score.events)
-    shift = (score.loop.count - 1) * (score.loop.end_tick - score.loop.start_tick)
+    start = score.loop.start_tick
+    shift = (score.loop.count - 1) * (score.loop.end_tick - start)
     end = 0
     for ev in score.events:
-        ev_end = (
-            ev.onset_tick + ev.duration_ticks if isinstance(ev, NoteEvent) else ev.tick
-        )
-        if event_tick(ev) >= score.loop.start_tick:
+        if type(ev) is NoteEvent:
+            tick = ev.onset_tick
+            ev_end = tick + ev.duration_ticks
+        else:
+            tick = ev_end = ev.tick
+        if tick >= start:
             ev_end += shift
         end = max(end, ev_end)
     return end
@@ -106,7 +109,11 @@ def total_duration_ticks(score: Score) -> int:
 
 def structural_errors(score: Score) -> list[str]:
     """Problems that make a score unwritable; ``write_smf`` refuses any
-    score with one."""
+    score with one.
+
+    One pass over the events checks their order (``event_sort_key``),
+    each event's ranges and the pedal's balance. Pedal problems are
+    listed after every per-event problem."""
     problems: list[str] = []
     error = problems.append
 
@@ -116,36 +123,40 @@ def structural_errors(score: Score) -> list[str]:
     if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
         error(f"bad time signature {numerator}/{denominator}")
 
-    previous_key = None
-    for i, ev in enumerate(score.events):
-        key = event_sort_key(ev)
-        if previous_key is not None and key < previous_key:
-            error(f"event {i} out of order (tick {event_tick(ev)})")
-        previous_key = key
-        if isinstance(ev, NoteEvent):
-            if ev.onset_tick < 0:
-                error(f"event {i}: negative onset {ev.onset_tick}")
-            if ev.duration_ticks < 1:
-                error(f"event {i}: duration must be at least 1 tick")
-            if not 0 <= ev.pitch <= 127:
-                error(f"event {i}: pitch {ev.pitch} outside 0..127")
-            if not 1 <= ev.velocity <= 127:
-                error(f"event {i}: velocity {ev.velocity} outside 1..127")
-        else:
-            if ev.tick < 0:
-                error(f"event {i}: negative pedal tick {ev.tick}")
-
+    pedal_problems: list[str] = []
     pedal_down = False
-    for ev in score.events:
-        if isinstance(ev, PedalEvent):
+    # The previous event's sort key, (tick, 1 for a note, 0 for a pedal).
+    previous_tick, previous_is_note = -math.inf, False
+    for i, ev in enumerate(score.events):
+        if type(ev) is NoteEvent:
+            onset, duration, pitch, velocity, _ = ev
+            if onset < previous_tick:
+                error(f"event {i} out of order (tick {onset})")
+            previous_tick, previous_is_note = onset, True
+            if onset < 0:
+                error(f"event {i}: negative onset {onset}")
+            if duration < 1:
+                error(f"event {i}: duration must be at least 1 tick")
+            if not 0 <= pitch <= 127:
+                error(f"event {i}: pitch {pitch} outside 0..127")
+            if not 1 <= velocity <= 127:
+                error(f"event {i}: velocity {velocity} outside 1..127")
+        else:
+            tick = ev.tick
+            if tick < previous_tick or (previous_is_note and tick == previous_tick):
+                error(f"event {i} out of order (tick {tick})")
+            previous_tick, previous_is_note = tick, False
+            if tick < 0:
+                error(f"event {i}: negative pedal tick {tick}")
             if ev.state is PedalState.DOWN:
                 if pedal_down:
-                    error("pedal pressed twice without a release")
+                    pedal_problems.append("pedal pressed twice without a release")
                 pedal_down = True
             else:
                 if not pedal_down:
-                    error("pedal released without a press")
+                    pedal_problems.append("pedal released without a press")
                 pedal_down = False
+    problems += pedal_problems
     if pedal_down:
         error("pedal left pressed at end of score")
 

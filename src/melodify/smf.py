@@ -92,8 +92,6 @@ def sounding_durations(notes: Sequence[NoteEvent]) -> list[int]:
     return held
 
 
-# Shared encodings: a delta below 128 is its own one-byte VLQ.
-_SHORT_VLQ = tuple(bytes([delta]) for delta in range(128))
 _NOTE_ON = bytes([0x90 | CHANNEL])
 _NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
 _PEDAL = {
@@ -109,7 +107,9 @@ def write_smf(score: Score) -> bytes:
     in score order. The events are walked once, in the order
     ``structural_errors`` guarantees; note-offs wait in a heap keyed
     (off tick, event index) and leave it before a pedal at a later tick
-    or a note-on at the same or a later tick.
+    or a note-on at the same or a later tick. A delta time below 2**14
+    is written inline as its one- or two-byte VLQ; ``encode_vlq`` writes
+    longer ones.
     """
     if score.loop is not None:
         raise MelodifyError("expand the score's loop before writing MIDI")
@@ -134,33 +134,38 @@ def write_smf(score: Score) -> bytes:
     pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
     cursor = 0
 
-    def release_before(due: float) -> None:
+    def write_delta(tick: int) -> None:
         nonlocal cursor
+        delta = tick - cursor
+        if delta < 0x80:
+            append(delta)
+        elif delta < 0x4000:
+            append(0x80 | delta >> 7)
+            append(delta & 0x7F)
+        else:
+            out.extend(encode_vlq(delta))
+        cursor = tick
+
+    def release_before(due: float) -> None:
         while pending and pending[0][0] < due:
             tick, _, pitch = heappop(pending)
-            delta = tick - cursor
-            out.extend(_SHORT_VLQ[delta] if delta < 128 else encode_vlq(delta))
+            write_delta(tick)
             out.extend(_NOTE_OFF[pitch])
-            cursor = tick
 
-    notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
+    notes = [ev for ev in score.events if type(ev) is NoteEvent]
     held = iter(sounding_durations(notes))
     for index, ev in enumerate(score.events):
-        if isinstance(ev, NoteEvent):
+        if type(ev) is NoteEvent:
             tick = ev.onset_tick
             release_before(tick + 1)
-        else:
-            tick = ev.tick
-            release_before(tick)
-        delta = tick - cursor
-        out += _SHORT_VLQ[delta] if delta < 128 else encode_vlq(delta)
-        cursor = tick
-        if isinstance(ev, NoteEvent):
+            write_delta(tick)
             out += _NOTE_ON
             append(ev.pitch)
             append(ev.velocity)
             heappush(pending, (tick + next(held), index, ev.pitch))
         else:
+            release_before(ev.tick)
+            write_delta(ev.tick)
             out += _PEDAL[ev.state]
     release_before(math.inf)
     out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
@@ -320,6 +325,10 @@ def _close_note(
     notes.append(ParsedNote(onset, tick - onset, pitch, velocity))
 
 
+# An enum's ``.value`` is a property; a dict lookup hashes the str.
+_ARTICULATION_TEXT = {articulation: articulation.value for articulation in Articulation}
+
+
 def write_text_score(score: Score) -> str:
     """Line-per-event dump: headers, then ``tick pitch dur vel art`` for
     notes and ``tick PEDAL state`` for pedal changes. UTF-8, LF ends."""
@@ -336,10 +345,10 @@ def write_text_score(score: Score) -> str:
             f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}"
         )
     for ev in score.events:
-        if isinstance(ev, NoteEvent):
+        if type(ev) is NoteEvent:
+            onset, duration, pitch, velocity, articulation = ev
             lines.append(
-                f"{ev.onset_tick} {ev.pitch} {ev.duration_ticks} "
-                f"{ev.velocity} {ev.articulation.value}"
+                f"{onset} {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
             )
         else:
             lines.append(f"{ev.tick} PEDAL {ev.state.value}")

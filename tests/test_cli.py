@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from melodify import errors
+from melodify import errors, melodifier
 from melodify.cli import USER_ERROR_CODES, _build_parser, main
+from melodify.ingest import Idiom
 from melodify.score import MAX_EXPANDED_EVENTS
 from melodify.smf import parse_smf_minimal
 
@@ -252,6 +253,27 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error E_INTERNAL: ZeroDivisionError: division by zero\n"
     assert not bar_csv.with_suffix(".mid").exists()
+
+
+def test_out_of_order_body_is_internal_error(bar_csv, capsys, monkeypatch):
+    # melodify trusts each body to write its events in score order;
+    # structural_errors must catch one that does not, before any output.
+    write_bars = melodifier._BODIES[Idiom.BAR]
+
+    def reversed_bars(spec, plan, character):
+        events, body_end = write_bars(spec, plan, character)
+        return events[::-1], body_end
+
+    monkeypatch.setitem(melodifier._BODIES, Idiom.BAR, reversed_bars)
+    code, out, err = run(
+        capsys, "compile", "--data", str(bar_csv), "--emit", "both",
+        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error E_INTERNAL: score fails validation: ")
+    assert "out of order" in line
+    assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
 
 
 BAR_COMPILE = [

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from melodify import melodifier
-from melodify.errors import BindingError, ParseError, ProportionError
+from melodify.errors import BindingError, MelodifyError, ParseError, ProportionError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
     PALETTE_PRESETS,
@@ -19,8 +19,16 @@ from melodify.melodifier import (
     largest_remainder_allocation,
     melodify,
 )
-from melodify.score import Articulation, NoteEvent, PedalEvent, PedalState
-from melodify.theory import CadenceKind, ChordQuality, ScaleMode, triad_on_pitch
+from melodify.score import Articulation, NoteEvent, PedalEvent, PedalState, sorted_events
+from melodify.theory import (
+    CadenceKind,
+    ChordQuality,
+    ScaleMode,
+    build_scale,
+    degree_triad,
+    quantize_pitch,
+    triad_on_pitch,
+)
 
 
 def dataset(values, categories=None):
@@ -450,3 +458,76 @@ def test_melodify_empty_dataset():
 def test_melodify_is_deterministic():
     ds = dataset([3, 1, 4, 1, 5], ["a", "b", "c", "d", "e"])
     assert melodify(ds, spec(Idiom.BAR, x="k")) == melodify(ds, spec(Idiom.BAR, x="k"))
+
+
+@pytest.mark.parametrize(
+    ("ds", "melody_spec", "pedals"),
+    [
+        (dataset([3, 1, 4], ["a", "b", "c"]), spec(Idiom.BAR, x="k"), 0),
+        (dataset([3, 1, 4], ["a", "b", "c"]), spec(Idiom.BAR, x="k", histogram=True), 2),
+        (dataset([3, 1, 4, 2], ["a", "b", "c", "d"]), spec(Idiom.PIE, x="k"), 0),
+        (dataset(LINE_Y), spec(Idiom.LINE, Palette.GREY), 0),
+        (dataset(SPARSE_WIDE), spec(Idiom.SCATTER), 2),
+    ],
+    ids=["bar", "bar-histogram", "pie", "line-grey", "scatter-sparse"],
+)
+def test_every_idiom_writes_its_events_in_score_order(ds, melody_spec, pedals):
+    # melodify no longer sorts, so each body and the cadence after it
+    # must already be in sorted_events order, a pedal before the notes
+    # at its tick.
+    score = melodify(ds, melody_spec)
+    assert len(pedals_of(score)) == pedals
+    assert score.events == sorted_events(score.events)
+
+
+# --- the per-root chord cache -------------------------------------------------
+
+def uncached_quantized_chord(value, domain, scale, span_semitones, anchor):
+    """The chord mapping as it was before the per-root cache: the oracle."""
+    root = quantize_pitch(value, domain, scale, span_semitones, anchor)
+    if scale.mode is ScaleMode.CHROMATIC:
+        return triad_on_pitch(root, ChordQuality.MAJOR)
+    degree = scale.member_classes.index(root % 12) + 1
+    chord = degree_triad(scale, degree, root)
+    if chord.quality is ChordQuality.DIMINISHED:
+        chord = melodifier._dominant_substitute(scale, root)
+    return chord
+
+
+def test_cached_chord_matches_the_uncached_oracle_for_every_root():
+    for scale in [build_scale(root, mode) for root in range(12) for mode in ScaleMode]:
+        in_range = 0
+        for root in range(128):
+            # A degenerate domain quantizes to the anchor, so the anchor
+            # is the root. Roots outside the scale or whose chord leaves
+            # the MIDI range must fail as the oracle does.
+            args = (0.0, (0.0, 0.0), scale, 0, root)
+            try:
+                expected = uncached_quantized_chord(*args)
+            except (ValueError, MelodifyError) as exc:
+                with pytest.raises(type(exc)):
+                    melodifier._quantized_chord(*args)
+            else:
+                assert melodifier._quantized_chord(*args) == expected
+                in_range += 1
+        # 69 to 71 roots in each diatonic scale, 121 in each chromatic one.
+        assert in_range >= 69
+
+
+def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
+    roots = []
+
+    def recording_quantize(*args):
+        roots.append(quantize_pitch(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(melodifier, "quantize_pitch", recording_quantize)
+    values = [(i * 7919) % 1000 + 1 for i in range(3000)]
+    ds = dataset(values, [f"c{i}" for i in range(3000)])
+    melodifier._chord_on_root.cache_clear()
+    melodify(ds, spec(Idiom.BAR, x="k"))
+    info = melodifier._chord_on_root.cache_info()
+    # quantize_pitch still runs once per bar, where melodifier looks it up.
+    assert len(roots) == 3000
+    assert info.hits + info.misses == 3000
+    assert info.misses <= len(set(roots))

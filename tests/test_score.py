@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from melodify.errors import MelodifyError, ParseError
@@ -13,6 +13,7 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
+    event_sort_key,
     event_tick,
     expand_loops,
     lint,
@@ -111,6 +112,146 @@ def test_loop_bounds_checked():
     assert any("loop" in m for m in structural_errors(past_end))
     inverted = make_score([note(0, dur=960)], loop=Loop(500, 400, 2))
     assert any("loop" in m for m in structural_errors(inverted))
+
+
+def _base_end_tick_oracle(events):
+    end = 0
+    for ev in events:
+        if isinstance(ev, NoteEvent):
+            end = max(end, ev.onset_tick + ev.duration_ticks)
+        else:
+            end = max(end, ev.tick)
+    return end
+
+
+def total_duration_oracle(score):
+    """``total_duration_ticks`` as it was before it inlined the tick."""
+    if score.loop is None:
+        return _base_end_tick_oracle(score.events)
+    shift = (score.loop.count - 1) * (score.loop.end_tick - score.loop.start_tick)
+    end = 0
+    for ev in score.events:
+        ev_end = (
+            ev.onset_tick + ev.duration_ticks if isinstance(ev, NoteEvent) else ev.tick
+        )
+        if event_tick(ev) >= score.loop.start_tick:
+            ev_end += shift
+        end = max(end, ev_end)
+    return end
+
+
+def two_pass_structural_errors_oracle(score):
+    """The gate as it was before it checked everything in one pass: one
+    walk for order and ranges, a second for the pedal's balance."""
+    problems = []
+    error = problems.append
+
+    if score.tempo_bpm < 1:
+        error(f"tempo must be positive, got {score.tempo_bpm}")
+    numerator, denominator = score.time_signature
+    if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
+        error(f"bad time signature {numerator}/{denominator}")
+
+    previous_key = None
+    for i, ev in enumerate(score.events):
+        key = event_sort_key(ev)
+        if previous_key is not None and key < previous_key:
+            error(f"event {i} out of order (tick {event_tick(ev)})")
+        previous_key = key
+        if isinstance(ev, NoteEvent):
+            if ev.onset_tick < 0:
+                error(f"event {i}: negative onset {ev.onset_tick}")
+            if ev.duration_ticks < 1:
+                error(f"event {i}: duration must be at least 1 tick")
+            if not 0 <= ev.pitch <= 127:
+                error(f"event {i}: pitch {ev.pitch} outside 0..127")
+            if not 1 <= ev.velocity <= 127:
+                error(f"event {i}: velocity {ev.velocity} outside 1..127")
+        else:
+            if ev.tick < 0:
+                error(f"event {i}: negative pedal tick {ev.tick}")
+
+    pedal_down = False
+    for ev in score.events:
+        if isinstance(ev, PedalEvent):
+            if ev.state is PedalState.DOWN:
+                if pedal_down:
+                    error("pedal pressed twice without a release")
+                pedal_down = True
+            else:
+                if not pedal_down:
+                    error("pedal released without a press")
+                pedal_down = False
+    if pedal_down:
+        error("pedal left pressed at end of score")
+
+    if score.loop is not None:
+        base_end = _base_end_tick_oracle(score.events)
+        if score.loop.count < 1:
+            error(f"loop count must be positive, got {score.loop.count}")
+        if not 0 <= score.loop.start_tick < score.loop.end_tick <= max(base_end, 1):
+            error(
+                f"loop region [{score.loop.start_tick}, {score.loop.end_tick}) "
+                f"outside score of {base_end} ticks"
+            )
+
+    root, _ = score.key_signature
+    if not 0 <= root <= 11:
+        error(f"key signature root {root} outside 0..11")
+    return problems
+
+
+def _faulty(events=(), loop=None, time_signature=(4, 4), tempo=120, root=0):
+    return Score(tempo, time_signature, (root, ScaleMode.MAJOR), tuple(events), loop)
+
+
+# Ticks from -2 to 12 with few events, so ties between notes and pedals
+# are common; every range check has values on both sides of its bound.
+GATE_EVENTS = st.one_of(
+    st.builds(
+        NoteEvent,
+        st.integers(-2, 12),
+        st.integers(-1, 4),
+        st.integers(-1, 128),
+        st.integers(0, 128),
+        st.sampled_from(list(Articulation)),
+    ),
+    st.builds(PedalEvent, st.integers(-2, 12), st.sampled_from(list(PedalState))),
+)
+
+
+@st.composite
+def gate_scores(draw):
+    events = draw(st.lists(GATE_EVENTS, max_size=12))
+    if draw(st.booleans()):
+        events = sorted_events(events)  # in order, so the other faults show alone
+    loop = draw(
+        st.none()
+        | st.builds(Loop, st.integers(-3, 20), st.integers(-3, 20), st.integers(-1, 3))
+    )
+    return _faulty(
+        events,
+        loop,
+        (draw(st.integers(-1, 5)), draw(st.integers(-1, 9))),
+        draw(st.integers(-1, 200)),
+        draw(st.integers(-1, 12)),
+    )
+
+
+@given(gate_scores())
+@example(_faulty([note(480), note(0)]))  # out of order
+@example(_faulty([note(0), PedalEvent(0, PedalState.DOWN), PedalEvent(0, PedalState.UP)]))
+@example(_faulty([note(-1), PedalEvent(-5, PedalState.DOWN)]))  # negative ticks
+@example(_faulty([note(0, pitch=128, vel=0, dur=0), note(1, pitch=-1, vel=128)]))
+@example(_faulty([PedalEvent(0, PedalState.DOWN), PedalEvent(1, PedalState.DOWN)]))
+@example(_faulty([PedalEvent(0, PedalState.UP), PedalEvent(1, PedalState.UP)]))
+@example(_faulty([PedalEvent(0, PedalState.DOWN)]))  # left pressed
+@example(_faulty([note(0, dur=960)], loop=Loop(500, 400, 0)))
+@example(_faulty([note(-9, dur=2)], loop=Loop(0, 2, 2)))  # score ends below 0
+@example(_faulty([note(0)], time_signature=(0, 6), tempo=0, root=12))
+def test_one_pass_gate_matches_two_pass_oracle(score):
+    assert structural_errors(score) == two_pass_structural_errors_oracle(score)
+    assert total_duration_ticks(score) == total_duration_oracle(score)
 
 
 def test_out_of_scale_pitch_is_warning_not_error():

@@ -300,6 +300,43 @@ def test_streamed_encoder_matches_sort_based_oracle(score):
     assert write_smf(score) == sort_based_smf_oracle(score)
 
 
+def test_delta_times_at_each_vlq_length_boundary():
+    # Legato notes sound their whole duration, so each gap between two
+    # messages below is one delta: the largest one-, two- and three-byte
+    # VLQs and the smallest two-, three- and four-byte ones, on note-ons,
+    # note-offs and a pedal.
+    legato = Articulation.LEGATO
+    c_on = 255 + 16383 + 16384
+    c_off = c_on + 2**21 - 1
+    score = make_score(
+        [
+            PedalEvent(0, PedalState.DOWN),
+            note(0, dur=127, pitch=60, art=legato),
+            note(255, dur=16383, pitch=62, art=legato),
+            note(c_on, dur=2**21 - 1, pitch=64, art=legato),
+            PedalEvent(c_off + 2**21, PedalState.UP),
+        ]
+    )
+    data = write_smf(score)
+    assert data == sort_based_smf_oracle(score)
+    messages = [
+        (0, [0xB0, SUSTAIN_CONTROLLER, 127]),
+        (0, [0x90, 60, 80]),
+        (127, [0x80, 60, 0]),
+        (128, [0x90, 62, 80]),
+        (16383, [0x80, 62, 0]),
+        (16384, [0x90, 64, 80]),
+        (2**21 - 1, [0x80, 64, 0]),
+        (2**21, [0xB0, SUSTAIN_CONTROLLER, 0]),
+    ]
+    assert b"".join(encode_vlq(delta) + bytes(m) for delta, m in messages) in data
+    parsed = parse_smf_minimal(data)
+    assert [(n.onset_tick, n.duration_ticks, n.pitch) for n in parsed.notes] == [
+        (0, 127, 60), (255, 16383, 62), (c_on, 2**21 - 1, 64),
+    ]
+    assert parsed.pedals == ((0, PedalState.DOWN), (c_off + 2**21, PedalState.UP))
+
+
 def test_write_smf_memory_stays_small_on_a_long_loop():
     # A 32-slice pie looped 128 times expands to about 12k events. A list
     # of every message, sorted, peaked near 4.4 MB here.
