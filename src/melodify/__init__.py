@@ -16,61 +16,45 @@ and `melodify analyze` prints the same record. Every `Score` counts
 time at a fixed 480 ticks per quarter note. `write_smf` refuses a score
 with `structural_errors`, the one-pass gate that also proves the events
 are in order; `lint` lists advisory musical warnings and is never run on
-the way to the bytes. The names below are the public API.
+the way to the bytes.
+
+The names in `__all__` are the public API. Each resolves on first use
+(PEP 562), so `import melodify` loads no submodule and a name costs only
+the import of the module that defines it.
 """
-from .errors import MelodifyError
-from .ingest import (
-    Column,
-    ColumnKind,
-    Dataset,
-    Idiom,
-    MelodySpec,
-    Palette,
-    TableFormat,
-    parse_spec,
-    parse_table,
-    spec_from_mapping,
-    validate_binding,
-)
-from .melodifier import (
-    DataCharacter,
-    TonalPlan,
-    apply_palette,
-    derive_character,
-    melodify,
-)
-from .score import (
-    Articulation,
-    Loop,
-    NoteEvent,
-    PedalEvent,
-    PedalState,
-    Score,
-    expand_loops,
-    lint,
-    structural_errors,
-    total_duration_ticks,
-)
-from .smf import parse_smf_minimal, write_smf, write_text_score
-from .stats import (
-    compute_density,
-    compute_variance,
-    proportions,
-    segment_trends,
-)
-from .theory import (
-    ArpeggioDirection,
-    CadenceKind,
-    Chord,
-    ChordQuality,
-    Scale,
-    ScaleMode,
-    arpeggiate,
-    build_scale,
-    degree_triad,
-    make_cadence,
-    quantize_pitch,
-)
-from .tracks import TRACKS
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("errors", "MelodifyError"),
+        ("ingest", "Column ColumnKind Dataset Idiom MelodySpec Palette TableFormat "
+                   "parse_spec parse_table spec_from_mapping validate_binding"),
+        ("melodifier", "DataCharacter TonalPlan apply_palette derive_character melodify"),
+        ("score", "Articulation Loop NoteEvent PedalEvent PedalState Score "
+                  "expand_loops lint structural_errors total_duration_ticks"),
+        ("smf", "write_smf write_text_score"),
+        ("smf_reader", "parse_smf_minimal"),
+        ("stats", "compute_density compute_variance proportions segment_trends"),
+        ("theory", "ArpeggioDirection CadenceKind Chord ChordQuality Scale ScaleMode "
+                   "arpeggiate build_scale degree_triad make_cadence quantize_pitch"),
+        ("tracks", "TRACKS"),
+    )
+    for name in names.split()
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

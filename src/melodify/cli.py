@@ -5,10 +5,17 @@ Exit status is 0 on success, 1 for problems with the user's inputs
 (``E_INTERNAL``: any other exception).
 Every failure prints one line to stderr of the form ``error CODE:
 message`` so callers can branch on the code without parsing prose.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused, and parsing
+leaves no state on it. Importing this module loads only what
+``compile`` and ``analyze`` run; ``tracklist`` imports the built-in
+tracks when it runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,8 +32,7 @@ from .ingest import (
 )
 from .melodifier import derive_character, melodify
 from .score import NoteEvent, Score, expand_loops, total_duration_ticks
-from .smf import write_smf, write_text_score
-from .tracks import TRACKS
+from .smf import require_valid, write_smf, write_text_score
 
 USER_ERROR_CODES = ("E_PARSE", "E_BINDING", "E_PROPORTION", "E_IO")
 
@@ -63,17 +69,31 @@ def _spec_from_args(args: argparse.Namespace) -> MelodySpec:
     return spec_from_mapping(mapping)
 
 
+def _summary(score: Score) -> str:
+    """``notes=... ticks=...`` of the score as played, read from the score
+    before loop expansion: each extra repeat adds the notes whose onset
+    lies in the loop region, and ``total_duration_ticks`` adds its length."""
+    onsets = [ev.onset_tick for ev in score.events if type(ev) is NoteEvent]
+    notes = len(onsets)
+    if score.loop is not None:
+        start, end, count = score.loop
+        notes += (count - 1) * sum(start <= tick < end for tick in onsets)
+    return f"notes={notes} ticks={total_duration_ticks(score)}"
+
+
 def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -> str:
     """Write the score to whichever of the two paths are given and return
-    its ``notes=... ticks=...`` summary. Loops are expanded once, for both
-    the MIDI bytes and the summary; the text score keeps its loop marker."""
+    its summary. The loop is expanded once, for the MIDI bytes and the
+    ``structural_errors`` gate, which runs once and before any file is
+    written; the text score keeps its loop marker."""
     expanded = expand_loops(score)
     if midi_path is not None:
-        midi_path.write_bytes(write_smf(expanded))
+        midi_path.write_bytes(write_smf(expanded))  # write_smf runs the gate
+    else:
+        require_valid(expanded)
     if text_path is not None:
         text_path.write_text(write_text_score(score), encoding="utf-8")
-    notes = sum(1 for event in expanded.events if isinstance(event, NoteEvent))
-    return f"notes={notes} ticks={total_duration_ticks(expanded)}"
+    return _summary(score)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -134,6 +154,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tracklist(args: argparse.Namespace) -> int:
+    from .tracks import TRACKS
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for track in TRACKS:
@@ -152,7 +174,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: each build
+    costs about as much as a small compile."""
     parser = _Parser(
         prog="melodify",
         description="Turn tabular data and a chart intent into a musical score.",

@@ -12,14 +12,35 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from melodify import errors, melodifier
-from melodify.cli import USER_ERROR_CODES, _build_parser, main
-from melodify.ingest import Idiom
-from melodify.score import MAX_EXPANDED_EVENTS
+import melodify
+from melodify import errors, melodifier, smf, smf_reader
+from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
+from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from melodify.score import (
+    MAX_EXPANDED_EVENTS,
+    Articulation,
+    Loop,
+    NoteEvent,
+    PedalEvent,
+    PedalState,
+    Score,
+    expand_loops,
+    total_duration_ticks,
+)
 from melodify.smf import parse_smf_minimal
+from melodify.theory import ScaleMode
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
 
 # sha256 of every MIDI file `melodify tracklist` writes.
 TRACK_MIDI_SHA256 = {
@@ -255,7 +276,8 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert not bar_csv.with_suffix(".mid").exists()
 
 
-def test_out_of_order_body_is_internal_error(bar_csv, capsys, monkeypatch):
+@pytest.fixture
+def reversed_bar_body(monkeypatch):
     # melodify trusts each body to write its events in score order;
     # structural_errors must catch one that does not, before any output.
     write_bars = melodifier._BODIES[Idiom.BAR]
@@ -265,8 +287,11 @@ def test_out_of_order_body_is_internal_error(bar_csv, capsys, monkeypatch):
         return events[::-1], body_end
 
     monkeypatch.setitem(melodifier._BODIES, Idiom.BAR, reversed_bars)
+
+
+def assert_refused_out_of_order(bar_csv, capsys, emit):
     code, out, err = run(
-        capsys, "compile", "--data", str(bar_csv), "--emit", "both",
+        capsys, "compile", "--data", str(bar_csv), "--emit", emit,
         "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v",
     )
     assert code == 2 and out == ""
@@ -274,6 +299,131 @@ def test_out_of_order_body_is_internal_error(bar_csv, capsys, monkeypatch):
     assert line.startswith("error E_INTERNAL: score fails validation: ")
     assert "out of order" in line
     assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
+
+
+def test_out_of_order_body_is_internal_error(bar_csv, capsys, reversed_bar_body):
+    assert_refused_out_of_order(bar_csv, capsys, "both")
+
+
+def test_out_of_order_body_writes_no_text_score(bar_csv, capsys, reversed_bar_body):
+    # Text-only output passes the same gate as MIDI before it is written.
+    assert_refused_out_of_order(bar_csv, capsys, "text")
+
+
+@pytest.mark.parametrize("idiom", ["bar", "pie"])
+@pytest.mark.parametrize("emit", ["midi", "text", "both"])
+def test_every_emit_runs_the_gate_once(bar_csv, capsys, monkeypatch, emit, idiom):
+    calls = []
+    gate = smf.structural_errors
+    monkeypatch.setattr(smf, "structural_errors", lambda score: calls.append(score) or gate(score))
+    code, _, err = run(
+        capsys, "compile", "--data", str(bar_csv), "--emit", emit,
+        "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 0, err
+    # Once, on the expanded score that the MIDI bytes are written from.
+    (checked,) = calls
+    assert checked.loop is None
+
+
+def expanded_summary(score: Score) -> str:
+    expanded = expand_loops(score)
+    notes = sum(1 for ev in expanded.events if isinstance(ev, NoteEvent))
+    return f"notes={notes} ticks={total_duration_ticks(expanded)}"
+
+
+@st.composite
+def summarised_scores(draw):
+    """Looped pies as ``melodify`` writes them, or notes and pedals on
+    ticks around a loop region's edges, with or without the loop."""
+    if draw(st.booleans()):
+        # At most 7 slices of 0-4: every positive slice is above 1/32, the
+        # sixteenths in the shortest (2/4) cycle.
+        shares = draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
+        assume(any(shares))
+        labels = tuple(f"s{i}" for i in range(len(shares)))
+        dataset = Dataset(
+            (Column("k", ColumnKind.CATEGORICAL, labels),
+             Column("v", ColumnKind.QUANTITATIVE, tuple(map(float, shares)))),
+            len(shares),
+        )
+        spec = MelodySpec(
+            Idiom.PIE, draw(st.sampled_from(list(Palette))), "v", x_field="k",
+            loop_count=draw(st.integers(1, 6)),
+        )
+        return melodifier.melodify(dataset, spec)
+    events = draw(st.lists(
+        st.one_of(
+            st.builds(
+                NoteEvent, st.integers(0, 24).map(lambda t: 60 * t),
+                st.integers(1, 240), st.just(60), st.just(80),
+                st.just(Articulation.NORMAL),
+            ),
+            st.builds(
+                PedalEvent, st.integers(0, 24).map(lambda t: 60 * t),
+                st.sampled_from(list(PedalState)),
+            ),
+        ),
+        max_size=20,
+    ))
+    start, length = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    loop = draw(st.none() | st.builds(
+        Loop, st.just(60 * start), st.just(60 * (start + length)), st.integers(1, 5)))
+    return Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), loop)
+
+
+@given(summarised_scores())
+def test_summary_of_the_unexpanded_score_matches_the_expansion(score):
+    assert _summary(score) == expanded_summary(score)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_repeated_main_calls_match_fresh_processes(bar_csv, tmp_path, capsys, monkeypatch):
+    # One parser serves every call in a process: nothing one call parses
+    # may reach the next. Each step must match a fresh `python -m melodify`.
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in both
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    compile_bar = [
+        "compile", "--data", str(bar_csv), "--idiom", "bar", "--palette", "positive",
+        "--x", "k", "--y", "v", "--emit", "both", "--out", str(out_dir / "song.mid"),
+    ]
+    steps = [
+        compile_bar + ["--tempo", "90", "--histogram", "--key", "F#", "--time", "3/4"],
+        compile_bar + ["--tempo", "fast"],
+        ["compile", "--help"],
+        compile_bar,
+    ]
+
+    def outputs():
+        files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        for path in out_dir.iterdir():
+            path.unlink()
+        return files
+
+    fresh = []
+    for argv in steps:
+        result = subprocess.run(
+            [sys.executable, "-m", "melodify", *argv], capture_output=True, text=True,
+            env=src_env(COLUMNS="80"), timeout=120,
+        )
+        fresh.append((result.returncode, result.stdout, result.stderr, outputs()))
+
+    in_process = []
+    for argv in steps:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, outputs()))
+
+    assert [step[0] for step in in_process] == [0, 1, 0, 0]
+    assert in_process[0][3] != in_process[3][3]  # the overrides reached the files
+    assert in_process == fresh
 
 
 BAR_COMPILE = [
@@ -439,11 +589,9 @@ def test_tracklist_midi_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_compile_demo_script_runs(tmp_path):
-    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "compile_demo.py"), "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     summaries = [line for line in result.stdout.splitlines() if not line.startswith("wrote ")]
@@ -499,7 +647,7 @@ import json, sys
 from pathlib import Path
 from melodify.cli import main
 
-heavy = ("numpy", "dataclasses", "inspect")
+heavy = ("numpy", "dataclasses", "inspect", "melodify.tracks", "melodify.smf_reader")
 tables = {
     "bar": ("bar", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
     "pie": ("pie", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
@@ -528,10 +676,8 @@ print(json.dumps([m in sys.modules for m in ("numpy", "dataclasses", "inspect")]
 
 
 def _probe(*args):
-    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, "-c", *args], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", *args], capture_output=True, text=True, env=src_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -544,11 +690,63 @@ def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
     )
     # After the import and each of bar, pie, scatter and a bar whose
     # quartiles sum to zero: none of numpy, dataclasses (about 10 ms with
-    # the inspect, ast and dis it imports) or inspect.
-    assert loaded[:5] == [[False, False, False]] * 5
+    # the inspect, ast and dis it imports), inspect, the built-in tracks
+    # or the MIDI reader.
+    assert loaded[:5] == [[False] * 5] * 5
     # The line compile, the positive control, loads numpy, and with it only
     # what numpy imports on its own (inspect, in numpy 2).
-    assert loaded[5] == _probe(NUMPY_PROBE)
+    assert loaded[5] == _probe(NUMPY_PROBE) + [False, False]
+
+
+# Every name `melodify/__init__` imported eagerly before it resolved them lazily.
+PUBLIC_NAMES = (
+    "MelodifyError",
+    "Column", "ColumnKind", "Dataset", "Idiom", "MelodySpec", "Palette", "TableFormat",
+    "parse_spec", "parse_table", "spec_from_mapping", "validate_binding",
+    "DataCharacter", "TonalPlan", "apply_palette", "derive_character", "melodify",
+    "Articulation", "Loop", "NoteEvent", "PedalEvent", "PedalState", "Score",
+    "expand_loops", "lint", "structural_errors", "total_duration_ticks",
+    "parse_smf_minimal", "write_smf", "write_text_score",
+    "compute_density", "compute_variance", "proportions", "segment_trends",
+    "ArpeggioDirection", "CadenceKind", "Chord", "ChordQuality", "Scale", "ScaleMode",
+    "arpeggiate", "build_scale", "degree_triad", "make_cadence", "quantize_pitch",
+    "TRACKS",
+)
+
+PACKAGE_PROBE = """
+import json, sys
+import melodify
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("melodify"))))
+"""
+
+
+def test_package_names_resolve_on_first_use():
+    assert _probe(PACKAGE_PROBE) == ["melodify"]
+    listed = dir(melodify)
+    for name in PUBLIC_NAMES:
+        assert name in listed, name
+        namespace: dict = {}
+        exec(f"from melodify import {name}", namespace)
+        assert namespace[name] is getattr(melodify, name), name
+    assert melodify.melodify is melodifier.melodify
+    assert melodify.parse_smf_minimal is smf_reader.parse_smf_minimal
+    assert sorted(melodify.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        melodify.no_such_name
+    with pytest.raises(ImportError):
+        exec("from melodify import no_such_name", {})
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        smf.no_such_name
+
+
+def test_smf_still_exposes_the_reader():
+    from melodify.smf import ParsedNote, ParsedSmf, parse_smf_minimal
+
+    assert parse_smf_minimal is smf_reader.parse_smf_minimal
+    assert (ParsedNote, ParsedSmf) == (smf_reader.ParsedNote, smf_reader.ParsedSmf)
 
 
 def test_no_module_imports_dataclasses():
