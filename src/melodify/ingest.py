@@ -137,8 +137,13 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     columns = []
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
-        numbers = [_as_number(c) for c in cells]
-        if all(n is not None for n in numbers):
+        numbers = []
+        for cell in cells:  # a column is text from its first non-number
+            number = _as_number(cell)
+            if number is None:
+                break
+            numbers.append(number)
+        if len(numbers) == len(cells):
             for i, number in enumerate(numbers):
                 if abs(number) > VALUE_MAGNITUDE_MAX:
                     raise ParseError(

@@ -237,8 +237,11 @@ def _cadence_chords(plan: TonalPlan) -> list[Chord]:
 def _chord_events(
     chord: Chord, onset: int, duration: int, velocity: int
 ) -> list[NoteEvent]:
+    # tuple.__new__ builds the same record as NoteEvent(...), whose
+    # __new__ checks nothing, without its Python frame.
+    new, normal = tuple.__new__, Articulation.NORMAL
     return [
-        NoteEvent(onset, duration, pitch, velocity, Articulation.NORMAL)
+        new(NoteEvent, (onset, duration, pitch, velocity, normal))
         for pitch in chord.pitches
     ]
 

@@ -119,9 +119,20 @@ def structural_errors(score: Score) -> list[str]:
 
     if score.tempo_bpm < 1:
         error(f"tempo must be positive, got {score.tempo_bpm}")
+    elif round(60_000_000 / score.tempo_bpm) > 0xFFFFFF:
+        error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
     numerator, denominator = score.time_signature
     if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
         error(f"bad time signature {numerator}/{denominator}")
+    else:
+        # SMF stores the numerator and log2 of the denominator in a byte each.
+        if numerator > 255:
+            error(f"time signature numerator {numerator} above 255")
+        if denominator.bit_length() > 256:
+            error(
+                f"time signature denominator 2**{denominator.bit_length() - 1} "
+                "above 2**255"
+            )
 
     pedal_problems: list[str] = []
     pedal_down = False
@@ -207,20 +218,6 @@ def lint(score: Score) -> list[str]:
     return warnings
 
 
-def _shifted(event: Event, by: int) -> Event:
-    if by == 0:
-        return event
-    if isinstance(event, NoteEvent):
-        return NoteEvent(
-            event.onset_tick + by,
-            event.duration_ticks,
-            event.pitch,
-            event.velocity,
-            event.articulation,
-        )
-    return PedalEvent(event.tick + by, event.state)
-
-
 def expand_loops(score: Score) -> Score:
     """Materialize the loop region as literal repeats.
 
@@ -256,8 +253,15 @@ def expand_loops(score: Score) -> Score:
             f"above the cap of {MAX_EXPANDED_EVENTS}"
         )
     length = end - start
-    out = list(events[:first])
-    for i in range(count):
-        out.extend([_shifted(ev, i * length) for ev in region])
-    out.extend([_shifted(ev, (count - 1) * length) for ev in events[after:]])
+    # Repeat 0 is the region's own events. Every record's tick is its
+    # field 0, so a copy is (tick + shift,) + the rest of its fields. A
+    # NamedTuple's __new__ only packs its fields and checks nothing, so
+    # tuple.__new__ builds the same record without a Python frame.
+    new = tuple.__new__
+    split = [(type(ev), ev[0], ev[1:]) for ev in region]
+    out = [*events[:after]]
+    for shift in range(length, count * length, length):
+        out += [new(cls, (tick + shift,) + rest) for cls, tick, rest in split]
+    shift = (count - 1) * length
+    out += [new(type(ev), (ev[0] + shift,) + ev[1:]) for ev in events[after:]]
     return score._replace(events=tuple(out), loop=None)

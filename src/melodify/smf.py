@@ -18,6 +18,7 @@ from .score import (
     TICKS_PER_QUARTER,
     Articulation,
     NoteEvent,
+    PedalEvent,
     PedalState,
     Score,
     structural_errors,
@@ -98,6 +99,8 @@ _PEDAL = {
     PedalState.DOWN: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 127]),
     PedalState.UP: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 0]),
 }
+# Past every event: ``write_smf`` walks it last to flush the note-offs.
+_END = PedalEvent(math.inf, PedalState.UP)
 
 
 def require_valid(score: Score) -> None:
@@ -139,9 +142,28 @@ def write_smf(score: Score) -> bytes:
     append = out.append
     pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
     cursor = 0
-
-    def write_delta(tick: int) -> None:
-        nonlocal cursor
+    notes = [ev for ev in score.events if type(ev) is NoteEvent]
+    held = iter(sounding_durations(notes))
+    # The end sentinel releases every note still sounding, in heap order.
+    for index, ev in enumerate((*score.events, _END)):
+        tick = due = ev[0]
+        is_note = type(ev) is NoteEvent
+        if is_note:
+            due += 1  # a note-off at the note-on's own tick goes first
+        while pending and pending[0][0] < due:
+            off, _, pitch = heappop(pending)
+            delta = off - cursor
+            if delta < 0x80:
+                append(delta)
+            elif delta < 0x4000:
+                append(0x80 | delta >> 7)
+                append(delta & 0x7F)
+            else:
+                out += encode_vlq(delta)
+            out += _NOTE_OFF[pitch]
+            cursor = off
+        if ev is _END:
+            break
         delta = tick - cursor
         if delta < 0x80:
             append(delta)
@@ -149,31 +171,16 @@ def write_smf(score: Score) -> bytes:
             append(0x80 | delta >> 7)
             append(delta & 0x7F)
         else:
-            out.extend(encode_vlq(delta))
+            out += encode_vlq(delta)
         cursor = tick
-
-    def release_before(due: float) -> None:
-        while pending and pending[0][0] < due:
-            tick, _, pitch = heappop(pending)
-            write_delta(tick)
-            out.extend(_NOTE_OFF[pitch])
-
-    notes = [ev for ev in score.events if type(ev) is NoteEvent]
-    held = iter(sounding_durations(notes))
-    for index, ev in enumerate(score.events):
-        if type(ev) is NoteEvent:
-            tick = ev.onset_tick
-            release_before(tick + 1)
-            write_delta(tick)
+        if is_note:
+            pitch = ev[2]
             out += _NOTE_ON
-            append(ev.pitch)
-            append(ev.velocity)
-            heappush(pending, (tick + next(held), index, ev.pitch))
+            append(pitch)
+            append(ev[3])
+            heappush(pending, (tick + next(held), index, pitch))
         else:
-            release_before(ev.tick)
-            write_delta(ev.tick)
-            out += _PEDAL[ev.state]
-    release_before(math.inf)
+            out += _PEDAL[ev[1]]
     out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
 
     struct.pack_into(">I", out, track_start - 4, len(out) - track_start)

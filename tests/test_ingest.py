@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from melodify import ingest
 from melodify.errors import BindingError, ParseError
 from melodify.ingest import (
     VALUE_MAGNITUDE_MAX,
@@ -124,6 +125,35 @@ def test_value_magnitude_bound_is_inclusive_and_rejects_beyond():
     )
     for word in ("inf", "-Infinity", "+INF"):
         assert csv_table(f"v\n1\n{word}\n").column("v").kind is ColumnKind.CATEGORICAL
+
+
+def test_text_column_skips_the_magnitude_check():
+    for cells in (["abc", "1e400"], ["1e400", "abc"]):
+        ds = csv_table("k,v\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+        assert ds.column("k").kind is ColumnKind.CATEGORICAL
+        assert ds.column("k").values == tuple(cells)
+    with pytest.raises(ParseError) as excinfo:
+        csv_table("k,v\nabc,1\ndef,1e400\n")
+    assert str(excinfo.value) == (
+        "value '1e400' at row 2, column 'v' exceeds the magnitude bound 1e+100"
+    )
+
+
+def test_text_column_is_parsed_only_to_its_first_non_number(monkeypatch):
+    calls = []
+
+    def counting(cell):
+        calls.append(cell)
+        return as_number(cell)
+
+    as_number = ingest._as_number
+    monkeypatch.setattr(ingest, "_as_number", counting)
+    rows = "".join(f"k{i:05d},{i}\n" for i in range(1000))
+    ds = csv_table("label,value\n" + rows)
+    assert ds.column("label").kind is ColumnKind.CATEGORICAL
+    # One call for the label column, then one per cell of the numbers.
+    assert calls[0] == "k00000"
+    assert len(calls) == 1 + 1000
 
 
 def test_json_integer_past_the_digit_limit_is_malformed():

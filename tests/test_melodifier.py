@@ -199,6 +199,17 @@ def test_bar_ascending_values_ascend_and_cadence():
     assert {n.velocity for n in notes_of(score)[9:]} == {96}
 
 
+def test_bar_chords_are_note_records_with_enum_articulations():
+    # The chord notes are built with tuple.__new__, which would take any
+    # field values; they must still be NoteEvents holding ints and an
+    # Articulation member, like those NoteEvent(...) builds.
+    score = melodify(dataset([1, 2, 3], ["a", "b", "c"]), spec(Idiom.BAR, x="k"))
+    body = notes_of(score)[:9]
+    assert {type(n) for n in body} == {NoteEvent}
+    assert {tuple(map(type, n)) for n in body} == {(int, int, int, int, Articulation)}
+    assert body[0] == NoteEvent(0, 1920, 48, 80, Articulation.NORMAL)
+
+
 def test_bar_equal_values_give_identical_chords():
     score = melodify(dataset([5, 5], ["a", "b"]), spec(Idiom.BAR, x="k"))
     chords = chords_of(score)

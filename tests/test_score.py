@@ -1,10 +1,14 @@
 """Score timeline invariants, structural checks, lint, and loop expansion."""
 from __future__ import annotations
 
+from bisect import bisect_left
+from unittest import mock
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import melodify.score as score_module
 from melodify.errors import MelodifyError, ParseError
 from melodify.score import (
     Articulation,
@@ -148,9 +152,19 @@ def two_pass_structural_errors_oracle(score):
 
     if score.tempo_bpm < 1:
         error(f"tempo must be positive, got {score.tempo_bpm}")
+    elif round(60_000_000 / score.tempo_bpm) >= 1 << 24:
+        error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
     numerator, denominator = score.time_signature
     if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
         error(f"bad time signature {numerator}/{denominator}")
+    else:
+        if numerator > 255:
+            error(f"time signature numerator {numerator} above 255")
+        if denominator > 2**255:
+            error(
+                f"time signature denominator 2**{denominator.bit_length() - 1} "
+                "above 2**255"
+            )
 
     previous_key = None
     for i, ev in enumerate(score.events):
@@ -252,6 +266,34 @@ def gate_scores(draw):
 def test_one_pass_gate_matches_two_pass_oracle(score):
     assert structural_errors(score) == two_pass_structural_errors_oracle(score)
     assert total_duration_ticks(score) == total_duration_oracle(score)
+
+
+@pytest.mark.parametrize(
+    "tempo, time_signature, problems",
+    [
+        (4, (4, 4), []),
+        (3, (4, 4), ["tempo 3 bpm is below 4, the slowest SMF can encode"]),
+        (120, (255, 4), []),
+        (120, (256, 4), ["time signature numerator 256 above 255"]),
+        (120, (4, 2**255), []),
+        (120, (4, 2**256), ["time signature denominator 2**256 above 2**255"]),
+        (
+            1,
+            (256, 2**256),
+            [
+                "tempo 1 bpm is below 4, the slowest SMF can encode",
+                "time signature numerator 256 above 255",
+                "time signature denominator 2**256 above 2**255",
+            ],
+        ),
+    ],
+)
+def test_gate_refuses_a_tempo_or_meter_smf_cannot_encode(tempo, time_signature, problems):
+    # SMF stores microseconds per quarter in 24 bits (15,000,000 at 4 bpm,
+    # 20,000,000 at 3), and the numerator and log2 of the denominator in
+    # a byte each.
+    score = _faulty([note(0)], time_signature=time_signature, tempo=tempo)
+    assert structural_errors(score) == problems
 
 
 def test_out_of_scale_pitch_is_warning_not_error():
@@ -425,7 +467,117 @@ def test_expand_loops_matches_sort_based_oracle(specs, start, length, count, shu
         events=tuple(events) if shuffle else ordered[::-1],
         loop=Loop(60 * start, 60 * (start + length), count),
     )
-    assert expand_loops(score) == sort_based_expand_oracle(score)
+    assert_same_records(expand_loops(score), sort_based_expand_oracle(score))
+
+
+def _shifted(event, by):
+    if by == 0:
+        return event
+    if isinstance(event, NoteEvent):
+        return NoteEvent(
+            event.onset_tick + by,
+            event.duration_ticks,
+            event.pitch,
+            event.velocity,
+            event.articulation,
+        )
+    return PedalEvent(event.tick + by, event.state)
+
+
+def per_copy_expand_oracle(score):
+    """``expand_loops`` as it was when it built each copy with its
+    record's constructor; the cap is read from the module, so a test can
+    move it."""
+    if score.loop is None:
+        return score
+    start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
+    if count < 1 or end <= start:
+        raise MelodifyError(
+            f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
+        )
+    events = sorted_events(score.events)
+    ticks = [event_tick(ev) for ev in events]
+    first, after = bisect_left(ticks, start), bisect_left(ticks, end)
+    region = events[first:after]
+    expanded = len(events) + len(region) * (count - 1)
+    if expanded > score_module.MAX_EXPANDED_EVENTS:
+        raise ParseError(
+            f"loop of {count} repeats would expand to {expanded} events, "
+            f"above the cap of {score_module.MAX_EXPANDED_EVENTS}"
+        )
+    length = end - start
+    out = list(events[:first])
+    for i in range(count):
+        out.extend([_shifted(ev, i * length) for ev in region])
+    out.extend([_shifted(ev, (count - 1) * length) for ev in events[after:]])
+    return score._replace(events=tuple(out), loop=None)
+
+
+def assert_same_records(new, old):
+    """Equal, and of the same record types down to each field: a
+    NamedTuple compares equal to a plain tuple, and a str enum member
+    to its value."""
+    assert new == old
+    assert type(new) is type(old)
+    assert [type(ev) for ev in new.events] == [type(ev) for ev in old.events]
+    assert [tuple(map(type, ev)) for ev in new.events] == [
+        tuple(map(type, ev)) for ev in old.events
+    ]
+
+
+def _expand_or_refusal(expand, score):
+    try:
+        return expand(score)
+    except ParseError as exc:
+        return str(exc)
+
+
+@st.composite
+def looped_scores(draw):
+    # The region [start, end) on a 60-tick grid; events sit before it,
+    # inside it and after it, and one tick either side of each edge.
+    start = 60 * draw(st.integers(0, 4))
+    end = start + 60 * draw(st.integers(1, 4))
+    tick = st.one_of(
+        st.sampled_from([start - 1, start, start + 1, end - 1, end, end + 1]),
+        st.integers(0, end // 60 + 4).map(lambda k: 60 * k),
+    ).filter(lambda t: t >= 0)
+    events = draw(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    NoteEvent,
+                    tick,
+                    st.integers(1, 200),
+                    st.integers(0, 127),
+                    st.integers(1, 127),
+                    st.sampled_from(list(Articulation)),
+                ),
+                st.builds(PedalEvent, tick, st.sampled_from(list(PedalState))),
+            ),
+            max_size=16,
+        )
+    )
+    count = draw(st.integers(1, 6))
+    score = Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), Loop(start, end, count))
+    # The cap at, one below or one above the expanded size, or left as is.
+    repeated = sum(start <= event_tick(ev) < end for ev in events)
+    expanded = len(events) + repeated * (count - 1)
+    cap = draw(st.sampled_from([None, expanded - 1, expanded, expanded + 1]))
+    return score, cap
+
+
+@given(looped_scores())
+def test_expand_loops_matches_per_copy_oracle(case):
+    score, cap = case
+    cap = score_module.MAX_EXPANDED_EVENTS if cap is None else cap
+    with mock.patch.object(score_module, "MAX_EXPANDED_EVENTS", cap):
+        got = _expand_or_refusal(expand_loops, score)
+        want = _expand_or_refusal(per_copy_expand_oracle, score)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_records(got, want)
 
 
 def test_expanded_loop_is_structurally_valid():

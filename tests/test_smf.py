@@ -1,8 +1,11 @@
 """MIDI byte emission: VLQ coding, header layout, gates, round-trips."""
 from __future__ import annotations
 
+import math
+import re
 import struct
 import tracemalloc
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given
@@ -33,6 +36,7 @@ from melodify.smf import (
     encode_vlq,
     key_signature_bytes,
     parse_smf_minimal,
+    require_valid,
     sounding_durations,
     write_smf,
     write_text_score,
@@ -183,6 +187,30 @@ def test_time_signature_meta_uses_log2_denominator():
     assert bytes([0xFF, 0x58, 0x04, 3, 2, 24, 8]) in data
 
 
+@pytest.mark.parametrize(
+    "tempo, timesig, problem",
+    [
+        (3, (4, 4), "tempo 3 bpm is below 4, the slowest SMF can encode"),
+        (120, (256, 4), "time signature numerator 256 above 255"),
+        (120, (4, 2**256), "time signature denominator 2**256 above 2**255"),
+    ],
+)
+def test_write_refuses_a_tempo_or_meter_smf_cannot_encode(tempo, timesig, problem):
+    # Past the gate, 3 bpm's 20,000,000 µs would lose its top byte and
+    # read back as 3,222,784, and a 256 numerator or exponent would raise
+    # a bare ValueError.
+    with pytest.raises(MelodifyError, match=re.escape(problem)):
+        write_smf(make_score([note(0)], tempo=tempo, timesig=timesig))
+
+
+def test_write_encodes_the_slowest_tempo_and_the_widest_meter():
+    data = write_smf(make_score([note(0)], tempo=4, timesig=(255, 2**255)))
+    assert bytes([0xFF, 0x58, 0x04, 255, 255, 24, 8]) in data
+    parsed = parse_smf_minimal(data)
+    assert parsed.tempo_us == 15_000_000
+    assert parsed.time_signature == (255, 2**255)
+
+
 def test_pedal_bytes():
     score = make_score(
         [PedalEvent(0, PedalState.DOWN), note(0, dur=400), PedalEvent(480, PedalState.UP)]
@@ -298,6 +326,124 @@ def writable_scores(draw):
 @given(writable_scores())
 def test_streamed_encoder_matches_sort_based_oracle(score):
     assert write_smf(score) == sort_based_smf_oracle(score)
+
+
+_ORACLE_NOTE_ON = bytes([0x90 | CHANNEL])
+_ORACLE_NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
+_ORACLE_PEDAL = {
+    PedalState.DOWN: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 127]),
+    PedalState.UP: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 0]),
+}
+
+
+def closure_smf_oracle(score):
+    """``write_smf`` as it was when a ``write_delta`` and a
+    ``release_before`` closure wrote each message."""
+    if score.loop is not None:
+        raise MelodifyError("expand the score's loop before writing MIDI")
+    require_valid(score)
+
+    tempo_us = round(60_000_000 / score.tempo_bpm)
+    numerator, denominator = score.time_signature
+    root, mode = score.key_signature
+
+    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480))
+    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
+    track_start = len(out)
+    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
+    out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
+                  denominator.bit_length() - 1, 24, 8])
+    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
+    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
+
+    append = out.append
+    pending = []  # (off tick, event index, pitch)
+    cursor = 0
+
+    def write_delta(tick):
+        nonlocal cursor
+        delta = tick - cursor
+        if delta < 0x80:
+            append(delta)
+        elif delta < 0x4000:
+            append(0x80 | delta >> 7)
+            append(delta & 0x7F)
+        else:
+            out.extend(encode_vlq(delta))
+        cursor = tick
+
+    def release_before(due):
+        while pending and pending[0][0] < due:
+            tick, _, pitch = heappop(pending)
+            write_delta(tick)
+            out.extend(_ORACLE_NOTE_OFF[pitch])
+
+    notes = [ev for ev in score.events if type(ev) is NoteEvent]
+    held = iter(sounding_durations(notes))
+    for index, ev in enumerate(score.events):
+        if type(ev) is NoteEvent:
+            tick = ev.onset_tick
+            release_before(tick + 1)
+            write_delta(tick)
+            out += _ORACLE_NOTE_ON
+            append(ev.pitch)
+            append(ev.velocity)
+            heappush(pending, (tick + next(held), index, ev.pitch))
+        else:
+            release_before(ev.tick)
+            write_delta(ev.tick)
+            out += _ORACLE_PEDAL[ev.state]
+    release_before(math.inf)
+    out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
+
+    struct.pack_into(">I", out, track_start - 4, len(out) - track_start)
+    return bytes(out)
+
+
+# Gaps and durations that land deltas on each side of the one- and
+# two-byte VLQ limits, plus 0 and 1 so that messages share ticks.
+VLQ_EDGES = st.sampled_from([0, 1, 127, 128, 16383, 16384])
+
+
+@st.composite
+def dense_scores(draw):
+    # Legato notes (and accents that borrow a legato gate) end exactly at
+    # onset + duration, so their note-offs meet later note-ons and pedals
+    # drawn at the same ticks; the rest of the notes overlap them.
+    notes, tick = [], 0
+    for gap, dur, pitch, vel, art in draw(
+        st.lists(
+            st.tuples(
+                VLQ_EDGES,
+                VLQ_EDGES.map(lambda d: max(d, 1)),
+                st.integers(0, 127),
+                st.integers(1, 127),
+                st.sampled_from(
+                    [Articulation.ACCENT, Articulation.ACCENT, Articulation.LEGATO]
+                )
+                | ARTICULATIONS,
+            ),
+            max_size=24,
+        )
+    ):
+        tick += gap
+        notes.append(note(tick, dur=dur, pitch=pitch, vel=vel, art=art))
+    ticks = sorted({t for n in notes for t in (n.onset_tick, n.onset_tick + n.duration_ticks)})
+    presses = sorted(draw(st.lists(st.sampled_from(ticks), max_size=6))) if ticks else []
+    if len(presses) % 2:
+        presses.pop()
+    pedals = [
+        PedalEvent(t, PedalState.DOWN if i % 2 == 0 else PedalState.UP)
+        for i, t in enumerate(presses)
+    ]
+    return make_score(pedals + notes)
+
+
+@given(dense_scores() | writable_scores())
+def test_inline_encoder_matches_closure_oracle(score):
+    got, want = write_smf(score), closure_smf_oracle(score)
+    assert type(got) is type(want)  # bytearray would compare equal to bytes
+    assert got == want
 
 
 def test_delta_times_at_each_vlq_length_boundary():
