@@ -83,14 +83,15 @@ def _summary(score: Score) -> str:
 
 def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -> str:
     """Write the score to whichever of the two paths are given and return
-    its summary. The loop is expanded once, for the MIDI bytes and the
-    ``structural_errors`` gate, which runs once and before any file is
-    written; the text score keeps its loop marker."""
+    its summary. The score as played passes the ``structural_errors``
+    gate once, before any file is written, so a refusal names its events
+    by their index in the expansion. ``write_smf`` takes the looped score
+    and gates it too; the text score keeps its loop marker."""
     expanded = expand_loops(score)
-    if midi_path is not None:
-        midi_path.write_bytes(write_smf(expanded))  # write_smf runs the gate
-    else:
+    if midi_path is None or score.loop is not None:
         require_valid(expanded)
+    if midi_path is not None:
+        midi_path.write_bytes(write_smf(score))  # gates a loop-free score itself
     if text_path is not None:
         text_path.write_text(write_text_score(score), encoding="utf-8")
     return _summary(score)

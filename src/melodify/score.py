@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import MelodifyError, ParseError
 from .theory import ScaleMode, build_scale, is_tritone
@@ -113,14 +113,25 @@ def structural_errors(score: Score) -> list[str]:
 
     One pass over the events checks their order (``event_sort_key``),
     each event's ranges and the pedal's balance. Pedal problems are
-    listed after every per-event problem."""
+    listed after every per-event problem. A looped score passes exactly
+    when its expansion would, provided its events are in order and its
+    region lies inside it."""
     problems: list[str] = []
     error = problems.append
 
     if score.tempo_bpm < 1:
         error(f"tempo must be positive, got {score.tempo_bpm}")
-    elif round(60_000_000 / score.tempo_bpm) > 0xFFFFFF:
-        error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
+    else:
+        # SMF stores whole microseconds per quarter in 24 bits, and
+        # ``write_smf`` rounds to them.
+        tempo_us = round(60_000_000 / score.tempo_bpm)
+        if tempo_us > 0xFFFFFF:
+            error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
+        elif tempo_us < 1:
+            error(
+                f"tempo {score.tempo_bpm} bpm is above 119999999, "
+                "the fastest SMF can encode"
+            )
     numerator, denominator = score.time_signature
     if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
         error(f"bad time signature {numerator}/{denominator}")
@@ -172,19 +183,33 @@ def structural_errors(score: Score) -> list[str]:
         error("pedal left pressed at end of score")
 
     if score.loop is not None:
+        start, end, count = score.loop
         base_end = _base_end_tick(score.events)
-        if score.loop.count < 1:
-            error(f"loop count must be positive, got {score.loop.count}")
-        if not 0 <= score.loop.start_tick < score.loop.end_tick <= max(base_end, 1):
+        if count < 1:
+            error(f"loop count must be positive, got {count}")
+        if not 0 <= start < end <= max(base_end, 1):
+            error(f"loop region [{start}, {end}) outside score of {base_end} ticks")
+        # Each repeat finds the pedal as the one before it left it.
+        events = score.events
+        if count > 1 and _pedal_down_before(events, start) != _pedal_down_before(events, end):
             error(
-                f"loop region [{score.loop.start_tick}, {score.loop.end_tick}) "
-                f"outside score of {base_end} ticks"
+                f"loop region [{start}, {end}) changes the pedal, so a repeat "
+                "would press or release it twice"
             )
 
     root, _ = score.key_signature
     if not 0 <= root <= 11:
         error(f"key signature root {root} outside 0..11")
     return problems
+
+
+def _pedal_down_before(events: Iterable[Event], tick: int) -> bool:
+    """Whether the last pedal event before ``tick`` pressed the pedal."""
+    down = False
+    for ev in events:
+        if type(ev) is PedalEvent and ev.tick < tick:
+            down = ev.state is PedalState.DOWN
+    return down
 
 
 def lint(score: Score) -> list[str]:
@@ -218,8 +243,26 @@ def lint(score: Score) -> list[str]:
     return warnings
 
 
+def loop_region(events: Sequence[Event], loop: Loop) -> tuple[int, int]:
+    """Indices ``[first, after)`` of the sorted ``events`` that lie in the
+    loop region, once the score as played is known to stay within
+    ``MAX_EXPANDED_EVENTS``: past the cap, a ``ParseError`` refuses the
+    loop before anything is built from it."""
+    ticks = [ev[0] for ev in events]  # every event's tick is its field 0
+    first, after = bisect_left(ticks, loop.start_tick), bisect_left(ticks, loop.end_tick)
+    expanded = len(events) + (after - first) * (loop.count - 1)
+    if expanded > MAX_EXPANDED_EVENTS:
+        raise ParseError(
+            f"loop of {loop.count} repeats would expand to {expanded} events, "
+            f"above the cap of {MAX_EXPANDED_EVENTS}"
+        )
+    return first, after
+
+
 def expand_loops(score: Score) -> Score:
-    """Materialize the loop region as literal repeats.
+    """Materialize the loop region as literal repeats: the score as
+    played, for inspection and for checking its events one by one.
+    ``write_smf`` takes the looped score itself.
 
     Events inside the region are copied once per repetition; events after
     it shift right by the added length. Idempotent: a score without a
@@ -243,15 +286,8 @@ def expand_loops(score: Score) -> Score:
             f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
         )
     events = sorted_events(score.events)
-    ticks = [event_tick(ev) for ev in events]
-    first, after = bisect_left(ticks, start), bisect_left(ticks, end)
+    first, after = loop_region(events, score.loop)
     region = events[first:after]
-    expanded = len(events) + len(region) * (count - 1)
-    if expanded > MAX_EXPANDED_EVENTS:
-        raise ParseError(
-            f"loop of {count} repeats would expand to {expanded} events, "
-            f"above the cap of {MAX_EXPANDED_EVENTS}"
-        )
     length = end - start
     # Repeat 0 is the region's own events. Every record's tick is its
     # field 0, so a copy is (tick + shift,) + the rest of its fields. A

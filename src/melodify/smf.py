@@ -17,10 +17,12 @@ from .errors import MelodifyError
 from .score import (
     TICKS_PER_QUARTER,
     Articulation,
+    Event,
     NoteEvent,
     PedalEvent,
     PedalState,
     Score,
+    loop_region,
     structural_errors,
 )
 from .theory import ScaleMode
@@ -111,42 +113,31 @@ def require_valid(score: Score) -> None:
         raise MelodifyError("score fails validation: " + "; ".join(problems))
 
 
-def write_smf(score: Score) -> bytes:
-    """Serialize a loop-free, structurally valid score to SMF format 0.
+def _encode(
+    out: bytearray,
+    pending: list[tuple[int, int, int]],
+    cursor: int,
+    events: Sequence[Event],
+    shift: int,
+    index: int,
+    held: Sequence[int],
+) -> int:
+    """Append ``events``, each played ``shift`` ticks late, to ``out`` and
+    return the tick of the last message written.
 
-    Messages sharing a tick go meta, pedal, note-off, note-on, each group
-    in score order. The events are walked once, in the order
-    ``structural_errors`` guarantees; note-offs wait in a heap keyed
-    (off tick, event index) and leave it before a pedal at a later tick
-    or a note-on at the same or a later tick. A delta time below 2**14
-    is written inline as its one- or two-byte VLQ; ``encode_vlq`` writes
-    longer ones.
+    ``cursor`` is the tick of the message before them, ``index`` the
+    first event's index in the score as played, and ``held`` each note's
+    sounding duration. Note-offs wait in the ``pending`` heap, keyed
+    (off tick, event index, pitch), and leave it before a pedal at a
+    later tick or a note-on at the same or a later tick; ``_END`` flushes
+    the rest. A delta below 2**14 is written inline as its one- or
+    two-byte VLQ, with no function call per message; ``encode_vlq``
+    writes longer ones.
     """
-    if score.loop is not None:
-        raise MelodifyError("expand the score's loop before writing MIDI")
-    require_valid(score)
-
-    tempo_us = round(60_000_000 / score.tempo_bpm)
-    numerator, denominator = score.time_signature
-    root, mode = score.key_signature
-
-    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER))
-    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
-    track_start = len(out)
-    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
-    out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
-                  denominator.bit_length() - 1, 24, 8])
-    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
-    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
-
     append = out.append
-    pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
-    cursor = 0
-    notes = [ev for ev in score.events if type(ev) is NoteEvent]
-    held = iter(sounding_durations(notes))
-    # The end sentinel releases every note still sounding, in heap order.
-    for index, ev in enumerate((*score.events, _END)):
-        tick = due = ev[0]
+    held = iter(held)
+    for index, ev in enumerate(events, index):
+        tick = due = ev[0] + shift
         is_note = type(ev) is NoteEvent
         if is_note:
             due += 1  # a note-off at the note-on's own tick goes first
@@ -181,6 +172,85 @@ def write_smf(score: Score) -> bytes:
             heappush(pending, (tick + next(held), index, pitch))
         else:
             out += _PEDAL[ev[1]]
+    return cursor
+
+
+def write_smf(score: Score) -> bytes:
+    """Serialize a structurally valid score to SMF format 0, as played.
+
+    A looped score gives the same bytes as ``write_smf(expand_loops(score))``
+    without building or walking the copies. Messages sharing a tick go
+    meta, pedal, note-off, note-on, each group in score order.
+
+    One walk writes the events before the loop region, then the region
+    once per repeat, then the rest. At each seam between two repeats the
+    encoder's state is taken relative to the seam: the last message's
+    tick and the pending note-offs. Once two seams in a row match, every
+    later repeat writes the bytes of the one just written, so those
+    bytes are repeated and the state is shifted by arithmetic. A
+    loop-free score is all "before". The score passes
+    ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
+    (``loop_region``) before any bytes are built.
+    """
+    require_valid(score)
+    events, loop = score.events, score.loop
+    first, after = (len(events),) * 2 if loop is None else loop_region(events, loop)
+    before, region, tail = events[:first], events[first:after], events[after:]
+
+    # An accent borrows the gate of the nearest plain note before it, so
+    # an accent that opens repeat 1 or later borrows from the repeat
+    # before it: those repeats read the second of two region copies.
+    notes = [[ev for ev in part if type(ev) is NoteEvent] for part in (before, region, tail)]
+    held = sounding_durations([*notes[0], *notes[1], *notes[1], *notes[2]])
+    b, n = len(notes[0]), len(notes[1])
+    held_first, held_rest = held[b:b + n], held[b + n:b + 2 * n]
+
+    tempo_us = round(60_000_000 / score.tempo_bpm)
+    numerator, denominator = score.time_signature
+    root, mode = score.key_signature
+
+    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER))
+    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
+    track_start = len(out)
+    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
+    out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
+                  denominator.bit_length() - 1, 24, 8])
+    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
+    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
+
+    pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
+    cursor = _encode(out, pending, 0, before, 0, 0, held[:b])
+    shift = added = 0  # ticks and events the repeats put before the tail
+    if loop is not None:
+        length, size, count = loop.end_tick - loop.start_tick, len(region), loop.count
+        shift, added = (count - 1) * length, (count - 1) * size
+    if region:  # only a loop has one; an empty one writes nothing
+        seam = None
+        for r in range(count):
+            tick, index = r * length, first + r * size
+            # Seams from the one after repeat 0 on are compared: repeat 0
+            # may read other gates than the repeats after it.
+            if r:
+                state = cursor - tick, sorted(
+                    (off - tick, i - index, pitch) for off, i, pitch in pending
+                )
+                if state == seam:
+                    # Repeat r - 1 left the encoder as it found it, so
+                    # every repeat from r on writes the same bytes.
+                    skip = count - r
+                    out += out[mark:] * skip
+                    cursor += skip * length
+                    pending[:] = [
+                        (off + skip * length, i + skip * size, pitch)
+                        for off, i, pitch in pending
+                    ]
+                    break
+                seam = state
+            mark = len(out)
+            cursor = _encode(
+                out, pending, cursor, region, tick, index, held_rest if r else held_first
+            )
+    _encode(out, pending, cursor, (*tail, _END), shift, after + added, held[b + 2 * n:])
     out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
 
     struct.pack_into(">I", out, track_start - 4, len(out) - track_start)

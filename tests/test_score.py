@@ -209,6 +209,17 @@ def two_pass_structural_errors_oracle(score):
                 f"outside score of {base_end} ticks"
             )
 
+        def pedal_down_before(tick):
+            pedals = [ev for ev in score.events if isinstance(ev, PedalEvent) and ev.tick < tick]
+            return bool(pedals) and pedals[-1].state is PedalState.DOWN
+
+        start, end = score.loop.start_tick, score.loop.end_tick
+        if score.loop.count > 1 and pedal_down_before(start) != pedal_down_before(end):
+            error(
+                f"loop region [{start}, {end}) changes the pedal, so a repeat "
+                "would press or release it twice"
+            )
+
     root, _ = score.key_signature
     if not 0 <= root <= 11:
         error(f"key signature root {root} outside 0..11")

@@ -8,13 +8,15 @@ import tracemalloc
 from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from melodify.errors import MelodifyError
+from melodify import smf
+from melodify.errors import MelodifyError, ParseError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
+    MAX_EXPANDED_EVENTS,
     Articulation,
     Loop,
     NoteEvent,
@@ -23,6 +25,7 @@ from melodify.score import (
     Score,
     expand_loops,
     sorted_events,
+    structural_errors,
 )
 from melodify.smf import (
     CHANNEL,
@@ -220,10 +223,36 @@ def test_pedal_bytes():
     assert bytes([0xB0, 64, 0]) in data
 
 
-def test_write_rejects_unexpanded_loop():
+def test_write_encodes_a_loop_as_its_expansion():
     score = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
-    with pytest.raises(MelodifyError, match="expand the score's loop"):
-        write_smf(score)
+    assert write_smf(score) == write_smf(expand_loops(score))
+    # Played twice, this region would press the pedal it never releases.
+    pedal = make_score(
+        [PedalEvent(0, PedalState.DOWN), note(0, dur=960), PedalEvent(960, PedalState.UP)],
+        loop=Loop(0, 960, 2),
+    )
+    with pytest.raises(MelodifyError, match=re.escape(
+        "loop region [0, 960) changes the pedal, so a repeat would press or release it twice"
+    )):
+        write_smf(pedal)
+    with pytest.raises(MelodifyError, match="pedal pressed twice"):
+        write_smf(expand_loops(pedal))
+    once = pedal._replace(loop=Loop(0, 960, 1))
+    assert write_smf(once) == write_smf(expand_loops(once))
+
+
+@pytest.mark.parametrize("tempo, tempo_us", [(119_999_999, 1), (120_000_000, None)])
+def test_fastest_tempo_smf_can_encode(tempo, tempo_us):
+    # 60,000,000 µs over 120,000,000 beats is 0.5 µs, which rounds to 0.
+    score = make_score([note(0)], tempo=tempo)
+    if tempo_us is None:
+        problem = "tempo 120000000 bpm is above 119999999, the fastest SMF can encode"
+        assert structural_errors(score) == [problem]
+        with pytest.raises(MelodifyError, match=problem):
+            write_smf(score)
+    else:
+        assert structural_errors(score) == []
+        assert parse_smf_minimal(write_smf(score)).tempo_us == tempo_us
 
 
 def test_write_rejects_invalid_score():
@@ -504,6 +533,167 @@ def test_write_smf_memory_stays_small_on_a_long_loop():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# --- looped scores ------------------------------------------------------------
+
+# Gaps between onsets: shared ticks, and deltas on each side of the one-
+# and two-byte VLQ limits.
+LOOP_GAPS = st.sampled_from([0, 1, 127, 128, 16383, 16384]) | st.integers(0, 6)
+
+
+@st.composite
+def looped_scores(draw, faults=False):
+    """Notes and pedals before, inside and after a loop region, on and one
+    tick either side of both its edges. Durations include multiples of
+    the region's length, so notes cross several seams and legato ones end
+    on a seam tick; accents often open the region or the score. With
+    ``faults``, some scores have an unbalanced pedal or a bad velocity."""
+    walk, tick = [], 0
+    for gap in draw(st.lists(LOOP_GAPS, min_size=1, max_size=8)):
+        tick += gap
+        walk.append(tick)
+    start = max(0, draw(st.sampled_from(walk)) + draw(st.integers(-1, 1)))
+    length = draw(st.sampled_from([1, 2, 127, 128, 480, 16384]) | st.integers(1, 40))
+    end = start + length
+    ticks = sorted({*walk, *range(max(0, start - 1), start + 2), end - 1, end, end + 1})
+    durations = (
+        VLQ_EDGES.map(lambda d: max(d, 1))
+        | st.integers(1, 4)
+        | st.builds(lambda k, d: k * length + d, st.integers(1, 3), st.integers(-1, 1))
+        .filter(lambda d: d >= 1)
+    )
+    articulations = (
+        st.sampled_from([Articulation.ACCENT, Articulation.ACCENT, Articulation.LEGATO])
+        | ARTICULATIONS
+    )
+    velocities = st.integers(0 if faults else 1, 127)
+    notes = [
+        note(onset, dur=dur, pitch=pitch, vel=vel, art=art)
+        for onset, dur, pitch, vel, art in draw(st.lists(
+            st.tuples(
+                st.sampled_from(ticks), durations, st.integers(0, 127), velocities,
+                articulations,
+            ),
+            max_size=14,
+        ))
+    ]
+    # A note on or next to the region's end keeps the region inside the score.
+    notes.append(note(end + draw(st.integers(-1, 1)), dur=draw(durations),
+                      art=draw(articulations)))
+    presses = sorted(draw(st.lists(st.sampled_from(ticks), max_size=6)))
+    if len(presses) % 2 and not (faults and draw(st.booleans())):
+        presses.pop()
+    pedals = [
+        PedalEvent(t, PedalState.DOWN if i % 2 == 0 else PedalState.UP)
+        for i, t in enumerate(presses)
+    ]
+    return make_score(pedals + notes, loop=Loop(start, end, draw(st.integers(1, 6))))
+
+
+_ACCENT, _LEGATO, _STACCATO = Articulation.ACCENT, Articulation.LEGATO, Articulation.STACCATO
+
+
+@given(looped_scores())
+# Repeats 1 and 2 open with an accent that borrows the staccato gate of
+# the repeat before them, not the legato one before the region.
+@example(make_score(
+    [note(0, art=_LEGATO), note(480, art=_ACCENT), note(960, art=_STACCATO),
+     note(1440, art=_ACCENT)],
+    loop=Loop(480, 1440, 3),
+))
+# A leading accent with no plain note before it gates from the tail.
+@example(make_score([note(0, art=_ACCENT), note(480, art=_STACCATO)], loop=Loop(0, 480, 4)))
+# A legato note three regions long ends on a seam, where a note starts.
+@example(make_score(
+    [note(10, dur=300, art=_LEGATO), note(110, dur=1, pitch=61)], loop=Loop(10, 110, 5),
+))
+# A note before the region outlasts three repeats: the seams match late.
+@example(make_score([note(0, dur=350, art=_LEGATO), note(5, dur=3)], loop=Loop(5, 105, 8)))
+def test_looped_write_matches_the_write_of_its_expansion(score):
+    assume(not structural_errors(score))
+    got, want = write_smf(score), write_smf(expand_loops(score))
+    assert type(got) is bytes
+    assert got == want
+
+
+def _refuses(write, score) -> bool:
+    try:
+        write(score)
+    except MelodifyError:
+        return True
+    return False
+
+
+@given(looped_scores(faults=True))
+def test_looped_write_refuses_exactly_when_its_expansion_does(score):
+    assert _refuses(write_smf, score) == _refuses(
+        lambda looped: write_smf(expand_loops(looped)), score
+    )
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_looped_write_and_its_expansion_share_the_event_cap(over):
+    # Two events in the region and four around it: the last count within
+    # the cap, and the first past it.
+    events = [PedalEvent(0, PedalState.DOWN), note(0), note(1), note(2, art=_ACCENT),
+              note(481), PedalEvent(600, PedalState.UP)]
+    count = (MAX_EXPANDED_EVENTS - len(events)) // 2 + 1 + over
+    score = make_score(events, loop=Loop(1, 481, count))
+    if over:
+        with pytest.raises(ParseError, match="above the cap") as looped:
+            write_smf(score)
+        with pytest.raises(ParseError) as expanded:
+            expand_loops(score)
+        assert str(looped.value) == str(expanded.value)
+    else:
+        assert write_smf(score) == write_smf(expand_loops(score))
+
+
+def _pie(loop_count):
+    """A 32-slice pie, every slice above 1/64 of the cycle."""
+    shares = [80 + (i * 37) % 41 for i in range(32)]
+    dataset = Dataset(
+        (
+            Column("k", ColumnKind.CATEGORICAL, tuple(f"c{i}" for i in range(32))),
+            Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in shares)),
+        ),
+        32,
+    )
+    spec = MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k", loop_count=loop_count)
+    return melodify(dataset, spec)
+
+
+def test_looped_write_walks_the_same_events_at_any_loop_count(monkeypatch):
+    # Repeats after the first two seams that match are copied as bytes.
+    walked = []
+    encode = smf._encode
+
+    def counting(out, pending, cursor, events, *rest):
+        walked.append(len(events))
+        return encode(out, pending, cursor, events, *rest)
+
+    monkeypatch.setattr(smf, "_encode", counting)
+    sizes = {}
+    for loop_count in (3, 128, 1024):
+        walked.clear()
+        write_smf(_pie(loop_count))
+        sizes[loop_count] = sum(walked)
+    assert sizes[3] == sizes[128] == sizes[1024]
+
+
+@pytest.mark.parametrize("loop_count", [128, 1024])
+def test_looped_write_memory_does_not_grow_with_the_loop(loop_count):
+    # Beyond its output and the copy returned, the encoder keeps about one
+    # cycle: no expanded events, no list of messages.
+    score = _pie(loop_count)
+    tracemalloc.start()
+    try:
+        data = write_smf(score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data)
 
 
 # --- parse_smf_minimal --------------------------------------------------------
