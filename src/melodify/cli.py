@@ -10,14 +10,15 @@ message`` so callers can branch on the code without parsing prose.
 argument parser is built on the first call and reused, and parsing
 leaves no state on it. Importing this module loads only what
 ``compile`` and ``analyze`` run; ``tracklist`` imports the built-in
-tracks when it runs.
+tracks when it runs, and ``csv`` and ``json`` are imported when a
+table, a spec or ``analyze``'s report needs them.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from operator import countOf
 from pathlib import Path
 
 from .errors import BindingError, MelodifyError, ParseError, ProportionError
@@ -73,11 +74,13 @@ def _summary(score: Score) -> str:
     """``notes=... ticks=...`` of the score as played, read from the score
     before loop expansion: each extra repeat adds the notes whose onset
     lies in the loop region, and ``total_duration_ticks`` adds its length."""
-    onsets = [ev.onset_tick for ev in score.events if type(ev) is NoteEvent]
-    notes = len(onsets)
+    events = score.events
+    notes = countOf(map(type, events), NoteEvent)
     if score.loop is not None:
         start, end, count = score.loop
-        notes += (count - 1) * sum(start <= tick < end for tick in onsets)
+        notes += (count - 1) * sum(
+            type(ev) is NoteEvent and start <= ev.onset_tick < end for ev in events
+        )
     return f"notes={notes} ticks={total_duration_ticks(score)}"
 
 
@@ -149,6 +152,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             {"label": label, "ratio": ratio} for label, ratio in ratios
         ],
     }
+
+    import json
 
     print(json.dumps(report, indent=2))
     return 0

@@ -9,12 +9,10 @@ same bytes twice always yields the same result.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import re
 from enum import Enum
+from operator import countOf
 from typing import NamedTuple
 
 from .errors import BindingError, ParseError
@@ -106,21 +104,13 @@ class MelodySpec(NamedTuple):
 _NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
-def _as_number(cell: str) -> float | None:
-    """The cell's number when, stripped, it is an ASCII decimal literal;
-    None for text. A literal past float range such as ``1e400`` is ±inf,
-    over the bound."""
-    cell = cell.strip()
-    return float(cell) if _NUMBER.fullmatch(cell) else None
-
-
 def _shortened(cell: str) -> str:
     """The cell as written, cut to 24 characters so that an error naming
     a 400-digit literal stays one short line."""
     return cell if len(cell) <= 24 else cell[:21] + "..."
 
 
-def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
+def _check_header(header: list[str]) -> None:
     if not header:
         raise ParseError("header row is empty")
     for name in header:
@@ -128,38 +118,54 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
             raise ParseError("column names must be non-empty strings")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names in header")
+
+
+def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
+    """The dataset of a header and its rows of cells, as CSV gives them."""
+    _check_header(header)
     if not rows:
         raise ParseError("table has a header but no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
+    width = len(header)
+    if list(map(len, rows)).count(width) != len(rows):
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ParseError(f"row {i + 1} has {len(rows[i])} cells, expected {width}")
+    return _typed_dataset(header, [[row[j] for row in rows] for j in range(width)])
 
-    columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        numbers = []
-        for cell in cells:  # a column is text from its first non-number
-            number = _as_number(cell)
-            if number is None:
-                break
-            numbers.append(number)
-        if len(numbers) == len(cells):
-            for i, number in enumerate(numbers):
-                if abs(number) > VALUE_MAGNITUDE_MAX:
-                    raise ParseError(
-                        f"value {_shortened(cells[i])!r} at row {i + 1}, column "
-                        f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
-                    )
-            columns.append(Column(name, ColumnKind.QUANTITATIVE, tuple(numbers)))
+
+def _typed_dataset(header: list[str], columns: list[list[str]]) -> Dataset:
+    """Type each column of cells, one C-level scan per check."""
+    typed = []
+    for name, cells in zip(header, columns):
+        # A column is text from its first non-number: all() stops there.
+        # The stripped cells are converted, since str.strip removes the
+        # separators \x1c-\x1f that float() refuses. A literal past float
+        # range such as 1e400 is ±inf, over the bound. The numbers go
+        # through a list: a tuple built from a bare iterator is resized
+        # every few items, which is slower and fragments the heap.
+        if all(map(_NUMBER.fullmatch, map(str.strip, cells))):
+            numbers = tuple(list(map(float, map(str.strip, cells))))
+            if max(map(abs, numbers)) > VALUE_MAGNITUDE_MAX:
+                i = next(i for i, x in enumerate(numbers) if abs(x) > VALUE_MAGNITUDE_MAX)
+                raise ParseError(
+                    f"value {_shortened(cells[i])!r} at row {i + 1}, column "
+                    f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
+                )
+            typed.append(Column(name, ColumnKind.QUANTITATIVE, numbers))
         else:
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise ParseError(f"empty cell at row {i + 1}, column {name!r}")
-            columns.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
-    return Dataset(tuple(columns), len(rows))
+            if "" in cells:
+                raise ParseError(
+                    f"empty cell at row {cells.index('') + 1}, column {name!r}"
+                )
+            typed.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
+    return Dataset(tuple(typed), len(columns[0]))
 
 
 def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
+    # csv and json are imported by the parser that reads them, so a CSV
+    # compile never loads json and a JSON one never loads csv.
+    import csv
+    import io
+
     try:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
@@ -169,7 +175,16 @@ def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
     return records[0], records[1:]
 
 
-def _rows_from_json(text: str) -> tuple[list[str], list[list[str]]]:
+# The value types a JSON table's cell may hold; json.loads makes exactly
+# these classes, so a bool is not an int here.
+_JSON_CELL_TYPES = frozenset({str, int, float})
+
+
+def _columns_from_json(text: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the columns of cells of a JSON table: each string as
+    it is, each number as its ``repr``, which the CSV cell scan reads."""
+    import json
+
     def reject_constant(token):
         raise ParseError(f"non-finite number {token!r} in table")
 
@@ -185,23 +200,34 @@ def _rows_from_json(text: str) -> tuple[list[str], list[list[str]]]:
     if not isinstance(first, dict) or not first:
         raise ParseError("json table rows must be non-empty objects")
     header = list(first.keys())
-    key_set = set(header)
-    rows = []
-    for i, record in enumerate(payload):
-        if not isinstance(record, dict) or set(record.keys()) != key_set:
-            raise ParseError(f"record {i + 1} does not match the first row's keys")
-        cells = []
-        for name in header:
-            value = record[name]
-            if isinstance(value, bool) or value is None or isinstance(value, (dict, list)):
-                raise ParseError(
-                    f"record {i + 1}, key {name!r}: values must be strings or numbers"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParseError(f"non-finite number in record {i + 1}")
-            cells.append(value if isinstance(value, str) else repr(value))
-        rows.append(cells)
-    return header, rows
+    # Every check is a C-level pass. Only when one fails does the loop
+    # below run, to name the first record at fault. json.loads reads a
+    # literal past float range as ±inf and never makes a nan, since
+    # reject_constant refuses the NaN word, so ±inf is all to look for.
+    count, columns = len(payload), []
+    if (
+        countOf(map(type, payload), dict) == count
+        and countOf(map(dict.keys, payload), first.keys()) == count
+    ):
+        columns = [[record[name] for record in payload] for name in header]
+    if not columns or not all(
+        _JSON_CELL_TYPES.issuperset(map(type, values))
+        and math.inf not in values and -math.inf not in values
+        for values in columns
+    ):
+        key_set = set(header)
+        for i, record in enumerate(payload):
+            if not isinstance(record, dict) or record.keys() != key_set:
+                raise ParseError(f"record {i + 1} does not match the first row's keys")
+            for name in header:
+                value = record[name]
+                if type(value) not in _JSON_CELL_TYPES:
+                    raise ParseError(
+                        f"record {i + 1}, key {name!r}: values must be strings or numbers"
+                    )
+                if type(value) is float and not math.isfinite(value):
+                    raise ParseError(f"non-finite number in record {i + 1}")
+    return header, [[v if type(v) is str else repr(v) for v in values] for values in columns]
 
 
 def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
@@ -218,10 +244,10 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
     except UnicodeDecodeError as exc:
         raise ParseError("input is not valid UTF-8") from exc
     if fmt is TableFormat.CSV:
-        header, rows = _rows_from_csv(text)
-    else:
-        header, rows = _rows_from_json(text)
-    return _build_dataset(header, rows)
+        return _build_dataset(*_rows_from_csv(text))
+    header, columns = _columns_from_json(text)
+    _check_header(header)  # a key may be ""
+    return _typed_dataset(header, columns)
 
 
 def _parse_key_name(name: str) -> int:
@@ -339,6 +365,8 @@ def spec_mapping(raw: bytes) -> dict:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError("spec is not valid UTF-8") from exc
+    import json
+
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer past Python's digit limit

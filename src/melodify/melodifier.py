@@ -252,15 +252,21 @@ def _bar_body(
     """One chord per category, each a full bar, roots tracking the values."""
     values = character.series
     domain = (min(values), max(values))
-    bar = plan.bar_ticks
+    bar, scale, anchor = plan.bar_ticks, plan.scale, plan.anchor
     span = character.variance.semitone_span
 
     pedal = spec.histogram and character.density.level is DensityLevel.LOW
     events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    for i, value in enumerate(values):
-        chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)
-        events.extend(_chord_events(chord, i * bar, bar, VELOCITY_NORMAL))
+    # One pass quantizes the roots, a second stacks each root's chord
+    # (_quantized_chord) and builds its notes as _chord_events does.
+    roots = [quantize_pitch(value, domain, scale, span, anchor) for value in values]
+    new, velocity, normal = tuple.__new__, VELOCITY_NORMAL, Articulation.NORMAL
     body_end = len(values) * bar
+    events += [
+        new(NoteEvent, (onset, bar, pitch, velocity, normal))
+        for onset, root in zip(range(0, body_end, bar), roots)
+        for pitch in _chord_on_root(root, scale).pitches
+    ]
     if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end
@@ -405,6 +411,7 @@ def _scatter_body(
     across the phrase."""
     series = character.series
     domain = (min(series), max(series))
+    scale, anchor = plan.scale, plan.anchor
     span = character.variance.semitone_span
     step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
         character.density.level
@@ -412,12 +419,13 @@ def _scatter_body(
 
     pedal = character.density.level is DensityLevel.LOW
     events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    for i, value in enumerate(series):
-        pitch = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
-        events.append(
-            NoteEvent(i * step, step, pitch, VELOCITY_NORMAL, Articulation.STACCATO)
-        )
+    pitches = [quantize_pitch(value, domain, scale, span, anchor) for value in series]
+    new, velocity, staccato = tuple.__new__, VELOCITY_NORMAL, Articulation.STACCATO
     body_end = len(series) * step
+    events += [
+        new(NoteEvent, (onset, step, pitch, velocity, staccato))
+        for onset, pitch in zip(range(0, body_end, step), pitches)
+    ]
     if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end

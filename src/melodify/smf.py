@@ -113,6 +113,18 @@ def require_valid(score: Score) -> None:
         raise MelodifyError("score fails validation: " + "; ".join(problems))
 
 
+def _long_delta(delta: int) -> bytes:
+    """The VLQ of a delta-time of 2**14 ticks or more. A gap of 2**28
+    ticks or more between two messages refuses the score: only the
+    encoder knows when each note-off falls, so the gate leaves it here."""
+    if delta >= VLQ_LIMIT:
+        raise MelodifyError(
+            f"score fails validation: {delta} ticks between two messages, "
+            f"above the {VLQ_LIMIT - 1} a delta-time can hold"
+        )
+    return encode_vlq(delta)
+
+
 def _encode(
     out: bytearray,
     pending: list[tuple[int, int, int]],
@@ -131,7 +143,7 @@ def _encode(
     (off tick, event index, pitch), and leave it before a pedal at a
     later tick or a note-on at the same or a later tick; ``_END`` flushes
     the rest. A delta below 2**14 is written inline as its one- or
-    two-byte VLQ, with no function call per message; ``encode_vlq``
+    two-byte VLQ, with no function call per message; ``_long_delta``
     writes longer ones.
     """
     append = out.append
@@ -150,7 +162,7 @@ def _encode(
                 append(0x80 | delta >> 7)
                 append(delta & 0x7F)
             else:
-                out += encode_vlq(delta)
+                out += _long_delta(delta)
             out += _NOTE_OFF[pitch]
             cursor = off
         if ev is _END:
@@ -162,7 +174,7 @@ def _encode(
             append(0x80 | delta >> 7)
             append(delta & 0x7F)
         else:
-            out += encode_vlq(delta)
+            out += _long_delta(delta)
         cursor = tick
         if is_note:
             pitch = ev[2]
@@ -190,7 +202,8 @@ def write_smf(score: Score) -> bytes:
     bytes are repeated and the state is shifted by arithmetic. A
     loop-free score is all "before". The score passes
     ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
-    (``loop_region``) before any bytes are built.
+    (``loop_region``) before any bytes are built; a gap between two
+    messages that no delta-time can hold refuses it as it is met.
     """
     require_valid(score)
     events, loop = score.events, score.loop

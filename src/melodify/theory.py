@@ -162,9 +162,10 @@ def quantize_pitch(
         )
     if high == low:
         return anchor
-    fraction = (value - low) / (high - low)
-    fraction = min(1.0, max(0.0, fraction))
-    target = anchor + fraction * span_semitones
+    # A value outside the domain needs no clamp to [0, span]: a target
+    # below the first member or above the last bisects to it, as the
+    # clamped target would, and a nan target (inf / inf) bisects to 0.
+    target = anchor + (value - low) / (high - low) * span_semitones
     members = _members_in_span(scale, anchor, span_semitones)
     if not members:
         raise ValueError(

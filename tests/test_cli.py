@@ -652,14 +652,16 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
     ]
 
 
-# --- numpy, dataclasses and inspect stay off the import path ------------------
+# --- numpy, dataclasses, inspect, json and csv stay off the import path -------
 
+# json is imported only once the modules are recorded, to print them.
 IMPORT_PROBE = """
-import json, sys
+import sys
 from pathlib import Path
 from melodify.cli import main
 
-heavy = ("numpy", "dataclasses", "inspect", "melodify.tracks", "melodify.smf_reader")
+heavy = ("numpy", "dataclasses", "inspect", "melodify.tracks", "melodify.smf_reader",
+         "json", "csv")
 tables = {
     "bar": ("bar", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
     "pie": ("pie", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
@@ -667,16 +669,27 @@ tables = {
     # Quartiles summing to zero.
     "bar-straddle": ("bar", "k,v\\na,-10\\nb,0\\nc,10\\n", "k"),
     "line": ("line", "t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
+    # The bar as a JSON table, compiled with a JSON spec file.
+    "bar-json": ("bar", '[{"k": "a", "v": 1}, {"k": "b", "v": 3}, {"k": "c", "v": 2}]', "k"),
 }
 loaded = [[m in sys.modules for m in heavy]]
 for name in sys.argv[2:]:
     idiom, table, x = tables[name]
-    path = Path(sys.argv[1]) / f"{name}.csv"
+    suffix = ".json" if table.startswith("[") else ".csv"
+    path = Path(sys.argv[1]) / f"{name}{suffix}"
     path.write_text(table, encoding="utf-8")
     argv = ["compile", "--data", str(path), "--idiom", idiom,
             "--palette", "positive", "--x", x, "--y", "v"]
+    if suffix == ".json":
+        spec = path.with_name(f"{name}-spec.json")
+        spec.write_text(
+            '{"idiom": "%s", "palette": "positive", "x": "%s", "y": "v"}' % (idiom, x),
+            encoding="utf-8",
+        )
+        argv = ["compile", "--data", str(path), "--spec", str(spec)]
     assert main(argv) == 0, name
     loaded.append([m in sys.modules for m in heavy])
+import json
 print(json.dumps(loaded))
 """
 
@@ -700,14 +713,26 @@ def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
     loaded = _probe(
         IMPORT_PROBE, str(tmp_path), "bar", "pie", "scatter", "bar-straddle", "line"
     )
+    modules = [row[:5] for row in loaded]
     # After the import and each of bar, pie, scatter and a bar whose
     # quartiles sum to zero: none of numpy, dataclasses (about 10 ms with
     # the inspect, ast and dis it imports), inspect, the built-in tracks
     # or the MIDI reader.
-    assert loaded[:5] == [[False] * 5] * 5
+    assert modules[:5] == [[False] * 5] * 5
     # The line compile, the positive control, loads numpy, and with it only
     # what numpy imports on its own (inspect, in numpy 2).
-    assert loaded[5] == _probe(NUMPY_PROBE) + [False, False]
+    assert modules[5] == _probe(NUMPY_PROBE) + [False, False]
+    # Neither json nor csv on import; the CSV reader loads csv, and no CSV
+    # compile, the line's numpy included, loads json.
+    assert [row[5:] for row in loaded] == [[False, False]] + [[False, True]] * 5
+
+
+def test_a_json_compile_never_loads_csv(tmp_path):
+    # A JSON table and a JSON spec load json, the positive control, and
+    # nothing else on the list.
+    assert _probe(IMPORT_PROBE, str(tmp_path), "bar-json") == [
+        [False] * 7, [False] * 5 + [True, False]
+    ]
 
 
 # Every name `melodify/__init__` imported eagerly before it resolved them lazily.

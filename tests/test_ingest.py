@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from melodify import ingest
 from melodify.errors import BindingError, ParseError
 from melodify.ingest import (
     VALUE_MAGNITUDE_MAX,
+    Column,
     ColumnKind,
+    Dataset,
     Idiom,
     MelodySpec,
     Palette,
@@ -142,18 +145,215 @@ def test_text_column_skips_the_magnitude_check():
 def test_text_column_is_parsed_only_to_its_first_non_number(monkeypatch):
     calls = []
 
-    def counting(cell):
-        calls.append(cell)
-        return as_number(cell)
+    class CountingNumber:
+        """The number pattern, recording every cell it is asked to match."""
 
-    as_number = ingest._as_number
-    monkeypatch.setattr(ingest, "_as_number", counting)
+        def fullmatch(self, cell):
+            calls.append(cell)
+            return number.fullmatch(cell)
+
+    number = ingest._NUMBER
+    monkeypatch.setattr(ingest, "_NUMBER", CountingNumber())
     rows = "".join(f"k{i:05d},{i}\n" for i in range(1000))
     ds = csv_table("label,value\n" + rows)
     assert ds.column("label").kind is ColumnKind.CATEGORICAL
     # One call for the label column, then one per cell of the numbers.
     assert calls[0] == "k00000"
     assert len(calls) == 1 + 1000
+
+
+def per_cell_build_dataset(header, rows):
+    """The table checks as a loop over the cells, one number at a time:
+    the oracle of the column scans in ``ingest._build_dataset``."""
+
+    def as_number(cell):
+        cell = cell.strip()
+        return float(cell) if ingest._NUMBER.fullmatch(cell) else None
+
+    if not header:
+        raise ParseError("header row is empty")
+    for name in header:
+        if not isinstance(name, str) or not name:
+            raise ParseError("column names must be non-empty strings")
+    if len(set(header)) != len(header):
+        raise ParseError("duplicate column names in header")
+    if not rows:
+        raise ParseError("table has a header but no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
+
+    columns = []
+    for j, name in enumerate(header):
+        cells = [row[j] for row in rows]
+        numbers = []
+        for cell in cells:
+            number = as_number(cell)
+            if number is None:
+                break
+            numbers.append(number)
+        if len(numbers) == len(cells):
+            for i, number in enumerate(numbers):
+                if abs(number) > VALUE_MAGNITUDE_MAX:
+                    raise ParseError(
+                        f"value {ingest._shortened(cells[i])!r} at row {i + 1}, column "
+                        f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
+                    )
+            columns.append(Column(name, ColumnKind.QUANTITATIVE, tuple(numbers)))
+        else:
+            for i, cell in enumerate(cells):
+                if cell == "":
+                    raise ParseError(f"empty cell at row {i + 1}, column {name!r}")
+            columns.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
+    return Dataset(tuple(columns), len(rows))
+
+
+NUMBER_CELLS = (
+    "0", "12", "-7", "+3", ".5", "5.", "-0.25", "1e5", "2E-3", "1e100", "-1e100",
+    " 12 ", "\t4\n", "\x1c7\x1f", "\xa03.5\xa0", "\u20038\u2003",
+    "1e101", "-2e100", "1e400", "-1e400", "9" * 120,
+)
+OTHER_CELLS = (
+    "", " ", "abc", "1_000", "\u0661\u0662", "nan", "inf", "-Infinity", "0x1f",
+    "1e", "1.2.3", "--1", "\x1c", "1 2",
+)
+TEXT_CELLS = ("north", "south", " east ", "k1")
+
+
+@st.composite
+def raw_tables(draw):
+    """A header and rows of cells, most columns all numbers."""
+    header = draw(st.one_of(
+        st.lists(st.sampled_from(["a", "b", "v"]), unique=True, min_size=1, max_size=3),
+        st.lists(st.sampled_from(["a", "", "a "]), max_size=3),  # mostly refused
+    ))
+    height = draw(st.integers(0, 6))
+    columns = []
+    for _ in header:
+        pool = draw(st.sampled_from(
+            [NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS + OTHER_CELLS, TEXT_CELLS + ("",)]
+        ))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=height, max_size=height)))
+    rows = [list(row) for row in zip(*columns)] if header else [[] for _ in range(height)]
+    if rows and draw(st.booleans()) and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].append("extra")  # a ragged row
+    return header, rows
+
+
+def build_or_error(build, header, rows):
+    try:
+        return build(header, rows)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(raw_tables())
+def test_column_scans_match_the_per_cell_loop(table):
+    header, rows = table
+    got = build_or_error(ingest._build_dataset, header, rows)
+    expected = build_or_error(per_cell_build_dataset, header, rows)
+    assert got == expected
+    if isinstance(expected, Dataset):
+        for column, want in zip(got.columns, expected.columns):
+            assert column.kind is want.kind
+            assert type(column.values) is tuple
+            assert [type(v) for v in column.values] == [type(v) for v in want.values]
+
+
+def per_record_rows_from_json(text):
+    """A JSON table's checks as a loop over its records and their values,
+    giving rows of cells: the oracle of ``ingest._columns_from_json``."""
+
+    def reject_constant(token):
+        raise ParseError(f"non-finite number {token!r} in table")
+
+    try:
+        payload = json.loads(text, parse_constant=reject_constant)
+    except ValueError as exc:
+        raise ParseError(f"json error: {exc}") from exc
+    if not isinstance(payload, list):
+        raise ParseError("json table must be an array of record objects")
+    if not payload:
+        raise ParseError("json table is an empty array")
+    first = payload[0]
+    if not isinstance(first, dict) or not first:
+        raise ParseError("json table rows must be non-empty objects")
+    header = list(first.keys())
+    key_set = set(header)
+    rows = []
+    for i, record in enumerate(payload):
+        if not isinstance(record, dict) or set(record.keys()) != key_set:
+            raise ParseError(f"record {i + 1} does not match the first row's keys")
+        cells = []
+        for name in header:
+            value = record[name]
+            if isinstance(value, bool) or value is None or isinstance(value, (dict, list)):
+                raise ParseError(
+                    f"record {i + 1}, key {name!r}: values must be strings or numbers"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParseError(f"non-finite number in record {i + 1}")
+            cells.append(value if isinstance(value, str) else repr(value))
+        rows.append(cells)
+    return header, rows
+
+
+# Stand-ins for JSON literals json.dumps cannot write: past float range,
+# and the words parse_constant refuses.
+JSON_LITERALS = {"<inf>": "1e400", "<-inf>": "-1e400", "<NaN>": "NaN"}
+JSON_VALUES = st.one_of(
+    st.sampled_from([
+        "north", "", " 7 ", "\x1c7", "1_000", "nan", 12, -3, 0, 2.5, 1e100, -1e101,
+        10**400, 1e308, True, False, None, [], {}, [1], *JSON_LITERALS,
+    ]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def json_tables(draw):
+    """JSON text of a table, most records sharing the first one's keys."""
+    keys = draw(st.lists(
+        st.sampled_from(["a", "b", "v", ""]), unique=True,
+        min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=3,
+    ))
+    records = []
+    for i in range(draw(st.sampled_from([0, 1, 2, 3, 4, 5] * 3 + [40]))):
+        shape = draw(st.sampled_from(["same"] * (6 + 12 * (i == 0)) + ["other keys", "not an object"]))
+        if shape == "not an object":
+            records.append(draw(st.sampled_from([5, "row", [], None])))
+            continue
+        names = keys if shape == "same" else draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+        pool = draw(st.sampled_from([st.integers(-50, 50), st.floats(-1e6, 1e6), JSON_VALUES]))
+        records.append({name: draw(pool) for name in names})
+    text = json.dumps(draw(st.sampled_from([records] * 18 + [{"a": 1}, 3])))
+    for stand_in, literal in JSON_LITERALS.items():
+        text = text.replace(json.dumps(stand_in), literal)
+    return text
+
+
+def parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(json_tables())
+@example('[{"v": 1}, {"v": -1e400}]')
+@example('[{"k": "a", "v": 1e400}, {"k": "b", "v": 2}]')
+@example('[{"v": 1}, {"v": true}, {"v": -1e400}]')
+def test_json_column_passes_match_the_per_record_loop(text):
+    got = parse_or_error(lambda t: parse_table(t.encode(), TableFormat.JSON), text)
+    expected = parse_or_error(
+        lambda t: per_cell_build_dataset(*per_record_rows_from_json(t)), text
+    )
+    assert got == expected
+    if isinstance(expected, Dataset):
+        for column, want in zip(got.columns, expected.columns):
+            assert column.kind is want.kind
+            assert [type(v) for v in column.values] == [type(v) for v in want.values]
 
 
 def test_json_integer_past_the_digit_limit_is_malformed():

@@ -7,19 +7,31 @@ running, then asserted exactly.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from melodify import melodifier
 from melodify.errors import BindingError, MelodifyError, ParseError, ProportionError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
     PALETTE_PRESETS,
+    SUBDIVISION_BY_DENSITY,
+    VELOCITY_NORMAL,
     apply_palette,
     bar_ticks,
     derive_character,
     largest_remainder_allocation,
     melodify,
 )
-from melodify.score import Articulation, NoteEvent, PedalEvent, PedalState, sorted_events
+from melodify.score import (
+    TICKS_PER_QUARTER,
+    Articulation,
+    NoteEvent,
+    PedalEvent,
+    PedalState,
+    sorted_events,
+)
+from melodify.stats import DensityLevel
 from melodify.theory import (
     CadenceKind,
     ChordQuality,
@@ -542,3 +554,94 @@ def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
     assert len(roots) == 3000
     assert info.hits + info.misses == 3000
     assert info.misses <= len(set(roots))
+
+
+# --- bar and scatter bodies in two comprehensions -----------------------------
+
+def per_value_bar_body(spec, plan, character):
+    """The bar body as one loop over the values: the oracle."""
+    values = character.series
+    domain = (min(values), max(values))
+    bar = plan.bar_ticks
+    span = character.variance.semitone_span
+
+    pedal = spec.histogram and character.density.level is DensityLevel.LOW
+    events = [PedalEvent(0, PedalState.DOWN)] if pedal else []
+    for i, value in enumerate(values):
+        chord = melodifier._quantized_chord(value, domain, plan.scale, span, plan.anchor)
+        for pitch in chord.pitches:
+            events.append(NoteEvent(i * bar, bar, pitch, VELOCITY_NORMAL, Articulation.NORMAL))
+    body_end = len(values) * bar
+    if pedal:
+        events.append(PedalEvent(body_end, PedalState.UP))
+    return events, body_end
+
+
+def per_value_scatter_body(spec, plan, character):
+    """The scatter body as one loop over the points: the oracle."""
+    series = character.series
+    domain = (min(series), max(series))
+    span = character.variance.semitone_span
+    step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[character.density.level]
+
+    pedal = character.density.level is DensityLevel.LOW
+    events = [PedalEvent(0, PedalState.DOWN)] if pedal else []
+    for i, value in enumerate(series):
+        pitch = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
+        events.append(
+            NoteEvent(i * step, step, pitch, VELOCITY_NORMAL, Articulation.STACCATO)
+        )
+    body_end = len(series) * step
+    if pedal:
+        events.append(PedalEvent(body_end, PedalState.UP))
+    return events, body_end
+
+
+def assert_same_events(got, expected):
+    """Equal events of the same record classes, with the same field types
+    and the same Articulation and PedalState members."""
+    assert got == expected
+    for ev, want in zip(got, expected):
+        assert type(ev) is type(want)
+        assert [type(field) for field in ev] == [type(field) for field in want]
+        assert ev[-1] is want[-1]  # the articulation or pedal state member
+
+
+series_values = st.one_of(
+    st.integers(-3, 3),  # many duplicates
+    st.integers(1, 1000),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@given(
+    values=st.lists(series_values, min_size=1, max_size=40),
+    palette=st.sampled_from(list(Palette)),
+    key_root=st.integers(0, 11),
+    histogram=st.booleans(),
+    time_signature=st.sampled_from([None, (3, 4), (7, 8), (1, 32)]),
+)
+@example(values=[5], palette=Palette.POSITIVE, key_root=0, histogram=True,
+         time_signature=None)
+@example(values=[7] * 12, palette=Palette.GREY, key_root=3, histogram=False,
+         time_signature=None)
+@example(values=[1.5, 1.5, 2.25, 1000.0] * 10, palette=Palette.NEGATIVE, key_root=11,
+         histogram=True, time_signature=None)
+def test_bar_and_scatter_bodies_match_the_per_value_loops(
+    values, palette, key_root, histogram, time_signature
+):
+    ds = dataset(values, [f"c{i}" for i in range(len(values))])
+    for idiom, body, oracle, x in (
+        (Idiom.BAR, melodifier._bar_body, per_value_bar_body, "k"),
+        (Idiom.SCATTER, melodifier._scatter_body, per_value_scatter_body, None),
+    ):
+        melody_spec = spec(
+            idiom, palette, x=x, key_root=key_root, histogram=histogram,
+            time_signature=time_signature,
+        )
+        plan = apply_palette(melody_spec)
+        character = derive_character(ds, "v", x)
+        events, body_end = body(melody_spec, plan, character)
+        expected, expected_end = oracle(melody_spec, plan, character)
+        assert body_end == expected_end
+        assert_same_events(events, expected)

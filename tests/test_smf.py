@@ -214,6 +214,49 @@ def test_write_encodes_the_slowest_tempo_and_the_widest_meter():
     assert parsed.time_signature == (255, 2**255)
 
 
+LONGEST_DELTA = (1 << 28) - 1
+
+
+def gap_scores(gap):
+    """Three scores the gate passes whose longest gap between two messages
+    is ``gap`` ticks: a first note-on that late after the program change, a
+    legato note held that long, and a loop whose repeats of an empty region
+    push the tail's note-on that far after the first note-off."""
+    legato = Articulation.LEGATO
+    return {
+        "late onset": make_score([note(gap)]),
+        "long note": make_score([note(0, dur=gap, art=legato)]),
+        "looped tail": make_score(
+            [note(0, dur=1, art=legato), note(2, dur=1, art=legato)],
+            loop=Loop(1, 2, gap),
+        ),
+    }
+
+
+def test_write_encodes_the_longest_gap_a_delta_time_holds():
+    played = {  # (onset, held) of each note
+        "late onset": [(LONGEST_DELTA, 408)],
+        "long note": [(0, LONGEST_DELTA)],
+        "looped tail": [(0, 1), (LONGEST_DELTA + 1, 1)],
+    }
+    for name, score in gap_scores(LONGEST_DELTA).items():
+        data = write_smf(score)
+        assert bytes([0xFF, 0xFF, 0xFF, 0x7F]) in data, name
+        notes = parse_smf_minimal(data).notes
+        assert [(n.onset_tick, n.duration_ticks) for n in notes] == played[name]
+
+
+def test_write_refuses_a_gap_no_delta_time_can_hold():
+    # Past it, encode_vlq would raise a bare OverflowError.
+    for name, score in gap_scores(LONGEST_DELTA + 1).items():
+        assert structural_errors(score) == [], name
+        with pytest.raises(MelodifyError, match=re.escape(
+            f"score fails validation: {LONGEST_DELTA + 1} ticks between two "
+            f"messages, above the {LONGEST_DELTA} a delta-time can hold"
+        )):
+            write_smf(score)
+
+
 def test_pedal_bytes():
     score = make_score(
         [PedalEvent(0, PedalState.DOWN), note(0, dur=400), PedalEvent(480, PedalState.UP)]

@@ -1,8 +1,10 @@
 """Scales, triads, cadences, quantization, arpeggios."""
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from melodify.errors import MelodifyError
@@ -225,12 +227,19 @@ def test_quantize_stays_in_scale(value, span):
     st.sampled_from(list(ScaleMode)),
     st.integers(0, 90),
     st.integers(0, 36),
-    # Half semitones up the span give exact ties between two members.
+    # Half semitones up the span give exact ties between two members;
+    # values far outside the domain, infinities included, clamp to its ends.
     st.one_of(
         st.integers(-4, 80).map(lambda k: k / 2),
         st.floats(-1, 41, allow_nan=False),
+        st.floats(allow_nan=False),
     ),
 )
+@example(0, ScaleMode.MAJOR, 48, 24, -1e308)
+@example(0, ScaleMode.MAJOR, 48, 24, 1e308)
+@example(5, ScaleMode.NATURAL_MINOR, 40, 12, -0.0)
+@example(5, ScaleMode.CHROMATIC, 60, 36, math.inf)
+@example(5, ScaleMode.CHROMATIC, 60, 36, -math.inf)
 def test_quantize_matches_all_members_oracle(root, mode, anchor, span, value):
     scale = build_scale(root, mode)
     top = max(span, 1)
@@ -242,6 +251,21 @@ def test_quantize_matches_all_members_oracle(root, mode, anchor, span, value):
         return
     expected = min(members, key=lambda p: (abs(p - target), p))
     assert quantize_pitch(value, (0, top), scale, span, anchor) == expected
+
+
+def test_quantize_of_a_fraction_that_overflows_is_the_clamped_one():
+    # high - low overflows to inf, so the fraction is 0.0, or nan where
+    # value - low overflows too; either picks the pitch that the fraction
+    # clamped by min(1.0, max(0.0, fraction)) picks, nan the bottom one.
+    domain = (-1.5e308, 1.5e308)
+    for value in (-1.5e308, -1.0, 0.0, 1.0, 1.5e308):
+        fraction = (value - domain[0]) / (domain[1] - domain[0])
+        target = 48 + min(1.0, max(0.0, fraction)) * 24
+        expected = min(
+            (p for p in range(48, 73) if C_MAJOR.contains(p)),
+            key=lambda p: (abs(p - target), p),
+        )
+        assert quantize_pitch(value, domain, C_MAJOR, 24, 48) == expected
 
 
 # --- arpeggiate ---------------------------------------------------------------
