@@ -108,6 +108,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(args.data)
     midi_path = out.with_suffix(".mid") if args.emit in ("midi", "both") else None
     text_path = out.with_suffix(".txt") if args.emit in ("text", "both") else None
+    # An output path that names the table or the spec file, by any
+    # spelling or link, would destroy the input it was compiled from.
+    for path in (midi_path, text_path):
+        if path is not None and path.exists():
+            for flag, given in (("--data", args.data), ("--spec", args.spec)):
+                if given is not None and path.samefile(given):
+                    raise ParseError(
+                        f"output {path} would overwrite the {flag} file; choose another --out"
+                    )
     summary = _write_score(score, midi_path, text_path)
 
     print(f"{spec.idiom.value} {spec.palette.value} {summary}")

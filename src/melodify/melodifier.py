@@ -180,20 +180,6 @@ def largest_remainder_allocation(ratios: list[float], total_units: int) -> list[
     return units
 
 
-def _quantized_chord(
-    value: float,
-    domain: tuple[float, float],
-    scale: Scale,
-    span_semitones: int,
-    anchor: int,
-) -> Chord:
-    """Chord for one category: quantize the value to a scale member and
-    stack the chord for that root on it."""
-    return _chord_on_root(
-        quantize_pitch(value, domain, scale, span_semitones, anchor), scale
-    )
-
-
 # Enough for every MIDI root under each of the 36 scales build_scale makes.
 @lru_cache(maxsize=128 * 36)
 def _chord_on_root(root: int, scale: Scale) -> Chord:
@@ -258,7 +244,7 @@ def _bar_body(
     pedal = spec.histogram and character.density.level is DensityLevel.LOW
     events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
     # One pass quantizes the roots, a second stacks each root's chord
-    # (_quantized_chord) and builds its notes as _chord_events does.
+    # (_chord_on_root) and builds its notes as _chord_events does.
     roots = [quantize_pitch(value, domain, scale, span, anchor) for value in values]
     new, velocity, normal = tuple.__new__, VELOCITY_NORMAL, Articulation.NORMAL
     body_end = len(values) * bar
@@ -300,8 +286,10 @@ def _pie_body(
                 )
             continue
         duration = unit_count * grid
-        chord = _quantized_chord(value, domain, plan.scale, span, plan.anchor)
-        events.extend(_chord_events(chord, cursor, duration, VELOCITY_NORMAL))
+        root = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
+        events.extend(
+            _chord_events(_chord_on_root(root, plan.scale), cursor, duration, VELOCITY_NORMAL)
+        )
         cursor += duration
     return events, cycle
 

@@ -18,7 +18,7 @@ import pytest
 
 from melodify.cli import main
 from melodify.errors import ProportionError
-from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from melodify.ingest import Idiom, Palette
 from melodify.melodifier import melodify
 from melodify.score import (
     TICKS_PER_QUARTER,
@@ -36,6 +36,8 @@ from melodify.stats import segment_trends
 from melodify.theory import ScaleMode, build_scale, quantize_pitch
 from melodify.tracks import TRACKS
 
+from reference import chords_of, dataset, decode_vlq, gate, labels, notes_of, pedals_of, spec
+
 MAJOR_OFFSETS = (0, 2, 4, 5, 7, 9, 11)
 MINOR_OFFSETS = (0, 2, 3, 5, 7, 8, 10)
 BAR_TICKS = 1920
@@ -47,44 +49,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _pass(number: int, name: str) -> None:
     print(f"ACCEPTANCE {number} {name}: PASS")
-
-
-def q_dataset(values):
-    return Dataset(
-        (Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in values)),),
-        len(values),
-    )
-
-
-def cat_dataset(values):
-    labels = tuple(f"c{i}" for i in range(len(values)))
-    return Dataset(
-        (
-            Column("k", ColumnKind.CATEGORICAL, labels),
-            Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in values)),
-        ),
-        len(values),
-    )
-
-
-def mk_spec(idiom, palette, key=0):
-    x = "k" if idiom in (Idiom.BAR, Idiom.PIE) else None
-    return MelodySpec(idiom, palette, "v", x_field=x, key_root=key)
-
-
-def note_events(score):
-    return [e for e in score.events if isinstance(e, NoteEvent)]
-
-
-def pedal_events(score):
-    return [e for e in score.events if isinstance(e, PedalEvent)]
-
-
-def chords_by_onset(score):
-    grouped: dict[int, list[int]] = {}
-    for n in note_events(score):
-        grouped.setdefault(n.onset_tick, []).append(n.pitch)
-    return [(onset, tuple(sorted(ps))) for onset, ps in sorted(grouped.items())]
 
 
 def classes(pitches):
@@ -122,16 +86,16 @@ def unsounded_slice(values, palette):
 
 def test_criterion_01_cadences():
     data_for = {
-        Idiom.BAR: cat_dataset([3, 1, 2]),
-        Idiom.PIE: cat_dataset([3, 1, 2]),
-        Idiom.LINE: q_dataset([0, 1, 2, 3, 4, 2, 0, -2]),
-        Idiom.SCATTER: q_dataset([5, 30, 12]),
+        Idiom.BAR: dataset([3, 1, 2], labels([3, 1, 2])),
+        Idiom.PIE: dataset([3, 1, 2], labels([3, 1, 2])),
+        Idiom.LINE: dataset([0, 1, 2, 3, 4, 2, 0, -2]),
+        Idiom.SCATTER: dataset([5, 30, 12]),
     }
-    for idiom, dataset in data_for.items():
+    for idiom, table in data_for.items():
         for key in range(12):
             # Positive endings: dominant then tonic of the major key.
-            score = melodify(dataset, mk_spec(idiom, Palette.POSITIVE, key))
-            (_, five), (_, one) = chords_by_onset(score)[-2:]
+            score = melodify(table, spec(idiom, Palette.POSITIVE, key_root=key))
+            five, one = chords_of(score)[-2:]
             assert classes(five) == {(key + 7) % 12, (key + 11) % 12, (key + 2) % 12}
             assert five[0] % 12 == (key + 7) % 12
             assert (five[1] - five[0], five[2] - five[1]) == (4, 3)
@@ -141,9 +105,9 @@ def test_criterion_01_cadences():
 
             # Negative endings: the deceptive pair borrowed from the
             # relative major; its sixth degree is the tonic minor triad.
-            score = melodify(dataset, mk_spec(idiom, Palette.NEGATIVE, key))
+            score = melodify(table, spec(idiom, Palette.NEGATIVE, key_root=key))
             rel = (key + 3) % 12
-            (_, five), (_, six) = chords_by_onset(score)[-2:]
+            five, six = chords_of(score)[-2:]
             assert classes(five) == {(rel + 7) % 12, (rel + 11) % 12, (rel + 2) % 12}
             assert five[0] % 12 == (rel + 7) % 12
             assert (five[1] - five[0], five[2] - five[1]) == (4, 3)
@@ -153,7 +117,7 @@ def test_criterion_01_cadences():
 
             for cadence_pitches in (five, six):
                 cadence_notes = [
-                    n for n in note_events(score) if n.pitch in cadence_pitches
+                    n for n in notes_of(score) if n.pitch in cadence_pitches
                     and n.velocity == 96
                 ]
                 assert cadence_notes
@@ -164,9 +128,9 @@ def test_criterion_01_cadences():
 
 def test_criterion_02_slope_degrees():
     score = melodify(
-        q_dataset([0, 1, 2, 3, 4, 2, 0, -2]), mk_spec(Idiom.LINE, Palette.POSITIVE)
+        dataset([0, 1, 2, 3, 4, 2, 0, -2]), spec(Idiom.LINE, Palette.POSITIVE)
     )
-    body = note_events(score)[:9]
+    body = notes_of(score)[:9]
     # Slope +1 walks the first degree upward from the anchor.
     assert [n.pitch for n in body[:5]] == [48, 52, 55, 60, 64]
     # Slope -2 walks the second degree downward, voiced major.
@@ -205,36 +169,35 @@ def test_criterion_03_scale_conformance():
             palette = Palette.POSITIVE if trial % 2 == 0 else Palette.NEGATIVE
             key = rng.randrange(12)
             if idiom is Idiom.BAR:
-                dataset = cat_dataset(
-                    [rng.uniform(-50, 100) for _ in range(rng.randint(1, 12))]
-                )
+                values = [rng.uniform(-50, 100) for _ in range(rng.randint(1, 12))]
+                table = dataset(values, labels(values))
             elif idiom is Idiom.PIE:
                 values = [rng.uniform(0.05, 10) for _ in range(rng.randint(1, 12))]
-                dataset = cat_dataset(values)
+                table = dataset(values, labels(values))
                 if unsounded_slice(values, palette):
                     with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
-                        melodify(dataset, mk_spec(idiom, palette, key))
+                        melodify(table, spec(idiom, palette, key_root=key))
                     continue
             elif idiom is Idiom.LINE:
                 n = rng.randint(2, 40)
                 if trial % 3 == 0:
-                    dataset = q_dataset([rng.randint(-10, 10) for _ in range(n)])
+                    table = dataset([rng.randint(-10, 10) for _ in range(n)])
                 else:
-                    dataset = q_dataset([rng.uniform(-20, 20) for _ in range(n)])
+                    table = dataset([rng.uniform(-20, 20) for _ in range(n)])
             else:
-                dataset = q_dataset(
+                table = dataset(
                     [rng.uniform(0, 100) for _ in range(rng.randint(1, 64))]
                 )
 
-            score = melodify(dataset, mk_spec(idiom, palette, key))
+            score = melodify(table, spec(idiom, palette, key_root=key))
             offsets = MAJOR_OFFSETS if palette is Palette.POSITIVE else MINOR_OFFSETS
             scale_classes = {(key + o) % 12 for o in offsets}
-            notes = note_events(score)
+            notes = notes_of(score)
             if idiom is Idiom.LINE:
                 # Line segments modulate to their slope's degree, so the
                 # body is checked against each segment's own chord; the
                 # cadence must sit inside the home scale.
-                series = [float(v) for v in dataset.column("v").values]
+                series = [float(v) for v in table.column("v").values]
                 allowed = _line_body_oracle(series, key, palette)
                 body = [n for n in notes if n.velocity != 96]
                 assert len(body) == len(allowed)
@@ -257,9 +220,9 @@ def test_criterion_04_span_bounds():
     rng = random.Random(91210)
 
     def body_pitches(values):
-        score = melodify(q_dataset(values), mk_spec(Idiom.SCATTER, Palette.POSITIVE))
+        score = melodify(dataset(values), spec(Idiom.SCATTER, Palette.POSITIVE))
         return [
-            n.pitch for n in note_events(score)
+            n.pitch for n in notes_of(score)
             if n.articulation is Articulation.STACCATO
         ]
 
@@ -294,15 +257,15 @@ def test_criterion_05_scatter_pedal():
         n = rng.randint(1, 7)
         values = [rng.uniform(0, 50) for _ in range(n)]
         palette = rng.choice([Palette.POSITIVE, Palette.NEGATIVE, Palette.CALM])
-        score = melodify(q_dataset(values), mk_spec(Idiom.SCATTER, palette, rng.randrange(12)))
-        pedals = pedal_events(score)
+        score = melodify(dataset(values), spec(Idiom.SCATTER, palette, key_root=rng.randrange(12)))
+        pedals = pedals_of(score)
         assert [p.state for p in pedals] == [PedalState.DOWN, PedalState.UP]
         assert pedals[0].tick < pedals[1].tick
     for _ in range(100):
         n = rng.randint(8, 64)
         values = [rng.uniform(0, 50) for _ in range(n)]
-        score = melodify(q_dataset(values), mk_spec(Idiom.SCATTER, Palette.POSITIVE))
-        assert pedal_events(score) == []
+        score = melodify(dataset(values), spec(Idiom.SCATTER, Palette.POSITIVE))
+        assert pedals_of(score) == []
     _pass(5, "scatter pedal")
 
 
@@ -320,17 +283,17 @@ def test_criterion_06_pie_conservation():
         # dropped from the cycle.
         if unsounded_slice(values, Palette.GREY):
             with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
-                melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.GREY))
+                melodify(dataset(values, labels(values)), spec(Idiom.PIE, Palette.GREY))
             refused += 1
             continue
 
         # Grey has no closing chords, so the loop doubles the whole
         # score exactly.
-        score = melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.GREY))
+        score = melodify(dataset(values, labels(values)), spec(Idiom.PIE, Palette.GREY))
         assert score.loop == Loop(0, CYCLE_TICKS, 2)
         durations = {
             n.onset_tick: n.duration_ticks
-            for n in note_events(score)
+            for n in notes_of(score)
             if n.onset_tick < CYCLE_TICKS
         }
         rendered = [durations[onset] for onset in sorted(durations)]
@@ -340,7 +303,7 @@ def test_criterion_06_pie_conservation():
         for ratio, unit in zip(ratios, units):
             assert abs(unit * SIXTEENTH - ratio * CYCLE_TICKS) <= SIXTEENTH
         single_pass_end = max(
-            n.onset_tick + n.duration_ticks for n in note_events(score)
+            n.onset_tick + n.duration_ticks for n in notes_of(score)
         )
         assert single_pass_end == CYCLE_TICKS
         assert total_duration_ticks(expand_loops(score)) == 2 * single_pass_end
@@ -354,12 +317,12 @@ def test_criterion_06_pie_conservation():
         values = [rng.uniform(0.01, 10) for _ in range(rng.randint(1, 12))]
         if unsounded_slice(values, Palette.POSITIVE):
             with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
-                melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
+                melodify(dataset(values, labels(values)), spec(Idiom.PIE, Palette.POSITIVE))
             continue
-        score = melodify(cat_dataset(values), mk_spec(Idiom.PIE, Palette.POSITIVE))
+        score = melodify(dataset(values, labels(values)), spec(Idiom.PIE, Palette.POSITIVE))
         assert total_duration_ticks(expand_loops(score)) == 2 * CYCLE_TICKS + 2 * BAR_TICKS
         cadence_onsets = {
-            n.onset_tick for n in note_events(expand_loops(score)) if n.velocity == 96
+            n.onset_tick for n in notes_of(expand_loops(score)) if n.velocity == 96
         }
         assert cadence_onsets == {2 * CYCLE_TICKS, 2 * CYCLE_TICKS + BAR_TICKS}
     _pass(6, "pie conservation")
@@ -391,9 +354,8 @@ def test_criterion_07_monotone_mapping():
         k = rng.randint(1, 12)
         values = [rng.uniform(-50, 100) for _ in range(k)]
         palette = rng.choice([Palette.POSITIVE, Palette.NEGATIVE])
-        score = melodify(cat_dataset(values), mk_spec(Idiom.BAR, palette, rng.randrange(12)))
-        chords = chords_by_onset(score)[:k]
-        roots = [pitches[0] for _, pitches in chords]
+        score = melodify(dataset(values, labels(values)), spec(Idiom.BAR, palette, key_root=rng.randrange(12)))
+        roots = [pitches[0] for pitches in chords_of(score)[:k]]
         top = int(np.argmax(values))
         assert roots[top] == max(roots)
     _pass(7, "monotone mapping")
@@ -447,36 +409,12 @@ def test_criterion_08_segmentation_brute_force():
 
 # --- 9: MIDI bytes round-trip -------------------------------------------------
 
-def _oracle_decode_vlq(data):
-    value = 0
-    for i, byte in enumerate(data):
-        value = (value << 7) | (byte & 0x7F)
-        if not byte & 0x80:
-            return value, i + 1
-    raise AssertionError("unterminated quantity")
-
-
-_GATES = {
-    Articulation.NORMAL: 0.85,
-    Articulation.STACCATO: 0.5,
-    Articulation.LEGATO: 1.0,
-}
-
-
 def _expected_parsed_notes(score):
-    notes = note_events(score)
-    resolved = []
-    for i, note in enumerate(notes):
-        articulation = note.articulation
-        if articulation is Articulation.ACCENT:
-            articulation = Articulation.NORMAL
-            for j in list(range(i - 1, -1, -1)) + list(range(i + 1, len(notes))):
-                if notes[j].articulation is not Articulation.ACCENT:
-                    articulation = notes[j].articulation
-                    break
-        sounding = max(1, int(_GATES[articulation] * note.duration_ticks))
-        resolved.append((note.onset_tick, sounding, note.pitch, note.velocity))
-    return sorted(resolved)
+    notes = notes_of(score)
+    return sorted(
+        (n.onset_tick, max(1, int(gate(notes, i) * n.duration_ticks)), n.pitch, n.velocity)
+        for i, n in enumerate(notes)
+    )
 
 
 def _assert_round_trip(score):
@@ -504,13 +442,13 @@ def _assert_round_trip(score):
         (n.onset_tick, n.duration_ticks, n.pitch, n.velocity) for n in parsed.notes
     )
     assert got_notes == _expected_parsed_notes(score)
-    assert parsed.pedals == tuple((p.tick, p.state) for p in pedal_events(score))
+    assert parsed.pedals == tuple((p.tick, p.state) for p in pedals_of(score))
 
 
 def test_criterion_09_smf_round_trip():
     for value in range(1 << 16):
         encoded = encode_vlq(value)
-        decoded, used = _oracle_decode_vlq(encoded)
+        decoded, used = decode_vlq(encoded)
         assert (decoded, used) == (value, len(encoded))
         expected_length = 1 if value < (1 << 7) else 2 if value < (1 << 14) else 3
         assert len(encoded) == expected_length
@@ -527,14 +465,14 @@ def test_criterion_09_smf_round_trip():
         n = rng.randint(2, 24)
         if idiom in (Idiom.BAR, Idiom.PIE):
             values = [rng.uniform(0.1, 50) for _ in range(n)]
-            dataset = cat_dataset(values)
+            table = dataset(values, labels(values))
             if idiom is Idiom.PIE and unsounded_slice(values, palette):
                 with pytest.raises(ProportionError, match="rounds to 0 of the cycle"):
-                    melodify(dataset, mk_spec(idiom, palette, key))
+                    melodify(table, spec(idiom, palette, key_root=key))
                 continue
         else:
-            dataset = q_dataset([rng.uniform(-30, 70) for _ in range(n)])
-        score = melodify(dataset, mk_spec(idiom, palette, key))
+            table = dataset([rng.uniform(-30, 70) for _ in range(n)])
+        score = melodify(table, spec(idiom, palette, key_root=key))
         _assert_round_trip(expand_loops(score))
 
     handmade = Score(
@@ -567,21 +505,21 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
     by_slug = {track.slug: melodify(track.dataset, track.spec) for track in TRACKS}
 
     # Rising bars close dominant-to-tonic in C major.
-    chords = [c for _, c in chords_by_onset(by_slug["01-bar-positive"])]
+    chords = chords_of(by_slug["01-bar-positive"])
     assert chords[-2:] == [(55, 59, 62), (48, 52, 55)]
 
     # Falling bars close deceptively: B-flat major into C minor.
-    chords = [c for _, c in chords_by_onset(by_slug["02-bar-negative"])]
+    chords = chords_of(by_slug["02-bar-negative"])
     assert chords[-2:] == [(58, 62, 65), (48, 51, 55)]
 
     # The two-trend line accents its downturn.
-    body = note_events(by_slug["03-line-positive"])[:9]
+    body = notes_of(by_slug["03-line-positive"])[:9]
     assert [n.pitch for n in body] == [48, 52, 55, 60, 64, 62, 57, 54, 50]
     assert [n.articulation for n in body].count(Articulation.ACCENT) == 1
     assert body[5].articulation is Articulation.ACCENT
 
     # Its grey twin weaves chromatic passing tones and never cadences.
-    grey_line = note_events(by_slug["05-line-grey"])
+    grey_line = notes_of(by_slug["05-line-grey"])
     assert len(grey_line) == 16
     assert all(n.velocity != 96 for n in grey_line)
     major_classes = {0, 2, 4, 5, 7, 9, 11}
@@ -590,7 +528,7 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
     pie = by_slug["06-pie-positive"]
     slice_durations = {
         n.onset_tick: n.duration_ticks
-        for n in note_events(pie)
+        for n in notes_of(pie)
         if n.onset_tick < CYCLE_TICKS
     }
     assert [slice_durations[o] for o in sorted(slice_durations)] == [3120, 2280, 1560, 720]
@@ -598,21 +536,21 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
 
     # Sparse wide scatter blurs under one pedal and spans three octaves.
     scatter = by_slug["07-scatter-sparse-wide"]
-    staccato = [n for n in note_events(scatter) if n.articulation is Articulation.STACCATO]
-    assert [p.state for p in pedal_events(scatter)] == [PedalState.DOWN, PedalState.UP]
+    staccato = [n for n in notes_of(scatter) if n.articulation is Articulation.STACCATO]
+    assert [p.state for p in pedals_of(scatter)] == [PedalState.DOWN, PedalState.UP]
     assert max(n.pitch for n in staccato) == 48 + 36
     assert max(n.pitch for n in staccato) > 48 + 24
 
     # Dense narrow scatter stays within one octave, dry.
     scatter = by_slug["08-scatter-dense-narrow"]
-    staccato = [n for n in note_events(scatter) if n.articulation is Articulation.STACCATO]
-    assert pedal_events(scatter) == []
+    staccato = [n for n in notes_of(scatter) if n.articulation is Articulation.STACCATO]
+    assert pedals_of(scatter) == []
     assert max(n.pitch for n in staccato) <= 48 + 12
     assert all(n.duration_ticks == SIXTEENTH for n in staccato)
 
     # Grey scatter leaves the diatonic set and never cadences.
     grey = by_slug["09-scatter-grey"]
-    assert pedal_events(grey) == []
-    assert any(n.pitch % 12 not in major_classes for n in note_events(grey))
-    assert all(n.velocity != 96 for n in note_events(grey))
+    assert pedals_of(grey) == []
+    assert any(n.pitch % 12 not in major_classes for n in notes_of(grey))
+    assert all(n.velocity != 96 for n in notes_of(grey))
     _pass(10, "tracklist golden")

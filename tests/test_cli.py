@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import melodify
 from melodify import errors, melodifier, smf, smf_reader
 from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
-from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from melodify.ingest import Idiom, Palette
 from melodify.score import (
     MAX_EXPANDED_EVENTS,
     Articulation,
@@ -27,11 +27,12 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
-    expand_loops,
-    total_duration_ticks,
 )
 from melodify.smf import parse_smf_minimal
 from melodify.theory import ScaleMode
+
+import reference
+from reference import decode_vlq
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -253,6 +254,39 @@ def test_compile_rejects_loop_beyond_event_cap(tmp_path, capsys):
     assert not path.with_suffix(".mid").exists()
 
 
+SPEC_TEXT = json.dumps({"idiom": "bar", "palette": "positive", "x": "k", "y": "v"})
+
+
+@pytest.mark.parametrize(
+    ("files", "argv", "output", "flag"),
+    [
+        (["sales.txt"], ["--data", "sales.txt", "--emit", "text"], "sales.txt", "--data"),
+        (["sales.txt"], ["--data", "sales.txt", "--emit", "both"], "sales.txt", "--data"),
+        (["sales.mid"], ["--data", "sales.mid"], "sales.mid", "--data"),
+        (["sales.csv", "tune.txt"], ["--data", "sales.csv", "--spec", "tune.txt",
+                                     "--out", "tune.mid", "--emit", "both"], "tune.txt", "--spec"),
+        # One file named relative to the working directory and by its full path.
+        (["sales.txt"], ["--data", "./sales.txt", "--out", "DIR/sales.mid", "--emit", "text"],
+         "DIR/sales.txt", "--data"),
+    ],
+    ids=["text-table-text", "text-table-both", "midi-table-midi", "spec", "relative-spelling"],
+)
+def test_compile_refuses_to_overwrite_its_input(
+    tmp_path, capsys, monkeypatch, files, argv, output, flag
+):
+    monkeypatch.chdir(tmp_path)
+    inputs = {name: SPEC_TEXT if name == "tune.txt" else "k,v\na,1\nb,2\n" for name in files}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("DIR", str(tmp_path)) for arg in argv + BAR_FLAGS]
+    code, out, err = run(capsys, "compile", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error E_PARSE: output {output.replace('DIR', str(tmp_path))} would "
+                   f"overwrite the {flag} file; choose another --out\n")
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == inputs
+    assert reference.compile_command(argv) == (1, "", err, {})
+
+
 def test_compile_spec_file_with_byte_order_mark(bar_csv, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec = {"idiom": "bar", "palette": "positive", "x": "k", "y": "v"}
@@ -327,21 +361,10 @@ def test_every_emit_runs_the_gate_once(bar_csv, capsys, monkeypatch, emit, idiom
     if idiom == "pie" and emit != "text":
         # The only other call is write_smf's check of the looped score.
         (looped,) = others
-        dataset = Dataset(
-            (Column("k", ColumnKind.CATEGORICAL, ("a", "b", "c")),
-             Column("v", ColumnKind.QUANTITATIVE, (1.0, 2.0, 3.0))),
-            3,
-        )
-        spec = MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k")
-        assert len(looped.events) == len(melodifier.melodify(dataset, spec).events)
+        pie = reference.melodify(reference.dataset([1, 2, 3], "abc"), reference.spec(Idiom.PIE))
+        assert len(looped.events) == len(pie.events)
     else:
         assert others == []
-
-
-def expanded_summary(score: Score) -> str:
-    expanded = expand_loops(score)
-    notes = sum(1 for ev in expanded.events if isinstance(ev, NoteEvent))
-    return f"notes={notes} ticks={total_duration_ticks(expanded)}"
 
 
 @st.composite
@@ -353,17 +376,9 @@ def summarised_scores(draw):
         # sixteenths in the shortest (2/4) cycle.
         shares = draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
         assume(any(shares))
-        labels = tuple(f"s{i}" for i in range(len(shares)))
-        dataset = Dataset(
-            (Column("k", ColumnKind.CATEGORICAL, labels),
-             Column("v", ColumnKind.QUANTITATIVE, tuple(map(float, shares)))),
-            len(shares),
-        )
-        spec = MelodySpec(
-            Idiom.PIE, draw(st.sampled_from(list(Palette))), "v", x_field="k",
-            loop_count=draw(st.integers(1, 6)),
-        )
-        return melodifier.melodify(dataset, spec)
+        pie = reference.spec(Idiom.PIE, draw(st.sampled_from(list(Palette))),
+                             loop_count=draw(st.integers(1, 6)))
+        return melodifier.melodify(reference.dataset(shares, reference.labels(shares)), pie)
     events = draw(st.lists(
         st.one_of(
             st.builds(
@@ -386,7 +401,7 @@ def summarised_scores(draw):
 
 @given(summarised_scores())
 def test_summary_of_the_unexpanded_score_matches_the_expansion(score):
-    assert _summary(score) == expanded_summary(score)
+    assert _summary(score) == reference.summary(score)
 
 
 def test_parser_is_built_once():
@@ -804,25 +819,15 @@ def test_no_module_imports_dataclasses():
 
 def track_delta_times(data: bytes) -> list[int]:
     """Every delta-time of the one track, read without melodify's parser."""
-
-    def quantity(pos):
-        value = 0
-        while True:
-            byte = data[pos]
-            pos += 1
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value, pos
-
     assert data[14:18] == b"MTrk"
     pos, deltas = 22, []
     while pos < len(data):
-        delta, pos = quantity(pos)
+        delta, pos = decode_vlq(data, pos)
         deltas.append(delta)
         status = data[pos]
         pos += 1
         if status == 0xFF:
-            length, pos = quantity(pos + 1)
+            length, pos = decode_vlq(data, pos + 1)
             pos += length
         else:
             pos += 1 if status & 0xF0 == 0xC0 else 2

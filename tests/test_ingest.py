@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +11,6 @@ from melodify import ingest
 from melodify.errors import BindingError, ParseError
 from melodify.ingest import (
     VALUE_MAGNITUDE_MAX,
-    Column,
     ColumnKind,
     Dataset,
     Idiom,
@@ -25,6 +23,9 @@ from melodify.ingest import (
     spec_mapping,
     validate_binding,
 )
+
+import reference
+from reference import spec_of
 
 
 def csv_table(text: str):
@@ -162,52 +163,6 @@ def test_text_column_is_parsed_only_to_its_first_non_number(monkeypatch):
     assert len(calls) == 1 + 1000
 
 
-def per_cell_build_dataset(header, rows):
-    """The table checks as a loop over the cells, one number at a time:
-    the oracle of the column scans in ``ingest._build_dataset``."""
-
-    def as_number(cell):
-        cell = cell.strip()
-        return float(cell) if ingest._NUMBER.fullmatch(cell) else None
-
-    if not header:
-        raise ParseError("header row is empty")
-    for name in header:
-        if not isinstance(name, str) or not name:
-            raise ParseError("column names must be non-empty strings")
-    if len(set(header)) != len(header):
-        raise ParseError("duplicate column names in header")
-    if not rows:
-        raise ParseError("table has a header but no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
-
-    columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        numbers = []
-        for cell in cells:
-            number = as_number(cell)
-            if number is None:
-                break
-            numbers.append(number)
-        if len(numbers) == len(cells):
-            for i, number in enumerate(numbers):
-                if abs(number) > VALUE_MAGNITUDE_MAX:
-                    raise ParseError(
-                        f"value {ingest._shortened(cells[i])!r} at row {i + 1}, column "
-                        f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
-                    )
-            columns.append(Column(name, ColumnKind.QUANTITATIVE, tuple(numbers)))
-        else:
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise ParseError(f"empty cell at row {i + 1}, column {name!r}")
-            columns.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
-    return Dataset(tuple(columns), len(rows))
-
-
 NUMBER_CELLS = (
     "0", "12", "-7", "+3", ".5", "5.", "-0.25", "1e5", "2E-3", "1e100", "-1e100",
     " 12 ", "\t4\n", "\x1c7\x1f", "\xa03.5\xa0", "\u20038\u2003",
@@ -248,54 +203,18 @@ def build_or_error(build, header, rows):
 
 
 @given(raw_tables())
+# A separator str.strip removes and float() refuses: only stripped cells convert.
+@example((["v"], [["\x1c7\x1f"], ["8"]]))
 def test_column_scans_match_the_per_cell_loop(table):
     header, rows = table
     got = build_or_error(ingest._build_dataset, header, rows)
-    expected = build_or_error(per_cell_build_dataset, header, rows)
+    expected = build_or_error(reference.build_dataset, header, rows)
     assert got == expected
     if isinstance(expected, Dataset):
         for column, want in zip(got.columns, expected.columns):
             assert column.kind is want.kind
             assert type(column.values) is tuple
             assert [type(v) for v in column.values] == [type(v) for v in want.values]
-
-
-def per_record_rows_from_json(text):
-    """A JSON table's checks as a loop over its records and their values,
-    giving rows of cells: the oracle of ``ingest._columns_from_json``."""
-
-    def reject_constant(token):
-        raise ParseError(f"non-finite number {token!r} in table")
-
-    try:
-        payload = json.loads(text, parse_constant=reject_constant)
-    except ValueError as exc:
-        raise ParseError(f"json error: {exc}") from exc
-    if not isinstance(payload, list):
-        raise ParseError("json table must be an array of record objects")
-    if not payload:
-        raise ParseError("json table is an empty array")
-    first = payload[0]
-    if not isinstance(first, dict) or not first:
-        raise ParseError("json table rows must be non-empty objects")
-    header = list(first.keys())
-    key_set = set(header)
-    rows = []
-    for i, record in enumerate(payload):
-        if not isinstance(record, dict) or set(record.keys()) != key_set:
-            raise ParseError(f"record {i + 1} does not match the first row's keys")
-        cells = []
-        for name in header:
-            value = record[name]
-            if isinstance(value, bool) or value is None or isinstance(value, (dict, list)):
-                raise ParseError(
-                    f"record {i + 1}, key {name!r}: values must be strings or numbers"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParseError(f"non-finite number in record {i + 1}")
-            cells.append(value if isinstance(value, str) else repr(value))
-        rows.append(cells)
-    return header, rows
 
 
 # Stand-ins for JSON literals json.dumps cannot write: past float range,
@@ -346,9 +265,7 @@ def parse_or_error(parse, text):
 @example('[{"v": 1}, {"v": true}, {"v": -1e400}]')
 def test_json_column_passes_match_the_per_record_loop(text):
     got = parse_or_error(lambda t: parse_table(t.encode(), TableFormat.JSON), text)
-    expected = parse_or_error(
-        lambda t: per_cell_build_dataset(*per_record_rows_from_json(t)), text
-    )
+    expected = parse_or_error(lambda t: reference.parse_table(t.encode(), is_json=True), text)
     assert got == expected
     if isinstance(expected, Dataset):
         for column, want in zip(got.columns, expected.columns):
@@ -478,12 +395,6 @@ def test_json_syntax_error_rejected():
 
 
 # --- spec parsing -------------------------------------------------------------
-
-def spec_of(**kw):
-    base = {"idiom": "bar", "palette": "positive", "y": "v"}
-    base.update(kw)
-    return spec_from_mapping(base)
-
 
 def test_spec_minimal_defaults():
     spec = spec_of()

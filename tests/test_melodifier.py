@@ -14,61 +14,24 @@ from melodify import melodifier
 from melodify.errors import BindingError, MelodifyError, ParseError, ProportionError
 from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
 from melodify.melodifier import (
-    PALETTE_PRESETS,
-    SUBDIVISION_BY_DENSITY,
-    VELOCITY_NORMAL,
     apply_palette,
     bar_ticks,
     derive_character,
     largest_remainder_allocation,
     melodify,
 )
-from melodify.score import (
-    TICKS_PER_QUARTER,
-    Articulation,
-    NoteEvent,
-    PedalEvent,
-    PedalState,
-    sorted_events,
-)
-from melodify.stats import DensityLevel
+from melodify.score import Articulation, NoteEvent, PedalState, sorted_events
 from melodify.theory import (
     CadenceKind,
     ChordQuality,
     ScaleMode,
     build_scale,
-    degree_triad,
     quantize_pitch,
     triad_on_pitch,
 )
 
-
-def dataset(values, categories=None):
-    cols = []
-    if categories is not None:
-        cols.append(Column("k", ColumnKind.CATEGORICAL, tuple(categories)))
-    cols.append(Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in values)))
-    return Dataset(tuple(cols), len(values))
-
-
-def spec(idiom, palette=Palette.POSITIVE, x=None, **kw):
-    return MelodySpec(idiom, palette, "v", x_field=x, **kw)
-
-
-def notes_of(score):
-    return [e for e in score.events if isinstance(e, NoteEvent)]
-
-
-def pedals_of(score):
-    return [e for e in score.events if isinstance(e, PedalEvent)]
-
-
-def chords_of(score):
-    """Notes grouped by onset, pitches ascending."""
-    by_onset: dict[int, list[int]] = {}
-    for n in notes_of(score):
-        by_onset.setdefault(n.onset_tick, []).append(n.pitch)
-    return [tuple(sorted(ps)) for _, ps in sorted(by_onset.items())]
+import reference
+from reference import assert_same_events, chords_of, dataset, labels, notes_of, pedals_of, spec
 
 
 # --- palettes -----------------------------------------------------------------
@@ -505,18 +468,6 @@ def test_every_idiom_writes_its_events_in_score_order(ds, melody_spec, pedals):
 
 # --- the per-root chord cache -------------------------------------------------
 
-def uncached_quantized_chord(value, domain, scale, span_semitones, anchor):
-    """The chord mapping as it was before the per-root cache: the oracle."""
-    root = quantize_pitch(value, domain, scale, span_semitones, anchor)
-    if scale.mode is ScaleMode.CHROMATIC:
-        return triad_on_pitch(root, ChordQuality.MAJOR)
-    degree = scale.member_classes.index(root % 12) + 1
-    chord = degree_triad(scale, degree, root)
-    if chord.quality is ChordQuality.DIMINISHED:
-        chord = melodifier._dominant_substitute(scale, root)
-    return chord
-
-
 def test_cached_chord_matches_the_uncached_oracle_for_every_root():
     for scale in [build_scale(root, mode) for root in range(12) for mode in ScaleMode]:
         in_range = 0
@@ -526,12 +477,12 @@ def test_cached_chord_matches_the_uncached_oracle_for_every_root():
             # the MIDI range must fail as the oracle does.
             args = (0.0, (0.0, 0.0), scale, 0, root)
             try:
-                expected = uncached_quantized_chord(*args)
+                expected = reference.uncached_quantized_chord(*args)
             except (ValueError, MelodifyError) as exc:
                 with pytest.raises(type(exc)):
-                    melodifier._quantized_chord(*args)
+                    melodifier._chord_on_root(quantize_pitch(*args), scale)
             else:
-                assert melodifier._quantized_chord(*args) == expected
+                assert melodifier._chord_on_root(quantize_pitch(*args), scale) == expected
                 in_range += 1
         # 69 to 71 roots in each diatonic scale, 121 in each chromatic one.
         assert in_range >= 69
@@ -546,7 +497,7 @@ def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
 
     monkeypatch.setattr(melodifier, "quantize_pitch", recording_quantize)
     values = [(i * 7919) % 1000 + 1 for i in range(3000)]
-    ds = dataset(values, [f"c{i}" for i in range(3000)])
+    ds = dataset(values, labels(values))
     melodifier._chord_on_root.cache_clear()
     melodify(ds, spec(Idiom.BAR, x="k"))
     info = melodifier._chord_on_root.cache_info()
@@ -557,55 +508,6 @@ def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
 
 
 # --- bar and scatter bodies in two comprehensions -----------------------------
-
-def per_value_bar_body(spec, plan, character):
-    """The bar body as one loop over the values: the oracle."""
-    values = character.series
-    domain = (min(values), max(values))
-    bar = plan.bar_ticks
-    span = character.variance.semitone_span
-
-    pedal = spec.histogram and character.density.level is DensityLevel.LOW
-    events = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    for i, value in enumerate(values):
-        chord = melodifier._quantized_chord(value, domain, plan.scale, span, plan.anchor)
-        for pitch in chord.pitches:
-            events.append(NoteEvent(i * bar, bar, pitch, VELOCITY_NORMAL, Articulation.NORMAL))
-    body_end = len(values) * bar
-    if pedal:
-        events.append(PedalEvent(body_end, PedalState.UP))
-    return events, body_end
-
-
-def per_value_scatter_body(spec, plan, character):
-    """The scatter body as one loop over the points: the oracle."""
-    series = character.series
-    domain = (min(series), max(series))
-    span = character.variance.semitone_span
-    step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[character.density.level]
-
-    pedal = character.density.level is DensityLevel.LOW
-    events = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    for i, value in enumerate(series):
-        pitch = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
-        events.append(
-            NoteEvent(i * step, step, pitch, VELOCITY_NORMAL, Articulation.STACCATO)
-        )
-    body_end = len(series) * step
-    if pedal:
-        events.append(PedalEvent(body_end, PedalState.UP))
-    return events, body_end
-
-
-def assert_same_events(got, expected):
-    """Equal events of the same record classes, with the same field types
-    and the same Articulation and PedalState members."""
-    assert got == expected
-    for ev, want in zip(got, expected):
-        assert type(ev) is type(want)
-        assert [type(field) for field in ev] == [type(field) for field in want]
-        assert ev[-1] is want[-1]  # the articulation or pedal state member
-
 
 series_values = st.one_of(
     st.integers(-3, 3),  # many duplicates
@@ -630,10 +532,10 @@ series_values = st.one_of(
 def test_bar_and_scatter_bodies_match_the_per_value_loops(
     values, palette, key_root, histogram, time_signature
 ):
-    ds = dataset(values, [f"c{i}" for i in range(len(values))])
+    ds = dataset(values, labels(values))
     for idiom, body, oracle, x in (
-        (Idiom.BAR, melodifier._bar_body, per_value_bar_body, "k"),
-        (Idiom.SCATTER, melodifier._scatter_body, per_value_scatter_body, None),
+        (Idiom.BAR, melodifier._bar_body, reference.bar_body, "k"),
+        (Idiom.SCATTER, melodifier._scatter_body, reference.scatter_body, None),
     ):
         melody_spec = spec(
             idiom, palette, x=x, key_root=key_root, histogram=histogram,

@@ -2,9 +2,11 @@
 
 Whatever table bytes and flags arrive, ``melodify compile`` takes one of
 two paths. It exits 0 having written a ``.mid`` that the strict reader
-accepts, holding as many notes as its ``notes=`` summary says. Or it
-exits 1 with exactly one ``error E_…: message`` line on stderr and no
-file written. Exit 2 is a bug.
+accepts, holding as many notes as its ``notes=`` summary says, and the
+``.txt`` asked for. Or it exits 1 with exactly one ``error E_…: message``
+line on stderr and no file written. Exit 2 is a bug. Either way the
+table is left as it was, and the exit status, stdout, stderr and every
+byte written are those of the reference compiler (``reference.py``).
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 from melodify.cli import USER_ERROR_CODES, main
 from melodify.score import MAX_EXPANDED_EVENTS
 from melodify.smf import parse_smf_minimal
+
+import reference
 
 COLUMNS = ("k", "v", "t")
 
@@ -122,7 +126,8 @@ def tables(draw) -> tuple[str, bytes]:
             row.append(1)
 
     if draw(st.booleans()):
-        suffix = ".csv"
+        # A table named .txt is read as CSV, and a text score would replace it.
+        suffix = draw(mostly((".csv",), (".txt",)))
         text = _csv_text(header, rows, draw(st.sampled_from(("\n", "\r\n"))))
     else:
         suffix = ".json"
@@ -158,15 +163,13 @@ def flag_sets(draw) -> list[str]:
             flags += [flag, draw(mostly(*values))]
     if draw(st.booleans()):
         flags.append("--histogram")
-    return flags + ["--emit", draw(st.sampled_from(("midi", "both")))]
+    return flags + ["--emit", draw(st.sampled_from(("midi", "text", "both")))]
 
 
-def _compile(directory: Path, suffix: str, raw: bytes, flags: list[str]):
-    data = directory / f"table{suffix}"
-    data.write_bytes(raw)
+def _compile(argv: list[str]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["compile", "--data", str(data), *flags])
+        code = main(["compile", *argv])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -175,17 +178,22 @@ def _compile(directory: Path, suffix: str, raw: bytes, flags: list[str]):
 def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(table, flags):
     suffix, raw = table
     with tempfile.TemporaryDirectory() as name:
-        directory = Path(name)
-        code, out, err = _compile(directory, suffix, raw, flags)
-        written = sorted(p.name for p in directory.iterdir() if p.suffix != suffix)
+        data = Path(name) / f"table{suffix}"
+        data.write_bytes(raw)
+        argv = ["--data", str(data), *flags]
+        code, out, err = _compile(argv)
+        written = {path: path.read_bytes() for path in data.parent.iterdir() if path != data}
 
         assert code in (0, 1), err
+        assert data.read_bytes() == raw
+        assert (code, out, err, written) == reference.compile_command(argv)
         if code == 0:
             assert err == ""
             notes = int(re.search(r" notes=(\d+) ticks=\d+$", out.splitlines()[0])[1])
-            parsed = parse_smf_minimal((directory / "table.mid").read_bytes())
-            assert len(parsed.notes) == notes
+            midi = data.with_suffix(".mid")
+            if midi in written:
+                assert len(parse_smf_minimal(written[midi]).notes) == notes
         else:
-            assert out == "" and written == []
+            assert out == "" and written == {}
             assert len(err.splitlines()) == 1, err
             assert re.fullmatch(r"error (E_[A-Z]+): .*\n", err, re.DOTALL)[1] in USER_ERROR_CODES

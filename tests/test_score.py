@@ -1,7 +1,6 @@
 """Score timeline invariants, structural checks, lint, and loop expansion."""
 from __future__ import annotations
 
-from bisect import bisect_left
 from unittest import mock
 
 import pytest
@@ -17,7 +16,6 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
-    event_sort_key,
     event_tick,
     expand_loops,
     lint,
@@ -27,19 +25,8 @@ from melodify.score import (
 )
 from melodify.theory import ScaleMode
 
-
-def note(onset, dur=480, pitch=60, vel=80, art=Articulation.NORMAL):
-    return NoteEvent(onset, dur, pitch, vel, art)
-
-
-def make_score(events, loop=None, key=(0, ScaleMode.MAJOR)):
-    return Score(
-        tempo_bpm=120,
-        time_signature=(4, 4),
-        key_signature=key,
-        events=sorted_events(events),
-        loop=loop,
-    )
+import reference
+from reference import assert_same_events, make_score, note
 
 
 # --- ordering -----------------------------------------------------------------
@@ -118,114 +105,6 @@ def test_loop_bounds_checked():
     assert any("loop" in m for m in structural_errors(inverted))
 
 
-def _base_end_tick_oracle(events):
-    end = 0
-    for ev in events:
-        if isinstance(ev, NoteEvent):
-            end = max(end, ev.onset_tick + ev.duration_ticks)
-        else:
-            end = max(end, ev.tick)
-    return end
-
-
-def total_duration_oracle(score):
-    """``total_duration_ticks`` as it was before it inlined the tick."""
-    if score.loop is None:
-        return _base_end_tick_oracle(score.events)
-    shift = (score.loop.count - 1) * (score.loop.end_tick - score.loop.start_tick)
-    end = 0
-    for ev in score.events:
-        ev_end = (
-            ev.onset_tick + ev.duration_ticks if isinstance(ev, NoteEvent) else ev.tick
-        )
-        if event_tick(ev) >= score.loop.start_tick:
-            ev_end += shift
-        end = max(end, ev_end)
-    return end
-
-
-def two_pass_structural_errors_oracle(score):
-    """The gate as it was before it checked everything in one pass: one
-    walk for order and ranges, a second for the pedal's balance."""
-    problems = []
-    error = problems.append
-
-    if score.tempo_bpm < 1:
-        error(f"tempo must be positive, got {score.tempo_bpm}")
-    elif round(60_000_000 / score.tempo_bpm) >= 1 << 24:
-        error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
-    numerator, denominator = score.time_signature
-    if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
-        error(f"bad time signature {numerator}/{denominator}")
-    else:
-        if numerator > 255:
-            error(f"time signature numerator {numerator} above 255")
-        if denominator > 2**255:
-            error(
-                f"time signature denominator 2**{denominator.bit_length() - 1} "
-                "above 2**255"
-            )
-
-    previous_key = None
-    for i, ev in enumerate(score.events):
-        key = event_sort_key(ev)
-        if previous_key is not None and key < previous_key:
-            error(f"event {i} out of order (tick {event_tick(ev)})")
-        previous_key = key
-        if isinstance(ev, NoteEvent):
-            if ev.onset_tick < 0:
-                error(f"event {i}: negative onset {ev.onset_tick}")
-            if ev.duration_ticks < 1:
-                error(f"event {i}: duration must be at least 1 tick")
-            if not 0 <= ev.pitch <= 127:
-                error(f"event {i}: pitch {ev.pitch} outside 0..127")
-            if not 1 <= ev.velocity <= 127:
-                error(f"event {i}: velocity {ev.velocity} outside 1..127")
-        else:
-            if ev.tick < 0:
-                error(f"event {i}: negative pedal tick {ev.tick}")
-
-    pedal_down = False
-    for ev in score.events:
-        if isinstance(ev, PedalEvent):
-            if ev.state is PedalState.DOWN:
-                if pedal_down:
-                    error("pedal pressed twice without a release")
-                pedal_down = True
-            else:
-                if not pedal_down:
-                    error("pedal released without a press")
-                pedal_down = False
-    if pedal_down:
-        error("pedal left pressed at end of score")
-
-    if score.loop is not None:
-        base_end = _base_end_tick_oracle(score.events)
-        if score.loop.count < 1:
-            error(f"loop count must be positive, got {score.loop.count}")
-        if not 0 <= score.loop.start_tick < score.loop.end_tick <= max(base_end, 1):
-            error(
-                f"loop region [{score.loop.start_tick}, {score.loop.end_tick}) "
-                f"outside score of {base_end} ticks"
-            )
-
-        def pedal_down_before(tick):
-            pedals = [ev for ev in score.events if isinstance(ev, PedalEvent) and ev.tick < tick]
-            return bool(pedals) and pedals[-1].state is PedalState.DOWN
-
-        start, end = score.loop.start_tick, score.loop.end_tick
-        if score.loop.count > 1 and pedal_down_before(start) != pedal_down_before(end):
-            error(
-                f"loop region [{start}, {end}) changes the pedal, so a repeat "
-                "would press or release it twice"
-            )
-
-    root, _ = score.key_signature
-    if not 0 <= root <= 11:
-        error(f"key signature root {root} outside 0..11")
-    return problems
-
-
 def _faulty(events=(), loop=None, time_signature=(4, 4), tempo=120, root=0):
     return Score(tempo, time_signature, (root, ScaleMode.MAJOR), tuple(events), loop)
 
@@ -275,8 +154,8 @@ def gate_scores(draw):
 @example(_faulty([note(-9, dur=2)], loop=Loop(0, 2, 2)))  # score ends below 0
 @example(_faulty([note(0)], time_signature=(0, 6), tempo=0, root=12))
 def test_one_pass_gate_matches_two_pass_oracle(score):
-    assert structural_errors(score) == two_pass_structural_errors_oracle(score)
-    assert total_duration_ticks(score) == total_duration_oracle(score)
+    assert structural_errors(score) == reference.structural_errors(score)
+    assert total_duration_ticks(score) == reference.total_duration_ticks(score)
 
 
 @pytest.mark.parametrize(
@@ -427,113 +306,11 @@ def test_expanded_score_compares_by_value():
     assert expand_loops(score) != expected._replace(tempo_bpm=121)
 
 
-def _shifted_oracle(event, by):
-    if isinstance(event, NoteEvent):
-        return event._replace(onset_tick=event.onset_tick + by)
-    return event._replace(tick=event.tick + by)
-
-
-def sort_based_expand_oracle(score):
-    """Copy the region per repeat in input order, then sort everything:
-    the expansion as it was before it emitted repeats in order."""
-    start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
-    length = end - start
-    out = []
-    for ev in score.events:
-        tick = event_tick(ev)
-        if tick < start:
-            out.append(ev)
-        elif tick < end:
-            out.extend(_shifted_oracle(ev, i * length) for i in range(count))
-        else:
-            out.append(_shifted_oracle(ev, (count - 1) * length))
-    return score._replace(events=sorted_events(out), loop=None)
-
-
-@given(
-    st.lists(
-        # Ticks in units of 60 over 0..24: the region's edges, the
-        # ticks before it and the tail after it all get events.
-        st.tuples(st.booleans(), st.integers(0, 24), st.integers(0, 127)),
-        max_size=25,
-    ),
-    st.integers(0, 12),
-    st.integers(1, 12),
-    st.integers(1, 5),
-    st.booleans(),
-)
-def test_expand_loops_matches_sort_based_oracle(specs, start, length, count, shuffle):
-    events = [
-        note(60 * tick, dur=60, pitch=pitch)
-        if is_note
-        else PedalEvent(60 * tick, PedalState.DOWN if pitch % 2 else PedalState.UP)
-        for is_note, tick, pitch in specs
-    ]
-    ordered = sorted_events(events)
-    # Unsorted input: the raw draw order, or the sorted order reversed.
-    score = Score(
-        tempo_bpm=120,
-        time_signature=(4, 4),
-        key_signature=(0, ScaleMode.MAJOR),
-        events=tuple(events) if shuffle else ordered[::-1],
-        loop=Loop(60 * start, 60 * (start + length), count),
-    )
-    assert_same_records(expand_loops(score), sort_based_expand_oracle(score))
-
-
-def _shifted(event, by):
-    if by == 0:
-        return event
-    if isinstance(event, NoteEvent):
-        return NoteEvent(
-            event.onset_tick + by,
-            event.duration_ticks,
-            event.pitch,
-            event.velocity,
-            event.articulation,
-        )
-    return PedalEvent(event.tick + by, event.state)
-
-
-def per_copy_expand_oracle(score):
-    """``expand_loops`` as it was when it built each copy with its
-    record's constructor; the cap is read from the module, so a test can
-    move it."""
-    if score.loop is None:
-        return score
-    start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
-    if count < 1 or end <= start:
-        raise MelodifyError(
-            f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
-        )
-    events = sorted_events(score.events)
-    ticks = [event_tick(ev) for ev in events]
-    first, after = bisect_left(ticks, start), bisect_left(ticks, end)
-    region = events[first:after]
-    expanded = len(events) + len(region) * (count - 1)
-    if expanded > score_module.MAX_EXPANDED_EVENTS:
-        raise ParseError(
-            f"loop of {count} repeats would expand to {expanded} events, "
-            f"above the cap of {score_module.MAX_EXPANDED_EVENTS}"
-        )
-    length = end - start
-    out = list(events[:first])
-    for i in range(count):
-        out.extend([_shifted(ev, i * length) for ev in region])
-    out.extend([_shifted(ev, (count - 1) * length) for ev in events[after:]])
-    return score._replace(events=tuple(out), loop=None)
-
-
 def assert_same_records(new, old):
-    """Equal, and of the same record types down to each field: a
-    NamedTuple compares equal to a plain tuple, and a str enum member
-    to its value."""
-    assert new == old
+    """Equal scores of the same record types down to each event's fields."""
     assert type(new) is type(old)
-    assert [type(ev) for ev in new.events] == [type(ev) for ev in old.events]
-    assert [tuple(map(type, ev)) for ev in new.events] == [
-        tuple(map(type, ev)) for ev in old.events
-    ]
+    assert new._replace(events=()) == old._replace(events=())
+    assert_same_events(new.events, old.events)
 
 
 def _expand_or_refusal(expand, score):
@@ -546,7 +323,8 @@ def _expand_or_refusal(expand, score):
 @st.composite
 def looped_scores(draw):
     # The region [start, end) on a 60-tick grid; events sit before it,
-    # inside it and after it, and one tick either side of each edge.
+    # inside it and after it, and one tick either side of each edge,
+    # in the order drawn, sorted, or sorted and reversed.
     start = 60 * draw(st.integers(0, 4))
     end = start + 60 * draw(st.integers(1, 4))
     tick = st.one_of(
@@ -569,6 +347,9 @@ def looped_scores(draw):
             max_size=16,
         )
     )
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if order != "drawn":
+        events = sorted_events(events)[:: 1 if order == "sorted" else -1]
     count = draw(st.integers(1, 6))
     score = Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), Loop(start, end, count))
     # The cap at, one below or one above the expanded size, or left as is.
@@ -584,7 +365,7 @@ def test_expand_loops_matches_per_copy_oracle(case):
     cap = score_module.MAX_EXPANDED_EVENTS if cap is None else cap
     with mock.patch.object(score_module, "MAX_EXPANDED_EVENTS", cap):
         got = _expand_or_refusal(expand_loops, score)
-        want = _expand_or_refusal(per_copy_expand_oracle, score)
+        want = _expand_or_refusal(reference.expand_loops, score)
     if isinstance(want, str):
         assert got == want
     else:

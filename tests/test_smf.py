@@ -1,11 +1,9 @@
 """MIDI byte emission: VLQ coding, header layout, gates, round-trips."""
 from __future__ import annotations
 
-import math
 import re
 import struct
 import tracemalloc
-from heapq import heappop, heappush
 
 import pytest
 from hypothesis import assume, example, given
@@ -13,61 +11,30 @@ from hypothesis import strategies as st
 
 from melodify import smf
 from melodify.errors import MelodifyError, ParseError
-from melodify.ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from melodify.ingest import Idiom
 from melodify.melodifier import melodify
 from melodify.score import (
     MAX_EXPANDED_EVENTS,
     Articulation,
     Loop,
-    NoteEvent,
     PedalEvent,
     PedalState,
-    Score,
     expand_loops,
-    sorted_events,
     structural_errors,
 )
 from melodify.smf import (
-    CHANNEL,
-    GATE_BY_ARTICULATION,
-    META_END_OF_TRACK,
-    META_KEY_SIGNATURE,
-    META_TEMPO,
-    META_TIME_SIGNATURE,
-    PROGRAM,
     SUSTAIN_CONTROLLER,
     encode_vlq,
     key_signature_bytes,
     parse_smf_minimal,
-    require_valid,
     sounding_durations,
     write_smf,
     write_text_score,
 )
 from melodify.theory import ScaleMode
 
-
-def decode_vlq_oracle(data: bytes) -> int:
-    """Independent decoder: big-endian 7-bit groups, high bit continues."""
-    value = 0
-    for byte in data:
-        value = (value << 7) | (byte & 0x7F)
-    assert not data[-1] & 0x80
-    return value
-
-
-def note(onset, dur=480, pitch=60, vel=80, art=Articulation.NORMAL):
-    return NoteEvent(onset, dur, pitch, vel, art)
-
-
-def make_score(events, loop=None, tempo=120, timesig=(4, 4), key=(0, ScaleMode.MAJOR)):
-    return Score(
-        tempo_bpm=tempo,
-        time_signature=timesig,
-        key_signature=key,
-        events=sorted_events(events),
-        loop=loop,
-    )
+import reference
+from reference import dataset, decode_vlq, labels, make_score, note, spec
 
 
 # --- VLQ ----------------------------------------------------------------------
@@ -94,7 +61,7 @@ def test_vlq_bounds():
 @given(st.integers(min_value=0, max_value=(1 << 28) - 1))
 def test_vlq_roundtrip_against_oracle(n):
     encoded = encode_vlq(n)
-    assert decode_vlq_oracle(encoded) == n
+    assert decode_vlq(encoded) == (n, len(encoded))
     assert len(encoded) <= 4
     # Shortest form: no leading 0x80 continuation of an all-zero group.
     if len(encoded) > 1:
@@ -309,52 +276,6 @@ def test_write_is_deterministic():
     assert write_smf(score) == write_smf(score)
 
 
-def _gate_oracle(notes, index):
-    """Nearest plainly articulated note's gate, searched back then forward."""
-    if notes[index].articulation is not Articulation.ACCENT:
-        return GATE_BY_ARTICULATION[notes[index].articulation]
-    for j in [*range(index - 1, -1, -1), *range(index + 1, len(notes))]:
-        if notes[j].articulation is not Articulation.ACCENT:
-            return GATE_BY_ARTICULATION[notes[j].articulation]
-    return GATE_BY_ARTICULATION[Articulation.NORMAL]
-
-
-def sort_based_smf_oracle(score):
-    """Every message in one list, stably sorted by (tick, kind): the
-    encoder as it was before it streamed."""
-    tempo_us = round(60_000_000 / score.tempo_bpm)
-    numerator, denominator = score.time_signature
-    root, mode = score.key_signature
-    messages = [
-        (0, 0, bytes([0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]),
-        (0, 0, bytes([0xFF, META_TIME_SIGNATURE, 0x04, numerator,
-                      denominator.bit_length() - 1, 24, 8])),
-        (0, 0, bytes([0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)),
-        (0, 0, bytes([0xC0 | CHANNEL, PROGRAM])),
-    ]
-    notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
-    note_index = 0
-    for ev in score.events:
-        if isinstance(ev, PedalEvent):
-            value = 127 if ev.state is PedalState.DOWN else 0
-            messages.append((ev.tick, 1, bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, value])))
-        else:
-            gate = _gate_oracle(notes, note_index)
-            held = max(1, int(gate * ev.duration_ticks))
-            note_index += 1
-            messages.append((ev.onset_tick, 3, bytes([0x90 | CHANNEL, ev.pitch, ev.velocity])))
-            messages.append((ev.onset_tick + held, 2, bytes([0x80 | CHANNEL, ev.pitch, 0])))
-    messages.sort(key=lambda m: (m[0], m[1]))
-    body = bytearray()
-    cursor = 0
-    for tick, _, data in messages:
-        body += encode_vlq(tick - cursor) + data
-        cursor = tick
-    body += encode_vlq(0) + bytes([0xFF, META_END_OF_TRACK, 0x00])
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
-    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-
-
 ARTICULATIONS = st.sampled_from(list(Articulation))
 
 
@@ -393,83 +314,6 @@ def writable_scores(draw):
         for i, tick in enumerate(presses)
     ]
     return make_score(pedals + notes)
-
-
-@given(writable_scores())
-def test_streamed_encoder_matches_sort_based_oracle(score):
-    assert write_smf(score) == sort_based_smf_oracle(score)
-
-
-_ORACLE_NOTE_ON = bytes([0x90 | CHANNEL])
-_ORACLE_NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
-_ORACLE_PEDAL = {
-    PedalState.DOWN: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 127]),
-    PedalState.UP: bytes([0xB0 | CHANNEL, SUSTAIN_CONTROLLER, 0]),
-}
-
-
-def closure_smf_oracle(score):
-    """``write_smf`` as it was when a ``write_delta`` and a
-    ``release_before`` closure wrote each message."""
-    if score.loop is not None:
-        raise MelodifyError("expand the score's loop before writing MIDI")
-    require_valid(score)
-
-    tempo_us = round(60_000_000 / score.tempo_bpm)
-    numerator, denominator = score.time_signature
-    root, mode = score.key_signature
-
-    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480))
-    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
-    track_start = len(out)
-    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
-    out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
-                  denominator.bit_length() - 1, 24, 8])
-    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
-    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
-
-    append = out.append
-    pending = []  # (off tick, event index, pitch)
-    cursor = 0
-
-    def write_delta(tick):
-        nonlocal cursor
-        delta = tick - cursor
-        if delta < 0x80:
-            append(delta)
-        elif delta < 0x4000:
-            append(0x80 | delta >> 7)
-            append(delta & 0x7F)
-        else:
-            out.extend(encode_vlq(delta))
-        cursor = tick
-
-    def release_before(due):
-        while pending and pending[0][0] < due:
-            tick, _, pitch = heappop(pending)
-            write_delta(tick)
-            out.extend(_ORACLE_NOTE_OFF[pitch])
-
-    notes = [ev for ev in score.events if type(ev) is NoteEvent]
-    held = iter(sounding_durations(notes))
-    for index, ev in enumerate(score.events):
-        if type(ev) is NoteEvent:
-            tick = ev.onset_tick
-            release_before(tick + 1)
-            write_delta(tick)
-            out += _ORACLE_NOTE_ON
-            append(ev.pitch)
-            append(ev.velocity)
-            heappush(pending, (tick + next(held), index, ev.pitch))
-        else:
-            release_before(ev.tick)
-            write_delta(ev.tick)
-            out += _ORACLE_PEDAL[ev.state]
-    release_before(math.inf)
-    out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
-
-    struct.pack_into(">I", out, track_start - 4, len(out) - track_start)
-    return bytes(out)
 
 
 # Gaps and durations that land deltas on each side of the one- and
@@ -512,10 +356,10 @@ def dense_scores(draw):
 
 
 @given(dense_scores() | writable_scores())
-def test_inline_encoder_matches_closure_oracle(score):
-    got, want = write_smf(score), closure_smf_oracle(score)
-    assert type(got) is type(want)  # bytearray would compare equal to bytes
-    assert got == want
+def test_streamed_encoder_matches_sort_based_oracle(score):
+    got = write_smf(score)
+    assert type(got) is bytes  # a bytearray would compare equal
+    assert got == reference.write_smf(score)
 
 
 def test_delta_times_at_each_vlq_length_boundary():
@@ -536,7 +380,7 @@ def test_delta_times_at_each_vlq_length_boundary():
         ]
     )
     data = write_smf(score)
-    assert data == sort_based_smf_oracle(score)
+    assert data == reference.write_smf(score)
     messages = [
         (0, [0xB0, SUSTAIN_CONTROLLER, 127]),
         (0, [0x90, 60, 80]),
@@ -555,19 +399,16 @@ def test_delta_times_at_each_vlq_length_boundary():
     assert parsed.pedals == ((0, PedalState.DOWN), (c_off + 2**21, PedalState.UP))
 
 
+def _pie(loop_count):
+    """A 32-slice pie, every slice above 1/64 of the cycle."""
+    shares = [80 + (i * 37) % 41 for i in range(32)]
+    return melodify(dataset(shares, labels(shares)), spec(Idiom.PIE, loop_count=loop_count))
+
+
 def test_write_smf_memory_stays_small_on_a_long_loop():
     # A 32-slice pie looped 128 times expands to about 12k events. A list
     # of every message, sorted, peaked near 4.4 MB here.
-    shares = [80 + (i * 37) % 41 for i in range(32)]
-    dataset = Dataset(
-        (
-            Column("k", ColumnKind.CATEGORICAL, tuple(f"c{i}" for i in range(32))),
-            Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in shares)),
-        ),
-        32,
-    )
-    spec = MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k", loop_count=128)
-    score = expand_loops(melodify(dataset, spec))
+    score = expand_loops(_pie(128))
     assert len(score.events) > 12_000
     tracemalloc.start()
     try:
@@ -691,20 +532,6 @@ def test_looped_write_and_its_expansion_share_the_event_cap(over):
         assert str(looped.value) == str(expanded.value)
     else:
         assert write_smf(score) == write_smf(expand_loops(score))
-
-
-def _pie(loop_count):
-    """A 32-slice pie, every slice above 1/64 of the cycle."""
-    shares = [80 + (i * 37) % 41 for i in range(32)]
-    dataset = Dataset(
-        (
-            Column("k", ColumnKind.CATEGORICAL, tuple(f"c{i}" for i in range(32))),
-            Column("v", ColumnKind.QUANTITATIVE, tuple(float(v) for v in shares)),
-        ),
-        32,
-    )
-    spec = MelodySpec(Idiom.PIE, Palette.POSITIVE, "v", x_field="k", loop_count=loop_count)
-    return melodify(dataset, spec)
 
 
 def test_looped_write_walks_the_same_events_at_any_loop_count(monkeypatch):
