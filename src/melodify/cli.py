@@ -89,14 +89,23 @@ def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -
     its summary. The score as played passes the ``structural_errors``
     gate once, before any file is written, so a refusal names its events
     by their index in the expansion. ``write_smf`` takes the looped score
-    and gates it too; the text score keeps its loop marker."""
+    and gates it too; the text score keeps its loop marker. Both outputs
+    are encoded before either is written, and a failed text write removes
+    the MIDI file just written, so a refusal leaves no file behind."""
     expanded = expand_loops(score)
     if midi_path is None or score.loop is not None:
         require_valid(expanded)
+    midi = write_smf(score) if midi_path is not None else None  # gates a loop-free score
+    text = write_text_score(score) if text_path is not None else None
     if midi_path is not None:
-        midi_path.write_bytes(write_smf(score))  # gates a loop-free score itself
+        midi_path.write_bytes(midi)
     if text_path is not None:
-        text_path.write_text(write_text_score(score), encoding="utf-8")
+        try:
+            text_path.write_text(text, encoding="utf-8")
+        except OSError:
+            if midi_path is not None:
+                midi_path.unlink()
+            raise
     return _summary(score)
 
 

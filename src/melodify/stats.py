@@ -8,6 +8,7 @@ normalized category proportions.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BindingError, ProportionError
@@ -71,6 +72,10 @@ DEFAULT_MAX_SEGMENTS = 6
 SEGMENT_COST_SLACK = 0.05
 # Slopes smaller than this fraction of the series' average step are flat.
 NEUTRAL_SLOPE_FRACTION = 0.05
+# Series up to this many points segment in pure Python: up to here the DP
+# costs far less than importing numpy (about 170 ms in a fresh process),
+# though a process that has numpy loaded pays up to ~20 ms more per line.
+PURE_DP_MAX_POINTS = 256
 
 
 def least_squares_slope(series: Sequence[float]) -> float:
@@ -93,7 +98,11 @@ def segment_trends(
     squared residual; among segment counts up to ``max_segments`` the
     smallest count whose optimal cost is within a 5% slack of the best
     achievable cost is returned. Adjacent segments share their boundary
-    index and every segment covers at least two points.
+    index and every segment covers at least two points. Series of up to
+    ``PURE_DP_MAX_POINTS`` points run a pure-Python DP, longer ones the
+    same DP in numpy; both give the same costs bit for bit. A series that
+    is not finite, or whose squared sums could overflow a float, raises
+    ``ParseError``.
     """
     n = len(series)
     if n < 2:
@@ -101,62 +110,27 @@ def segment_trends(
     if max_segments < 1:
         raise ValueError("max_segments must be positive")
     # Imported here, not at module level, so that compiles which never
-    # segment a line start without numpy.
-    import numpy as np
+    # segment a line neither compile the DP nor load numpy.
+    from .trend_dp import cost_tolerance, numpy_dp, pure_dp
 
     # Shifting by the first value keeps the DP identical under constant
     # offsets of the input (exactly so for integer-valued data).
-    values = np.asarray([v - series[0] for v in series], dtype=float)
-    centered = values - values.mean()
-    tolerance = 1e-12 * max(1.0, float(np.dot(centered, centered)))
-
-    # Prefix sums of y, i*y and y*y give the squared residual of the best
-    # line over points a..b in O(1); the costs of all spans ending at b are
-    # computed when the DP reaches b, so memory stays linear in n.
-    idx = np.arange(n, dtype=float)
-    c_y = np.concatenate(([0.0], np.cumsum(values)))
-    c_iy = np.concatenate(([0.0], np.cumsum(idx * values)))
-    c_y2 = np.concatenate(([0.0], np.cumsum(values * values)))
-    # Index sums of a span depend only on its length m = 2..n.
-    lengths = np.arange(2, n + 1, dtype=float)
-    sums_x = lengths * (lengths - 1) / 2.0
-    sums_x2 = (lengths - 1) * lengths * (2 * lengths - 1) / 6.0
-    sxx_by_length = sums_x2 - sums_x * sums_x / lengths
-
+    first = series[0]
+    values = [float(v - first) for v in series]
+    tolerance = cost_tolerance(values)
     k_max = min(max_segments, n - 1)
-    best = np.full((k_max + 1, n), np.inf)
-    parent = np.zeros((k_max + 1, n), dtype=int)
-    rows = np.arange(k_max - 1)
-    for b in range(1, n):
-        by_start = slice(b - 1, None, -1)  # spans a = 0..b-1 are b+1..2 points long
-        m, s_x, sxx = lengths[by_start], sums_x[by_start], sxx_by_length[by_start]
-        s_y = c_y[b + 1] - c_y[:b]
-        s_xy = (c_iy[b + 1] - c_iy[:b]) - idx[:b] * s_y
-        s_y2 = c_y2[b + 1] - c_y2[:b]
-        sxy = s_xy - s_x * s_y / m
-        syy = s_y2 - s_y * s_y / m
-        cost = syy - sxy * sxy / sxx
-        cost[cost < tolerance] = 0.0  # also clears rounding below zero
-        best[1, b] = cost[0]
-        # Every segment count k = 2..k_max at once: row k-2 ends its last
-        # segment on span a..b. best[k-1, a] is inf for a < k-1, so argmin
-        # takes the same first minimum as a scan from a = k-1, and a k
-        # above b, whose row is all inf, keeps best inf and parent 0.
-        candidates = best[1:k_max, :b] + cost
-        i = candidates.argmin(axis=1)
-        best[2:, b] = candidates[rows, i]
-        parent[2:, b] = i
+    dp = pure_dp if n <= PURE_DP_MAX_POINTS else numpy_dp
+    exact, parent = dp(values, tolerance, k_max)
 
-    exact = best[1 : k_max + 1, n - 1]
-    cumulative = np.minimum.accumulate(exact)
+    cumulative = list(accumulate(exact, min))
     target = (1.0 + SEGMENT_COST_SLACK) * cumulative[-1]
-    k_star = int(np.nonzero(cumulative <= target)[0][0]) + 1
-    chosen = int(np.nonzero(exact[:k_star] == cumulative[k_star - 1])[0][0]) + 1
+    k_star = next(k for k, cost in enumerate(cumulative, 1) if cost <= target)
+    chosen = exact.index(cumulative[k_star - 1]) + 1
 
     boundaries = [n - 1]
     end = n - 1
     for k in range(chosen, 1, -1):
-        end = int(parent[k, end])
+        end = int(parent[k][end])
         boundaries.append(end)
     boundaries.append(0)
     boundaries.reverse()

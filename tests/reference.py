@@ -18,9 +18,11 @@ inputs the same way.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -569,7 +571,8 @@ def summary(score):
 
 def compile_command(argv):
     """``melodify compile`` on ``argv``, without writing a file: the exit
-    status, stdout, stderr, and the bytes each output path would get."""
+    status, stdout, stderr, and the bytes each output path would get, or
+    none of them if the command fails."""
     try:
         args = cli._build_parser().parse_args(["compile", *argv])
         data = parse_table(Path(args.data).read_bytes(), Path(args.data).suffix.lower() == ".json")
@@ -593,6 +596,12 @@ def compile_command(argv):
             else write_text_score(score).encode("utf-8")
             for path in paths
         }
+        # Every output is encoded before any is written, and a failed write
+        # leaves none: a directory in an output's place is the failure
+        # tests set up.
+        for path in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     except MelodifyError as exc:
         return 1 if exc.code in cli.USER_ERROR_CODES else 2, "", f"error {exc.code}: {exc}\n", {}
     except OSError as exc:

@@ -107,6 +107,19 @@ def test_compile_emit_text_only(bar_csv, tmp_path, capsys):
     assert not out_path.with_suffix(".mid").exists()
 
 
+def test_failed_text_write_leaves_no_midi_behind(bar_csv, tmp_path, capsys):
+    # The text score's path is a directory, so its write fails after the
+    # MIDI file's has succeeded.
+    (tmp_path / "song.txt").mkdir()
+    argv = ["--data", str(bar_csv), "--idiom", "bar", "--palette", "positive",
+            "--x", "k", "--y", "v", "--emit", "both", "--out", str(tmp_path / "song.mid")]
+    code, out, err = run(capsys, "compile", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error E_IO: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "song.mid").exists()
+    assert reference.compile_command(argv) == (1, "", err, {})
+
+
 def test_compile_overrides_reach_the_score(bar_csv, tmp_path, capsys):
     out_path = tmp_path / "song.txt"
     code, _, _ = run(
@@ -667,7 +680,7 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
     ]
 
 
-# --- numpy, dataclasses, inspect, json and csv stay off the import path -------
+# --- numpy, dataclasses, inspect, json, csv and the DP stay off the import path
 
 # json is imported only once the modules are recorded, to print them.
 IMPORT_PROBE = """
@@ -676,7 +689,7 @@ from pathlib import Path
 from melodify.cli import main
 
 heavy = ("numpy", "dataclasses", "inspect", "melodify.tracks", "melodify.smf_reader",
-         "json", "csv")
+         "json", "csv", "melodify.trend_dp")
 tables = {
     "bar": ("bar", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
     "pie": ("pie", "k,v\\na,1\\nb,3\\nc,2\\n", "k"),
@@ -684,6 +697,9 @@ tables = {
     # Quartiles summing to zero.
     "bar-straddle": ("bar", "k,v\\na,-10\\nb,0\\nc,10\\n", "k"),
     "line": ("line", "t,v\\n0,1\\n1,2\\n2,4\\n3,3\\n", "t"),
+    # Lines at the pure-Python DP's largest size and one point above it.
+    **{f"line-{n}": ("line", "t,v\\n" + "".join(f"{i},{i * i % 17}\\n" for i in range(n)), "t")
+       for n in (256, 257)},
     # The bar as a JSON table, compiled with a JSON spec file.
     "bar-json": ("bar", '[{"k": "a", "v": 1}, {"k": "b", "v": 3}, {"k": "c", "v": 2}]', "k"),
 }
@@ -726,27 +742,30 @@ def _probe(*args):
 
 def test_numpy_is_loaded_only_to_segment_a_line(tmp_path):
     loaded = _probe(
-        IMPORT_PROBE, str(tmp_path), "bar", "pie", "scatter", "bar-straddle", "line"
+        IMPORT_PROBE, str(tmp_path),
+        "bar", "pie", "scatter", "bar-straddle", "line", "line-256", "line-257",
     )
     modules = [row[:5] for row in loaded]
-    # After the import and each of bar, pie, scatter and a bar whose
-    # quartiles sum to zero: none of numpy, dataclasses (about 10 ms with
-    # the inspect, ast and dis it imports), inspect, the built-in tracks
-    # or the MIDI reader.
-    assert modules[:5] == [[False] * 5] * 5
-    # The line compile, the positive control, loads numpy, and with it only
-    # what numpy imports on its own (inspect, in numpy 2).
-    assert modules[5] == _probe(NUMPY_PROBE) + [False, False]
+    # After the import and each of bar, pie, scatter, a bar whose quartiles
+    # sum to zero, and lines of 4 and 256 points: none of numpy,
+    # dataclasses (about 10 ms with the inspect, ast and dis it imports),
+    # inspect, the built-in tracks or the MIDI reader.
+    assert modules[:7] == [[False] * 5] * 7
+    # The 257-point line, the positive control, loads numpy, and with it
+    # only what numpy imports on its own (inspect, in numpy 2).
+    assert modules[7] == _probe(NUMPY_PROBE) + [False, False]
     # Neither json nor csv on import; the CSV reader loads csv, and no CSV
-    # compile, the line's numpy included, loads json.
-    assert [row[5:] for row in loaded] == [[False, False]] + [[False, True]] * 5
+    # compile, the long line's numpy included, loads json.
+    assert [row[5:7] for row in loaded] == [[False, False]] + [[False, True]] * 7
+    # Only a line loads the segmentation DP, whatever its length.
+    assert [row[7] for row in loaded] == [False] * 5 + [True] * 3
 
 
 def test_a_json_compile_never_loads_csv(tmp_path):
     # A JSON table and a JSON spec load json, the positive control, and
     # nothing else on the list.
     assert _probe(IMPORT_PROBE, str(tmp_path), "bar-json") == [
-        [False] * 7, [False] * 5 + [True, False]
+        [False] * 8, [False] * 5 + [True, False, False]
     ]
 
 

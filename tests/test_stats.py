@@ -2,10 +2,12 @@
 
 Slope values are checked against numpy's own least-squares fit as an
 independent oracle; segmentation is checked against brute force in the
-acceptance suite and against hand-picked shapes here.
+acceptance suite and against hand-picked shapes here, and its pure-Python
+DP against the numpy DP that long series run.
 """
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from melodify.errors import BindingError, ProportionError
+from melodify.errors import BindingError, ParseError, ProportionError
 from melodify.stats import (
+    PURE_DP_MAX_POINTS,
     SPAN_BY_LEVEL,
     VARIANCE_MEDIUM_AT,
     VARIANCE_WIDE_AT,
@@ -30,6 +33,7 @@ from melodify.stats import (
     proportions,
     segment_trends,
 )
+from melodify.trend_dp import cost_tolerance, numpy_dp, pure_dp
 
 int_series = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=2, max_size=24
@@ -213,6 +217,78 @@ def test_segments_match_pinned_fits(n):
         assert (segs[0].start_index,) + tuple(s.end_index for s in segs) == bounds
         assert tuple(s.start_index for s in segs[1:]) == bounds[1:-1]
         assert tuple(s.slope for s in segs) == slopes
+
+
+@st.composite
+def dp_series(draw):
+    """2 to 300 points, so that both sides of PURE_DP_MAX_POINTS are drawn:
+    integer data, floats up to ingest's ±1e100 bound, a few extreme
+    values, or constant runs and exact lines joined at corners."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    kind = draw(st.sampled_from(("integers", "floats", "extremes", "piecewise")))
+    if kind == "piecewise":
+        value = draw(st.integers(-100, 100))
+        slopes = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+        series = []
+        for i in range(n):
+            value += slopes[i * len(slopes) // n]  # slope 0 is a constant run
+            series.append(value)
+        return series
+    element = {
+        "integers": st.integers(-50, 50),
+        "floats": st.floats(-1e100, 1e100, allow_nan=False),
+        "extremes": st.sampled_from((-1e100, 1e100, 0.0, 2.5)),
+    }[kind]
+    return draw(st.lists(element, min_size=n, max_size=n))
+
+
+@given(dp_series(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=60, deadline=None)
+@example([0, 1, 2, 3, 4, 2, 0, -2], 6)
+@example([7] * PURE_DP_MAX_POINTS, 6)
+@example([1e100, -1e100] * 150, 6)
+def test_pure_and_numpy_dps_agree(series, max_segments):
+    # The same costs to the bit, and the same parent of every end index.
+    values = [float(v - series[0]) for v in series]
+    tolerance = cost_tolerance(values)
+    k_max = min(max_segments, len(values) - 1)
+    exact, parent = pure_dp(values, tolerance, k_max)
+    numpy_exact, numpy_parent = numpy_dp(values, tolerance, k_max)
+    assert list(map(float.hex, exact)) == list(map(float.hex, numpy_exact))
+    assert parent == numpy_parent.tolist()
+
+
+def test_cost_tolerance_is_exact_and_order_free():
+    # An integer mean makes every term exact, and fsum rounds only once.
+    assert cost_tolerance([0.0, 3.0, -5.0, 10.0, 2.0, 2.0]) == 1e-12 * (4 + 1 + 49 + 64)
+    assert cost_tolerance([0.0, 0.5]) == 1e-12  # the floor of 1.0
+    # No summation order, such as a BLAS kernel picks, can move it.
+    rng = random.Random(3)
+    values = [rng.gauss(0, 1e6) for _ in range(300)]
+    assert cost_tolerance(values) == cost_tolerance(sorted(values)) == cost_tolerance(values[::-1])
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        [1e200, -1e200, 1e200, 0.0],
+        [1e200 * (-1) ** i for i in range(PURE_DP_MAX_POINTS + 44)],
+        [1e150 * i for i in range(300)],
+        [0.0, math.nan, 1.0],
+        [0.0, 1.0, math.inf],
+    ],
+    ids=["short", "long", "long-line", "nan", "inf"],
+)
+def test_segmentation_refuses_values_whose_squares_overflow(series):
+    with pytest.raises(ParseError, match=r"^cannot segment these \d+ values: each must be finite"):
+        segment_trends(series)
+
+
+@pytest.mark.parametrize("n", [4, PURE_DP_MAX_POINTS, PURE_DP_MAX_POINTS + 1])
+def test_values_at_the_ingest_bound_still_segment(n):
+    series = [1e100 * (-1) ** i for i in range(n)]
+    segs = segment_trends(series)
+    assert (segs[0].start_index, segs[-1].end_index) == (0, n - 1)
 
 
 def test_segmentation_memory_is_linear():
