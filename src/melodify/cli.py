@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from operator import countOf
 from pathlib import Path
@@ -110,6 +111,10 @@ def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    # An --out that is empty, ends in a separator, or ends in "." or ".."
+    # has no file name to give the .mid or .txt suffix.
+    if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
+        raise ParseError(f"--out {args.out!r} names no file; give a file path such as song.mid")
     dataset = _load_dataset(args.data)
     spec = _spec_from_args(args)
     score = melodify(dataset, spec)

@@ -129,35 +129,36 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     if list(map(len, rows)).count(width) != len(rows):
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ParseError(f"row {i + 1} has {len(rows[i])} cells, expected {width}")
-    return _typed_dataset(header, [[row[j] for row in rows] for j in range(width)])
+    columns = [[row[j] for row in rows] for j in range(width)]
+    return Dataset(tuple(map(_typed_column, header, columns)), len(rows))
 
 
-def _typed_dataset(header: list[str], columns: list[list[str]]) -> Dataset:
-    """Type each column of cells, one C-level scan per check."""
-    typed = []
-    for name, cells in zip(header, columns):
-        # A column is text from its first non-number: all() stops there.
-        # The stripped cells are converted, since str.strip removes the
-        # separators \x1c-\x1f that float() refuses. A literal past float
-        # range such as 1e400 is ±inf, over the bound. The numbers go
-        # through a list: a tuple built from a bare iterator is resized
-        # every few items, which is slower and fragments the heap.
-        if all(map(_NUMBER.fullmatch, map(str.strip, cells))):
-            numbers = tuple(list(map(float, map(str.strip, cells))))
-            if max(map(abs, numbers)) > VALUE_MAGNITUDE_MAX:
-                i = next(i for i, x in enumerate(numbers) if abs(x) > VALUE_MAGNITUDE_MAX)
-                raise ParseError(
-                    f"value {_shortened(cells[i])!r} at row {i + 1}, column "
-                    f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
-                )
-            typed.append(Column(name, ColumnKind.QUANTITATIVE, numbers))
-        else:
-            if "" in cells:
-                raise ParseError(
-                    f"empty cell at row {cells.index('') + 1}, column {name!r}"
-                )
-            typed.append(Column(name, ColumnKind.CATEGORICAL, tuple(cells)))
-    return Dataset(tuple(typed), len(columns[0]))
+def _typed_column(name: str, cells: list[str]) -> Column:
+    """Type a column of cells, one C-level scan per check."""
+    # A column is text from its first non-number: all() stops there.
+    # The stripped cells are converted, since str.strip removes the
+    # separators \x1c-\x1f that float() refuses. A literal past float
+    # range such as 1e400 is ±inf, over the bound.
+    if all(map(_NUMBER.fullmatch, map(str.strip, cells))):
+        return _number_column(name, list(map(float, map(str.strip, cells))), cells)
+    if "" in cells:
+        raise ParseError(f"empty cell at row {cells.index('') + 1}, column {name!r}")
+    return Column(name, ColumnKind.CATEGORICAL, tuple(cells))
+
+
+def _number_column(name: str, numbers: list[float], cells: list) -> Column:
+    """The quantitative column of ``numbers``, read from ``cells``; an
+    error names a value out of bound by its cell, or by its ``str`` for a
+    JSON number, which is its ``repr``. The numbers come as a list: a
+    tuple built from a bare iterator is resized every few items, which is
+    slower and fragments the heap."""
+    if max(map(abs, numbers)) > VALUE_MAGNITUDE_MAX:
+        i = next(i for i, x in enumerate(numbers) if abs(x) > VALUE_MAGNITUDE_MAX)
+        raise ParseError(
+            f"value {_shortened(str(cells[i]))!r} at row {i + 1}, column "
+            f"{name!r} exceeds the magnitude bound {VALUE_MAGNITUDE_MAX:g}"
+        )
+    return Column(name, ColumnKind.QUANTITATIVE, tuple(numbers))
 
 
 def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
@@ -180,9 +181,9 @@ def _rows_from_csv(text: str) -> tuple[list[str], list[list[str]]]:
 _JSON_CELL_TYPES = frozenset({str, int, float})
 
 
-def _columns_from_json(text: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the columns of cells of a JSON table: each string as
-    it is, each number as its ``repr``, which the CSV cell scan reads."""
+def _columns_from_json(text: str) -> tuple[list[str], list[list[str | int | float]]]:
+    """The header and the columns of values of a JSON table, each value a
+    string, an int or a finite float."""
     import json
 
     def reject_constant(token):
@@ -227,7 +228,20 @@ def _columns_from_json(text: str) -> tuple[list[str], list[list[str]]]:
                     )
                 if type(value) is float and not math.isfinite(value):
                     raise ParseError(f"non-finite number in record {i + 1}")
-    return header, [[v if type(v) is str else repr(v) for v in values] for values in columns]
+    return header, columns
+
+
+def _json_column(name: str, values: list[str | int | float]) -> Column:
+    """A column of numbers alone goes straight to floats, and an int past
+    float range to ±inf, as its digits would. A column with a string in
+    it is typed as CSV cells are, each number read as its ``repr``."""
+    if str in map(type, values):
+        return _typed_column(name, [v if type(v) is str else repr(v) for v in values])
+    try:
+        numbers = list(map(float, values))
+    except OverflowError:
+        numbers = list(map(float, map(repr, values)))
+    return _number_column(name, numbers, values)
 
 
 def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
@@ -247,7 +261,7 @@ def parse_table(raw: bytes, fmt: TableFormat) -> Dataset:
         return _build_dataset(*_rows_from_csv(text))
     header, columns = _columns_from_json(text)
     _check_header(header)  # a key may be ""
-    return _typed_dataset(header, columns)
+    return Dataset(tuple(map(_json_column, header, columns)), len(columns[0]))
 
 
 def _parse_key_name(name: str) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ProportionError
@@ -243,15 +244,20 @@ def _bar_body(
 
     pedal = spec.histogram and character.density.level is DensityLevel.LOW
     events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    # One pass quantizes the roots, a second stacks each root's chord
-    # (_chord_on_root) and builds its notes as _chord_events does.
-    roots = [quantize_pitch(value, domain, scale, span, anchor) for value in values]
+    # Each distinct value is quantized and voiced (_chord_on_root) once,
+    # in the order the values first occur, so a refusal meets the value
+    # a per-row loop would meet first. Each bar then looks its chord up
+    # and builds its notes as _chord_events does.
+    voicing = {
+        value: _chord_on_root(quantize_pitch(value, domain, scale, span, anchor), scale).pitches
+        for value in dict.fromkeys(values)
+    }
     new, velocity, normal = tuple.__new__, VELOCITY_NORMAL, Articulation.NORMAL
     body_end = len(values) * bar
     events += [
         new(NoteEvent, (onset, bar, pitch, velocity, normal))
-        for onset, root in zip(range(0, body_end, bar), roots)
-        for pitch in _chord_on_root(root, scale).pitches
+        for onset, value in zip(range(0, body_end, bar), values)
+        for pitch in voicing[value]
     ]
     if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
@@ -407,13 +413,17 @@ def _scatter_body(
 
     pedal = character.density.level is DensityLevel.LOW
     events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    pitches = [quantize_pitch(value, domain, scale, span, anchor) for value in series]
-    new, velocity, staccato = tuple.__new__, VELOCITY_NORMAL, Articulation.STACCATO
+    # Each distinct value is quantized once, as in _bar_body; then one
+    # C-level pass builds the notes.
+    pitch_of = {
+        value: quantize_pitch(value, domain, scale, span, anchor)
+        for value in dict.fromkeys(series)
+    }
     body_end = len(series) * step
-    events += [
-        new(NoteEvent, (onset, step, pitch, velocity, staccato))
-        for onset, pitch in zip(range(0, body_end, step), pitches)
-    ]
+    events += map(tuple.__new__, repeat(NoteEvent), zip(
+        range(0, body_end, step), repeat(step), map(pitch_of.__getitem__, series),
+        repeat(VELOCITY_NORMAL), repeat(Articulation.STACCATO),
+    ))
     if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end

@@ -276,7 +276,13 @@ _ARTICULATION_TEXT = {articulation: articulation.value for articulation in Artic
 
 def write_text_score(score: Score) -> str:
     """Line-per-event dump: headers, then ``tick pitch dur vel art`` for
-    notes and ``tick PEDAL state`` for pedal changes. UTF-8, LF ends."""
+    notes and ``tick PEDAL state`` for pedal changes. UTF-8, LF ends.
+
+    The text after a note's tick is formatted once per distinct record
+    after the tick (``ev[1:]``) and looked up for every repeat of it. A
+    record with a field that is not exactly an int is formatted on its
+    own: ``480.0`` equals ``480`` and ``True`` equals ``1`` as dict keys,
+    but each prints as itself."""
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
     lines = [
@@ -289,14 +295,22 @@ def write_text_score(score: Score) -> str:
         lines.append(
             f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}"
         )
+    tails: dict[tuple, str] = {}
     for ev in score.events:
-        if type(ev) is NoteEvent:
-            onset, duration, pitch, velocity, articulation = ev
-            lines.append(
-                f"{onset} {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
-            )
-        else:
+        if type(ev) is not NoteEvent:
             lines.append(f"{ev.tick} PEDAL {ev.state.value}")
+            continue
+        onset, duration, pitch, velocity, articulation = ev
+        if type(duration) is int and type(pitch) is int and type(velocity) is int:
+            record = ev[1:]
+            tail = tails.get(record)
+            if tail is None:
+                tail = tails[record] = (
+                    f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
+                )
+        else:
+            tail = f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
+        lines.append(f"{onset}{tail}")
     return "\n".join(lines) + "\n"
 
 

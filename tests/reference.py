@@ -575,6 +575,10 @@ def compile_command(argv):
     none of them if the command fails."""
     try:
         args = cli._build_parser().parse_args(["compile", *argv])
+        if args.out is not None and args.out.split("/")[-1] in ("", ".", ".."):
+            raise ParseError(
+                f"--out {args.out!r} names no file; give a file path such as song.mid"
+            )
         data = parse_table(Path(args.data).read_bytes(), Path(args.data).suffix.lower() == ".json")
         melody_spec = cli._spec_from_args(args)
         score = melodify(data, melody_spec)

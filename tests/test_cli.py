@@ -300,6 +300,24 @@ def test_compile_refuses_to_overwrite_its_input(
     assert reference.compile_command(argv) == (1, "", err, {})
 
 
+@pytest.mark.parametrize("out", [".", "/", "..", "", "sub/", "sub/.", "sub/.."])
+@pytest.mark.parametrize("emit", ["midi", "both"])
+def test_compile_refuses_an_out_that_names_no_file(tmp_path, capsys, monkeypatch, out, emit):
+    # "." and "/" have no name to give a suffix, and ".." would become
+    # "...mid" in the working directory.
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    (tmp_path / "sub" / "t.csv").write_text("k,v\na,1\nb,2\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["--data", "t.csv", *BAR_FLAGS, "--emit", emit, "--out", out]
+    code, stdout, err = run(capsys, "compile", *argv)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error E_PARSE: --out {out!r} names no file; "
+                   "give a file path such as song.mid\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert reference.compile_command(argv) == (1, "", err, {})
+
+
 def test_compile_spec_file_with_byte_order_mark(bar_csv, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec = {"idiom": "bar", "palette": "positive", "x": "k", "y": "v"}

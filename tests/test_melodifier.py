@@ -489,10 +489,11 @@ def test_cached_chord_matches_the_uncached_oracle_for_every_root():
 
 
 def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
-    roots = []
+    quantized, roots = [], []
 
-    def recording_quantize(*args):
-        roots.append(quantize_pitch(*args))
+    def recording_quantize(value, *args):
+        quantized.append(value)
+        roots.append(quantize_pitch(value, *args))
         return roots[-1]
 
     monkeypatch.setattr(melodifier, "quantize_pitch", recording_quantize)
@@ -501,13 +502,15 @@ def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
     melodifier._chord_on_root.cache_clear()
     melodify(ds, spec(Idiom.BAR, x="k"))
     info = melodifier._chord_on_root.cache_info()
-    # quantize_pitch still runs once per bar, where melodifier looks it up.
-    assert len(roots) == 3000
-    assert info.hits + info.misses == 3000
+    # quantize_pitch runs once per distinct value, where melodifier looks
+    # it up, in the order the values first occur; so does the chord lookup.
+    assert quantized == list(dict.fromkeys(map(float, values)))
+    assert len(quantized) == 1000
+    assert info.hits + info.misses == 1000
     assert info.misses <= len(set(roots))
 
 
-# --- bar and scatter bodies in two comprehensions -----------------------------
+# --- bar and scatter bodies: each distinct value once -------------------------
 
 series_values = st.one_of(
     st.integers(-3, 3),  # many duplicates
@@ -529,6 +532,14 @@ series_values = st.one_of(
          time_signature=None)
 @example(values=[1.5, 1.5, 2.25, 1000.0] * 10, palette=Palette.NEGATIVE, key_root=11,
          histogram=True, time_signature=None)
+# 3000 values over about 1000 distinct ones, as a wide bar chart has them.
+@example(values=[(i * 7919) % 997 * 0.5 for i in range(3000)], palette=Palette.GREY,
+         key_root=5, histogram=False, time_signature=None)
+# 0.0 and -0.0 are one dict key; each must still play as the loop plays it.
+@example(values=[-0.0, 0.0, 3.0, -0.0, -2.0, 0.0], palette=Palette.POSITIVE, key_root=0,
+         histogram=True, time_signature=None)
+@example(values=[0.0, -0.0, 0.0], palette=Palette.CALM, key_root=7, histogram=False,
+         time_signature=(3, 4))
 def test_bar_and_scatter_bodies_match_the_per_value_loops(
     values, palette, key_root, histogram, time_signature
 ):

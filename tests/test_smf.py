@@ -666,3 +666,48 @@ def test_text_score_includes_loop_line():
     score = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
     text = write_text_score(score)
     assert "loop 0 960 2\n" in text
+
+
+@st.composite
+def text_scores(draw):
+    """Scores whose records after the tick repeat heavily (a few drawn
+    once and reused) or are each drawn afresh, at ticks up to past 2**14,
+    with pedals, all four articulations and often a loop marker."""
+    tails = st.tuples(st.integers(1, 2**15), st.integers(0, 127), st.integers(1, 127),
+                      ARTICULATIONS)
+    if draw(st.booleans()):
+        tails = st.sampled_from(draw(st.lists(tails, min_size=1, max_size=3)))
+    ticks = st.integers(0, 40) | st.integers(2**14 - 2, 2**14 + 2) | st.integers(0, 2**20)
+    notes = [note(tick, dur, pitch, vel, art) for tick, (dur, pitch, vel, art) in draw(
+        st.lists(st.tuples(ticks, tails), max_size=40)
+    )]
+    pedals = [PedalEvent(tick, state) for tick, state in draw(
+        st.lists(st.tuples(ticks, st.sampled_from(list(PedalState))), max_size=6)
+    )]
+    loop = draw(st.none() | st.builds(Loop, ticks, ticks, st.integers(1, 300)))
+    return make_score(
+        pedals + notes, loop=loop, tempo=draw(st.integers(20, 300)),
+        timesig=draw(st.sampled_from([(4, 4), (3, 4), (2, 4), (7, 8), (255, 32)])),
+        key=(draw(st.integers(0, 11)), draw(st.sampled_from(list(ScaleMode)))),
+    )
+
+
+@given(text_scores())
+def test_text_score_matches_the_reference_writer(score):
+    assert write_text_score(score) == reference.write_text_score(score)
+
+
+def test_text_score_writes_equal_fields_of_other_types_as_they_are():
+    # 480.0 equals 480 and True equals 1, but each prints as itself.
+    score = make_score([
+        note(0, dur=480, vel=1), note(480, dur=480.0, vel=1),
+        note(960, dur=480, vel=True), note(1440, dur=480.0, vel=True),
+        note(1920, dur=480, pitch=60.0, vel=1),
+    ])
+    text = write_text_score(score)
+    assert text == reference.write_text_score(score)
+    assert text.endswith(
+        "0 60 480 1 normal\n480 60 480.0 1 normal\n"
+        "960 60 480 True normal\n1440 60 480.0 True normal\n"
+        "1920 60.0 480 1 normal\n"
+    )
