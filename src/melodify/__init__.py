@@ -2,13 +2,15 @@
 
 The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
 `parse_table` and `parse_spec` read the inputs, `melodify` turns them
-into a `Score`, `expand_loops` makes its loop concrete, and `write_smf`
-/ `write_text_score` serialize it. `melodify` is the one mapping entry
-point for every idiom: it checks the binding (`validate_binding`),
-summarizes the data (`derive_character(dataset, y_field, x_field)` ->
-`DataCharacter`), resolves the palette (`apply_palette` -> `TonalPlan`),
-has the idiom write its body and closes it with the palette's cadence,
-in score order without a sort.
+into a `Score`, and `write_smf` / `write_text_score` serialize it, loop
+and all: the MIDI file plays the repeats, the text score marks the loop.
+`expand_loops` writes a loop out in full, for inspection and for the
+gate `melodify compile` runs on the score as played. `melodify` is the
+one mapping entry point for every idiom: it checks the binding
+(`validate_binding`), summarizes the data (`derive_character(dataset,
+y_field, x_field)` -> `DataCharacter`), resolves the palette
+(`apply_palette` -> `TonalPlan`), has the idiom write its body and
+closes it with the palette's cadence, in score order without a sort.
 A `DataCharacter` holds the ordered series, density and spread; its
 trend `segments` and `proportions` (plain `(label, ratio)` pairs) are
 computed on first use, so only the idioms that read them pay for them,

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .errors import BindingError, MelodifyError, ParseError, ProportionError
 from .ingest import (
+    SPEC_KEYS,
     ColumnKind,
     Dataset,
     MelodySpec,
@@ -49,25 +50,15 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def _spec_from_args(args: argparse.Namespace) -> MelodySpec:
-    """Spec file first, command-line flags overriding key by key."""
+    """Spec file first, command-line flags overriding key by key: each
+    compile flag stores its value under its spec key."""
     mapping: dict = {}
     if args.spec is not None:
         mapping = spec_mapping(Path(args.spec).read_bytes())
-
-    for key, value in (
-        ("idiom", args.idiom),
-        ("palette", args.palette),
-        ("y", args.y),
-        ("x", args.x),
-        ("key", args.key),
-        ("tempo", args.tempo),
-        ("time_signature", args.time),
-        ("loop", args.loop),
-    ):
+    for key in SPEC_KEYS:
+        value = getattr(args, key)
         if value is not None:
             mapping[key] = value
-    if args.histogram:
-        mapping["histogram"] = True
     return spec_from_mapping(mapping)
 
 
@@ -230,11 +221,15 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--x", help="category or ordering column")
     compile_p.add_argument("--key", help="key root note name, e.g. C, F# or Bb")
     compile_p.add_argument("--tempo", type=int, help="beats per minute override")
-    compile_p.add_argument("--time", help="time signature override, e.g. 3/4")
+    compile_p.add_argument(
+        "--time", dest="time_signature", metavar="TIME",
+        help="time signature override, e.g. 3/4",
+    )
     compile_p.add_argument("--loop", type=int, help="pie cycle repeat count")
     compile_p.add_argument(
         "--histogram",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="treat the bar chart as a histogram (blurs sparse bars with pedal)",
     )
     compile_p.add_argument(

@@ -295,15 +295,15 @@ def _require_int(value, key: str) -> int:
     return value
 
 
-_SPEC_KEYS = {
+SPEC_KEYS = (
     "idiom", "palette", "key", "x", "y", "tempo", "time_signature", "loop",
     "histogram",
-}
+)
 
 
 def spec_from_mapping(mapping: dict) -> MelodySpec:
     """Build a MelodySpec from a plain dict of spec keys."""
-    unknown = set(mapping) - _SPEC_KEYS
+    unknown = set(mapping).difference(SPEC_KEYS)
     if unknown:
         raise ParseError(f"unknown spec keys: {sorted(unknown)}")
 

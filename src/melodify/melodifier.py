@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ProportionError
@@ -233,35 +232,55 @@ def _chord_events(
     ]
 
 
-def _bar_body(
-    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
-) -> tuple[list[Event], int]:
-    """One chord per category, each a full bar, roots tracking the values."""
+def _pitch_of(plan: TonalPlan, character: DataCharacter) -> dict[float, int]:
+    """The value-to-pitch rule: each distinct y value quantized once, in
+    the order the values first occur, so a refusal meets the value a
+    per-row loop would meet first."""
     values = character.series
     domain = (min(values), max(values))
-    bar, scale, anchor = plan.bar_ticks, plan.scale, plan.anchor
+    scale, anchor = plan.scale, plan.anchor
     span = character.variance.semitone_span
-
-    pedal = spec.histogram and character.density.level is DensityLevel.LOW
-    events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    # Each distinct value is quantized and voiced (_chord_on_root) once,
-    # in the order the values first occur, so a refusal meets the value
-    # a per-row loop would meet first. Each bar then looks its chord up
-    # and builds its notes as _chord_events does.
-    voicing = {
-        value: _chord_on_root(quantize_pitch(value, domain, scale, span, anchor), scale).pitches
+    return {
+        value: quantize_pitch(value, domain, scale, span, anchor)
         for value in dict.fromkeys(values)
     }
-    new, velocity, normal = tuple.__new__, VELOCITY_NORMAL, Articulation.NORMAL
-    body_end = len(values) * bar
+
+
+def _grid_events(
+    values: tuple[float, ...],
+    voicing: dict[float, tuple[int, ...]],
+    step: int,
+    articulation: Articulation,
+    pedal: bool,
+) -> tuple[list[Event], int]:
+    """One sound per value every ``step`` ticks, the value's voicing
+    held for the whole step, inside one optional sustain-pedal stroke."""
+    events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
+    new, velocity = tuple.__new__, VELOCITY_NORMAL
+    body_end = len(values) * step
     events += [
-        new(NoteEvent, (onset, bar, pitch, velocity, normal))
-        for onset, value in zip(range(0, body_end, bar), values)
+        new(NoteEvent, (onset, step, pitch, velocity, articulation))
+        for onset, value in zip(range(0, body_end, step), values)
         for pitch in voicing[value]
     ]
     if pedal:
         events.append(PedalEvent(body_end, PedalState.UP))
     return events, body_end
+
+
+def _bar_body(
+    spec: MelodySpec, plan: TonalPlan, character: DataCharacter
+) -> tuple[list[Event], int]:
+    """One chord per category, each a full bar, roots tracking the values."""
+    scale = plan.scale
+    voicing = {
+        value: _chord_on_root(root, scale).pitches
+        for value, root in _pitch_of(plan, character).items()
+    }
+    pedal = spec.histogram and character.density.level is DensityLevel.LOW
+    return _grid_events(
+        character.series, voicing, plan.bar_ticks, Articulation.NORMAL, pedal
+    )
 
 
 def _pie_body(
@@ -271,19 +290,16 @@ def _pie_body(
     cycle (snapped to the sixteenth grid); the cycle is the loop region.
     A zero-valued slice is silent; a positive one that rounds to no unit
     is refused rather than dropped."""
-    values = character.series
-    domain = (min(values), max(values))
-    span = character.variance.semitone_span
-
     cycle = PIE_CYCLE_BARS * plan.bar_ticks
     grid = TICKS_PER_QUARTER // 4
     entries = character.proportions
     total_units = cycle // grid
     units = largest_remainder_allocation([ratio for _, ratio in entries], total_units)
+    pitch_of = _pitch_of(plan, character)
 
     events: list[Event] = []
     cursor = 0
-    for (name, ratio), value, unit_count in zip(entries, values, units):
+    for (name, ratio), value, unit_count in zip(entries, character.series, units):
         if unit_count == 0:
             if ratio > 0:
                 raise ProportionError(
@@ -292,10 +308,8 @@ def _pie_body(
                 )
             continue
         duration = unit_count * grid
-        root = quantize_pitch(value, domain, plan.scale, span, plan.anchor)
-        events.extend(
-            _chord_events(_chord_on_root(root, plan.scale), cursor, duration, VELOCITY_NORMAL)
-        )
+        chord = _chord_on_root(pitch_of[value], plan.scale)
+        events.extend(_chord_events(chord, cursor, duration, VELOCITY_NORMAL))
         cursor += duration
     return events, cycle
 
@@ -403,30 +417,10 @@ def _scatter_body(
     """A staccato note per point on an even grid, sixteenths when dense,
     quarters when sparse; sparse scatters get one sustain-pedal stroke
     across the phrase."""
-    series = character.series
-    domain = (min(series), max(series))
-    scale, anchor = plan.scale, plan.anchor
-    span = character.variance.semitone_span
-    step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[
-        character.density.level
-    ]
-
+    voicing = {value: (pitch,) for value, pitch in _pitch_of(plan, character).items()}
+    step = TICKS_PER_QUARTER // SUBDIVISION_BY_DENSITY[character.density.level]
     pedal = character.density.level is DensityLevel.LOW
-    events: list[Event] = [PedalEvent(0, PedalState.DOWN)] if pedal else []
-    # Each distinct value is quantized once, as in _bar_body; then one
-    # C-level pass builds the notes.
-    pitch_of = {
-        value: quantize_pitch(value, domain, scale, span, anchor)
-        for value in dict.fromkeys(series)
-    }
-    body_end = len(series) * step
-    events += map(tuple.__new__, repeat(NoteEvent), zip(
-        range(0, body_end, step), repeat(step), map(pitch_of.__getitem__, series),
-        repeat(VELOCITY_NORMAL), repeat(Articulation.STACCATO),
-    ))
-    if pedal:
-        events.append(PedalEvent(body_end, PedalState.UP))
-    return events, body_end
+    return _grid_events(character.series, voicing, step, Articulation.STACCATO, pedal)
 
 
 _BODIES = {

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import melodify
 from melodify import errors, melodifier, smf, smf_reader
 from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
-from melodify.ingest import Idiom, Palette
+from melodify.ingest import SPEC_KEYS, Idiom, Palette
 from melodify.score import (
     MAX_EXPANDED_EVENTS,
     Articulation,
@@ -133,18 +133,50 @@ def test_compile_overrides_reach_the_score(bar_csv, tmp_path, capsys):
     assert head == ["tpq 480", "tempo 90", "time 3/4", "key 2 major"]
 
 
-def test_compile_spec_file_with_flag_override(bar_csv, tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(
-        json.dumps({"idiom": "bar", "palette": "negative", "x": "k", "y": "v"}),
-        encoding="utf-8",
+# Per spec key: the spec file's value, the flag that overrides it, and
+# the flag's value as a spec file writes it.
+FLAG_OVERRIDES = {
+    "idiom": ("bar", ["--idiom", "pie"], "pie"),
+    "palette": ("negative", ["--palette", "positive"], "positive"),
+    "key": ("C", ["--key", "D"], "D"),
+    "x": ("w", ["--x", "v"], "v"),
+    "y": ("v", ["--y", "w"], "w"),
+    "tempo": (90, ["--tempo", "120"], 120),
+    "time_signature": ("3/4", ["--time", "6/8"], "6/8"),
+    "loop": (2, ["--loop", "3"], 3),
+    "histogram": (False, ["--histogram"], True),
+}
+
+
+@pytest.mark.parametrize("key", SPEC_KEYS)
+def test_compile_spec_file_with_flag_override(tmp_path, capsys, key):
+    # Every compile flag but the four file options stores a spec key.
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    code, out, _ = run(
-        capsys, "compile", "--data", str(bar_csv),
-        "--spec", str(spec_path), "--palette", "positive",
-    )
-    assert code == 0
-    assert out.startswith("bar positive ")
+    dests = {action.dest for action in commands.choices["compile"]._actions}
+    assert sorted(dests - {"help", "data", "spec", "emit", "out"}) == sorted(SPEC_KEYS)
+
+    data = tmp_path / "t.csv"
+    data.write_text("k,v,w\na,1,3\nb,2,1\nc,3,2\n", encoding="utf-8")
+    # x orders a scatter and loop repeats a pie; the other keys ride on a bar.
+    idiom = {"x": "scatter", "loop": "pie"}.get(key, "bar")
+    base = {"idiom": idiom, "palette": "negative", "x": "k", "y": "v"}
+    file_value, flag, flag_value = FLAG_OVERRIDES[key]
+
+    def compile_with(spec, *flags):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "song.mid"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(
+            capsys, "compile", "--data", str(data),
+            "--spec", str(spec_path), "--out", str(out_path), *flags,
+        )
+        assert (code, err) == (0, "")
+        return out.splitlines()[0], out_path.read_bytes()
+
+    overridden = compile_with({**base, key: file_value}, *flag)
+    assert overridden == compile_with({**base, key: flag_value})
+    assert overridden != compile_with({**base, key: file_value})
 
 
 @pytest.mark.parametrize("key", ["x", "key", "tempo", "time_signature", "loop", "histogram"])

@@ -510,7 +510,24 @@ def test_a_long_bar_chart_builds_each_chord_once(monkeypatch):
     assert info.misses <= len(set(roots))
 
 
-# --- bar and scatter bodies: each distinct value once -------------------------
+@pytest.mark.parametrize("idiom, values", [
+    (Idiom.SCATTER, [(i * 7919) % 1000 + 1 for i in range(3000)]),
+    (Idiom.PIE, [3, 1, 3, 2, 1]),
+    (Idiom.PIE, [0, 2, 0, 2]),  # a silent slice still has its value's pitch
+])
+def test_scatter_and_pie_quantize_each_distinct_value_once(monkeypatch, idiom, values):
+    quantized = []
+
+    def recording_quantize(value, *args):
+        quantized.append(value)
+        return quantize_pitch(value, *args)
+
+    monkeypatch.setattr(melodifier, "quantize_pitch", recording_quantize)
+    melodify(dataset(values, labels(values)), spec(idiom))
+    assert quantized == list(dict.fromkeys(map(float, values)))
+
+
+# --- bar, scatter and pie bodies: each distinct value once --------------------
 
 series_values = st.one_of(
     st.integers(-3, 3),  # many duplicates
@@ -543,18 +560,29 @@ series_values = st.one_of(
 def test_bar_and_scatter_bodies_match_the_per_value_loops(
     values, palette, key_root, histogram, time_signature
 ):
-    ds = dataset(values, labels(values))
-    for idiom, body, oracle, x in (
-        (Idiom.BAR, melodifier._bar_body, reference.bar_body, "k"),
-        (Idiom.SCATTER, melodifier._scatter_body, reference.scatter_body, None),
-    ):
+    cases = [
+        (Idiom.BAR, melodifier._bar_body, reference.bar_body, "k", values),
+        (Idiom.SCATTER, melodifier._scatter_body, reference.scatter_body, None, values),
+    ]
+    # A pie plays the values' sizes, when they have a positive total.
+    shares = [abs(value) for value in values]
+    if sum(shares) > 0:
+        cases.append((Idiom.PIE, melodifier._pie_body, reference.pie_body, "k", shares))
+    for idiom, body, oracle, x, played in cases:
         melody_spec = spec(
             idiom, palette, x=x, key_root=key_root, histogram=histogram,
             time_signature=time_signature,
         )
         plan = apply_palette(melody_spec)
-        character = derive_character(ds, "v", x)
+        character = derive_character(dataset(played, labels(played)), "v", x)
+        try:
+            expected, expected_end = oracle(melody_spec, plan, character)
+        except ProportionError as refusal:
+            # A slice too small for the sixteenth grid: the same refusal.
+            with pytest.raises(ProportionError) as raised:
+                body(melody_spec, plan, character)
+            assert str(raised.value) == str(refusal)
+            continue
         events, body_end = body(melody_spec, plan, character)
-        expected, expected_end = oracle(melody_spec, plan, character)
         assert body_end == expected_end
         assert_same_events(events, expected)
