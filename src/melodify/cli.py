@@ -81,12 +81,17 @@ def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -
     its summary. The score as played passes the ``structural_errors``
     gate once, before any file is written, so a refusal names its events
     by their index in the expansion. ``write_smf`` takes the looped score
-    and gates it too; the text score keeps its loop marker. Both outputs
-    are encoded before either is written, and a failed text write removes
-    the MIDI file just written, so a refusal leaves no file behind."""
+    and gates it too, and with no MIDI to write the looped score passes
+    that gate here: ``expand_loops`` sorts, so the expansion's gate
+    misses events out of order. The text score keeps its loop marker.
+    Both outputs are encoded before either is written, and a failed text
+    write removes the MIDI file just written, so a refusal leaves no file
+    behind."""
     expanded = expand_loops(score)
     if midi_path is None or score.loop is not None:
         require_valid(expanded)
+    if midi_path is None and score.loop is not None:
+        require_valid(score)
     midi = write_smf(score) if midi_path is not None else None  # gates a loop-free score
     text = write_text_score(score) if text_path is not None else None
     if midi_path is not None:

@@ -75,26 +75,6 @@ def key_signature_bytes(root: int, mode: ScaleMode) -> bytes:
     return struct.pack(">bB", sharps, 1 if mode is ScaleMode.NATURAL_MINOR else 0)
 
 
-def sounding_durations(notes: Sequence[NoteEvent]) -> list[int]:
-    """Ticks each note actually holds once its articulation gate applies.
-
-    An accent borrows its gate from the nearest plainly articulated note
-    before it, or from the first one after it when none comes before; a
-    run of accents alone plays at the normal gate.
-    """
-    accent, gates = Articulation.ACCENT, GATE_BY_ARTICULATION
-    gate = next(
-        (gates[n.articulation] for n in notes if n.articulation is not accent),
-        gates[Articulation.NORMAL],
-    )
-    held = []
-    for n in notes:
-        if n.articulation is not accent:
-            gate = gates[n.articulation]
-        held.append(int(gate * n.duration_ticks) or 1)  # at least one tick
-    return held
-
-
 _NOTE_ON = bytes([0x90 | CHANNEL])
 _NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
 _PEDAL = {
@@ -103,6 +83,7 @@ _PEDAL = {
 }
 # Past every event: ``write_smf`` walks it last to flush the note-offs.
 _END = PedalEvent(math.inf, PedalState.UP)
+_ACCENT = Articulation.ACCENT
 
 
 def require_valid(score: Score) -> None:
@@ -132,22 +113,23 @@ def _encode(
     events: Sequence[Event],
     shift: int,
     index: int,
-    held: Sequence[int],
-) -> int:
+    gate: float,
+) -> tuple[int, float]:
     """Append ``events``, each played ``shift`` ticks late, to ``out`` and
-    return the tick of the last message written.
+    return the tick of the last message written and the gate then.
 
     ``cursor`` is the tick of the message before them, ``index`` the
-    first event's index in the score as played, and ``held`` each note's
-    sounding duration. Note-offs wait in the ``pending`` heap, keyed
-    (off tick, event index, pitch), and leave it before a pedal at a
-    later tick or a note-on at the same or a later tick; ``_END`` flushes
-    the rest. A delta below 2**14 is written inline as its one- or
-    two-byte VLQ, with no function call per message; ``_long_delta``
-    writes longer ones.
+    first event's index in the score as played, and ``gate`` the fraction
+    of its written length the last plainly articulated note held. Each
+    note sounds ``int(gate * duration) or 1`` ticks at its own
+    articulation's gate; an accent keeps the one before it. Note-offs
+    wait in the ``pending`` heap, keyed (off tick, event index, pitch),
+    and leave it before a pedal at a later tick or a note-on at the same
+    or a later tick; ``_END`` flushes the rest. A delta below 2**14 is
+    written inline as its one- or two-byte VLQ, with no function call
+    per message; ``_long_delta`` writes longer ones.
     """
     append = out.append
-    held = iter(held)
     for index, ev in enumerate(events, index):
         tick = due = ev[0] + shift
         is_note = type(ev) is NoteEvent
@@ -177,14 +159,16 @@ def _encode(
             out += _long_delta(delta)
         cursor = tick
         if is_note:
-            pitch = ev[2]
+            _, duration, pitch, velocity, articulation = ev
+            if articulation is not _ACCENT:
+                gate = GATE_BY_ARTICULATION[articulation]
             out += _NOTE_ON
             append(pitch)
-            append(ev[3])
-            heappush(pending, (tick + next(held), index, pitch))
+            append(velocity)
+            heappush(pending, (tick + (int(gate * duration) or 1), index, pitch))
         else:
             out += _PEDAL[ev[1]]
-    return cursor
+    return cursor, gate
 
 
 def write_smf(score: Score) -> bytes:
@@ -195,12 +179,16 @@ def write_smf(score: Score) -> bytes:
     meta, pedal, note-off, note-on, each group in score order.
 
     One walk writes the events before the loop region, then the region
-    once per repeat, then the rest. At each seam between two repeats the
-    encoder's state is taken relative to the seam: the last message's
-    tick and the pending note-offs. Once two seams in a row match, every
-    later repeat writes the bytes of the one just written, so those
-    bytes are repeated and the state is shifted by arithmetic. A
-    loop-free score is all "before". The score passes
+    once per repeat, then the rest. It carries the gate of the last
+    plainly articulated note, so an accent borrows the gate of the
+    nearest plain note before it as played. The gate starts as the first
+    plain note's, which an accent before every plain note borrows, or
+    the normal gate when every note is an accent. At each seam before a
+    repeat the encoder's state is taken relative to the seam: the last
+    message's tick, the pending note-offs and the gate. Once two seams
+    in a row match, every later repeat writes the bytes of the one just
+    written, so those bytes are repeated and the state is shifted by
+    arithmetic. A loop-free score is all "before". The score passes
     ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
     (``loop_region``) before any bytes are built; a gap between two
     messages that no delta-time can hold refuses it as it is met.
@@ -209,14 +197,11 @@ def write_smf(score: Score) -> bytes:
     events, loop = score.events, score.loop
     first, after = (len(events),) * 2 if loop is None else loop_region(events, loop)
     before, region, tail = events[:first], events[first:after], events[after:]
-
-    # An accent borrows the gate of the nearest plain note before it, so
-    # an accent that opens repeat 1 or later borrows from the repeat
-    # before it: those repeats read the second of two region copies.
-    notes = [[ev for ev in part if type(ev) is NoteEvent] for part in (before, region, tail)]
-    held = sounding_durations([*notes[0], *notes[1], *notes[1], *notes[2]])
-    b, n = len(notes[0]), len(notes[1])
-    held_first, held_rest = held[b:b + n], held[b + n:b + 2 * n]
+    gate = next(
+        (GATE_BY_ARTICULATION[ev[4]] for ev in events
+         if type(ev) is NoteEvent and ev[4] is not _ACCENT),
+        GATE_BY_ARTICULATION[Articulation.NORMAL],
+    )
 
     tempo_us = round(60_000_000 / score.tempo_bpm)
     numerator, denominator = score.time_signature
@@ -232,7 +217,7 @@ def write_smf(score: Score) -> bytes:
     out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
 
     pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
-    cursor = _encode(out, pending, 0, before, 0, 0, held[:b])
+    cursor, gate = _encode(out, pending, 0, before, 0, 0, gate)
     shift = added = 0  # ticks and events the repeats put before the tail
     if loop is not None:
         length, size, count = loop.end_tick - loop.start_tick, len(region), loop.count
@@ -241,29 +226,23 @@ def write_smf(score: Score) -> bytes:
         seam = None
         for r in range(count):
             tick, index = r * length, first + r * size
-            # Seams from the one after repeat 0 on are compared: repeat 0
-            # may read other gates than the repeats after it.
-            if r:
-                state = cursor - tick, sorted(
-                    (off - tick, i - index, pitch) for off, i, pitch in pending
-                )
-                if state == seam:
-                    # Repeat r - 1 left the encoder as it found it, so
-                    # every repeat from r on writes the same bytes.
-                    skip = count - r
-                    out += out[mark:] * skip
-                    cursor += skip * length
-                    pending[:] = [
-                        (off + skip * length, i + skip * size, pitch)
-                        for off, i, pitch in pending
-                    ]
-                    break
-                seam = state
-            mark = len(out)
-            cursor = _encode(
-                out, pending, cursor, region, tick, index, held_rest if r else held_first
+            state = cursor - tick, gate, sorted(
+                (off - tick, i - index, pitch) for off, i, pitch in pending
             )
-    _encode(out, pending, cursor, (*tail, _END), shift, after + added, held[b + 2 * n:])
+            if state == seam:
+                # Repeat r - 1 left the encoder as it found it, so every
+                # repeat from r on writes the same bytes.
+                skip = count - r
+                out += out[mark:] * skip
+                cursor += skip * length
+                pending[:] = [
+                    (off + skip * length, i + skip * size, pitch)
+                    for off, i, pitch in pending
+                ]
+                break
+            seam, mark = state, len(out)
+            cursor, gate = _encode(out, pending, cursor, region, tick, index, gate)
+    _encode(out, pending, cursor, (*tail, _END), shift, after + added, gate)
     out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
 
     struct.pack_into(">I", out, track_start - 4, len(out) - track_start)

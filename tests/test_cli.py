@@ -207,63 +207,6 @@ def test_compile_missing_data_file(tmp_path, capsys):
     assert err.startswith("error E_IO:")
 
 
-def test_compile_unknown_idiom(bar_csv, capsys):
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv),
-        "--idiom", "sparkline", "--palette", "positive", "--x", "k", "--y", "v",
-    )
-    assert code == 1
-    assert err.startswith("error E_PARSE:")
-
-
-def test_compile_unknown_column(bar_csv, capsys):
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv),
-        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "nope",
-    )
-    assert code == 1
-    assert err.startswith("error E_BINDING:")
-
-
-def test_compile_negative_pie_share(tmp_path, capsys):
-    path = tmp_path / "shares.csv"
-    path.write_text("k,v\na,3\nb,-1\n", encoding="utf-8")
-    code, _, err = run(
-        capsys, "compile", "--data", str(path),
-        "--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v",
-    )
-    assert code == 1
-    assert err.startswith("error E_PROPORTION:")
-
-
-def test_compile_refuses_a_pie_slice_below_one_sixteenth(tmp_path, capsys):
-    # A 1/32 cycle is 2 sixteenths, so only the first two of five equal
-    # slices could sound; the third is named and nothing is written.
-    path = tmp_path / "shares.csv"
-    path.write_text("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", encoding="utf-8")
-    code, out, err = run(
-        capsys, "compile", "--data", str(path), "--idiom", "pie",
-        "--palette", "positive", "--x", "k", "--y", "v",
-        "--time", "1/32", "--loop", "1",
-    )
-    assert code == 1 and out == ""
-    assert err == (
-        "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of "
-        "the cycle's 2 sixteenth units\n"
-    )
-    assert [p.name for p in tmp_path.iterdir()] == ["shares.csv"]
-
-
-def test_compile_rejects_time_numerator_above_one_byte(bar_csv, capsys):
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv), "--idiom", "bar",
-        "--palette", "positive", "--x", "k", "--y", "v", "--time", "300/4",
-    )
-    assert code == 1
-    assert err.startswith("error E_PARSE:") and len(err.splitlines()) == 1
-    assert not bar_csv.with_suffix(".mid").exists()
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("idiom", "table"),
@@ -373,29 +316,34 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert not bar_csv.with_suffix(".mid").exists()
 
 
-@pytest.fixture
-def reversed_bar_body(monkeypatch):
+def reverse_body(monkeypatch, idiom):
     # melodify trusts each body to write its events in score order;
     # structural_errors must catch one that does not, before any output.
-    write_bars = melodifier._BODIES[Idiom.BAR]
+    write_body = melodifier._BODIES[idiom]
 
-    def reversed_bars(spec, plan, character):
-        events, body_end = write_bars(spec, plan, character)
+    def reversed_body(spec, plan, character):
+        events, body_end = write_body(spec, plan, character)
         return events[::-1], body_end
 
-    monkeypatch.setitem(melodifier._BODIES, Idiom.BAR, reversed_bars)
+    monkeypatch.setitem(melodifier._BODIES, idiom, reversed_body)
 
 
-def assert_refused_out_of_order(bar_csv, capsys, emit):
+@pytest.fixture
+def reversed_bar_body(monkeypatch):
+    reverse_body(monkeypatch, Idiom.BAR)
+
+
+def assert_refused_out_of_order(bar_csv, capsys, emit, idiom="bar"):
     code, out, err = run(
         capsys, "compile", "--data", str(bar_csv), "--emit", emit,
-        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v",
+        "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
     )
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error E_INTERNAL: score fails validation: ")
     assert "out of order" in line
     assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
+    return line
 
 
 def test_out_of_order_body_is_internal_error(bar_csv, capsys, reversed_bar_body):
@@ -405,6 +353,15 @@ def test_out_of_order_body_is_internal_error(bar_csv, capsys, reversed_bar_body)
 def test_out_of_order_body_writes_no_text_score(bar_csv, capsys, reversed_bar_body):
     # Text-only output passes the same gate as MIDI before it is written.
     assert_refused_out_of_order(bar_csv, capsys, "text")
+
+
+def test_out_of_order_looped_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch):
+    # A pie loops: the gate on its expansion alone would not see the
+    # fault, since expand_loops sorts the events it copies.
+    reverse_body(monkeypatch, Idiom.PIE)
+    lines = {emit: assert_refused_out_of_order(bar_csv, capsys, emit, "pie")
+             for emit in ("midi", "text", "both")}
+    assert lines["text"] == lines["both"] == lines["midi"]
 
 
 @pytest.mark.parametrize("idiom", ["bar", "pie"])
@@ -421,8 +378,9 @@ def test_every_emit_runs_the_gate_once(bar_csv, capsys, monkeypatch, emit, idiom
     # Once on the expanded score, whose events a refusal numbers as played.
     (checked,) = [score for score in calls if score.loop is None]
     others = [score for score in calls if score.loop is not None]
-    if idiom == "pie" and emit != "text":
-        # The only other call is write_smf's check of the looped score.
+    if idiom == "pie":
+        # The only other call checks the looped score: write_smf's own
+        # check, or, with no MIDI, the same check made in its place.
         (looped,) = others
         pie = reference.melodify(reference.dataset([1, 2, 3], "abc"), reference.spec(Idiom.PIE))
         assert len(looped.events) == len(pie.events)
@@ -562,6 +520,8 @@ PIE_FLAGS = ["--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v"]
          "error E_PARSE: spec is missing 'y'"),
         ("k,v\na,1\n", BAR_FLAGS + ["--key", "H"],
          "error E_PARSE: unknown key name 'H'"),
+        ("k,v\na,1\n", BAR_FLAGS + ["--time", "300/4"],
+         "error E_PARSE: time signature numerator must be within [1, 255]"),
         ("k,v\na,1\n", ["--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "nope"],
          "error E_BINDING: no column named 'nope'"),
         ("k,v\na,1\n", ["--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "k"],
@@ -577,7 +537,7 @@ PIE_FLAGS = ["--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v"]
          "cycle's 2 sixteenth units"),
     ],
     ids=["ragged-row", "no-rows", "unknown-idiom", "unknown-palette", "missing-y",
-         "invalid-key", "unknown-column", "categorical-y", "one-point-line",
+         "invalid-key", "numerator-above-byte", "unknown-column", "categorical-y", "one-point-line",
          "negative-share", "all-zero-shares", "unsounded-slice"],
 )
 def test_rejection_line_is_pinned(tmp_path, capsys, table, flags, line):

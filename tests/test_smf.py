@@ -27,7 +27,6 @@ from melodify.smf import (
     encode_vlq,
     key_signature_bytes,
     parse_smf_minimal,
-    sounding_durations,
     write_smf,
     write_text_score,
 )
@@ -91,41 +90,22 @@ def test_key_signature_chromatic_is_neutral():
 
 # --- articulation gates -------------------------------------------------------
 
-def test_gate_ratios():
-    notes = [
-        note(0, art=Articulation.NORMAL),
-        note(480, art=Articulation.STACCATO),
-        note(960, art=Articulation.LEGATO),
-    ]
-    assert sounding_durations(notes)[0] == 408  # 0.85 * 480
-    assert sounding_durations(notes)[1] == 240  # 0.50 * 480
-    assert sounding_durations(notes)[2] == 480  # 1.00 * 480
+_ACCENT, _LEGATO, _STACCATO = Articulation.ACCENT, Articulation.LEGATO, Articulation.STACCATO
 
 
-def test_gate_minimum_one_tick():
-    notes = [note(0, dur=1, art=Articulation.STACCATO)]
-    assert sounding_durations(notes)[0] == 1
-
-
-def test_accent_inherits_previous_gate():
-    notes = [
-        note(0, art=Articulation.STACCATO),
-        note(480, art=Articulation.ACCENT),
-    ]
-    assert sounding_durations(notes)[1] == 240
-
-
-def test_accent_inherits_forward_when_first():
-    notes = [
-        note(0, art=Articulation.ACCENT),
-        note(480, art=Articulation.LEGATO),
-    ]
-    assert sounding_durations(notes)[0] == 480
-
-
-def test_accent_alone_defaults_to_normal_gate():
-    notes = [note(0, art=Articulation.ACCENT)]
-    assert sounding_durations(notes)[0] == 408
+@pytest.mark.parametrize("notes, held", [
+    pytest.param([note(0, art=Articulation.NORMAL), note(480, art=_STACCATO),
+                  note(960, art=_LEGATO)], [408, 240, 480], id="gate-ratios"),
+    pytest.param([note(0, dur=1, art=_STACCATO)], [1], id="one-tick-minimum"),
+    pytest.param([note(0, art=_STACCATO), note(480, art=_ACCENT)], [240, 240],
+                 id="accent-after-plain"),
+    pytest.param([note(0, art=_ACCENT), note(480, art=_LEGATO)], [480, 480],
+                 id="leading-accent"),
+    pytest.param([note(0, art=_ACCENT)], [408], id="lone-accent"),
+])
+def test_notes_sound_for_their_gated_length(notes, held):
+    parsed = parse_smf_minimal(write_smf(make_score(notes)))
+    assert [n.duration_ticks for n in parsed.notes] == held
 
 
 # --- write_smf ----------------------------------------------------------------
@@ -475,7 +455,10 @@ def looped_scores(draw, faults=False):
     return make_score(pedals + notes, loop=Loop(start, end, draw(st.integers(1, 6))))
 
 
-_ACCENT, _LEGATO, _STACCATO = Articulation.ACCENT, Articulation.LEGATO, Articulation.STACCATO
+_STACCATO_PAIR = make_score(
+    [note(0, dur=100, art=_STACCATO), note(100, dur=100, art=_STACCATO)],
+    loop=Loop(100, 200, 4),
+)
 
 
 @given(looped_scores())
@@ -494,6 +477,8 @@ _ACCENT, _LEGATO, _STACCATO = Articulation.ACCENT, Articulation.LEGATO, Articula
 ))
 # A note before the region outlasts three repeats: the seams match late.
 @example(make_score([note(0, dur=350, art=_LEGATO), note(5, dur=3)], loop=Loop(5, 105, 8)))
+# The seam before repeat 0 already matches the one after it.
+@example(_STACCATO_PAIR)
 def test_looped_write_matches_the_write_of_its_expansion(score):
     assume(not structural_errors(score))
     got, want = write_smf(score), write_smf(expand_loops(score))
@@ -534,22 +519,35 @@ def test_looped_write_and_its_expansion_share_the_event_cap(over):
         assert write_smf(score) == write_smf(expand_loops(score))
 
 
-def test_looped_write_walks_the_same_events_at_any_loop_count(monkeypatch):
-    # Repeats after the first two seams that match are copied as bytes.
-    walked = []
+@pytest.fixture
+def walked(monkeypatch):
+    """The number of events in each ``_encode`` call, in order."""
+    sizes = []
     encode = smf._encode
 
     def counting(out, pending, cursor, events, *rest):
-        walked.append(len(events))
+        sizes.append(len(events))
         return encode(out, pending, cursor, events, *rest)
 
     monkeypatch.setattr(smf, "_encode", counting)
+    return sizes
+
+
+def test_looped_write_walks_the_same_events_at_any_loop_count(walked):
+    # Repeats after the first two seams that match are copied as bytes.
     sizes = {}
     for loop_count in (3, 128, 1024):
         walked.clear()
         write_smf(_pie(loop_count))
         sizes[loop_count] = sum(walked)
     assert sizes[3] == sizes[128] == sizes[1024]
+
+
+def test_looped_write_walks_a_steady_region_once(walked):
+    # Repeat 0 leaves the encoder in the state it found it in, so the
+    # encoder walks the part before the region, one repeat and the tail.
+    write_smf(_STACCATO_PAIR)
+    assert walked == [1, 1, 1]
 
 
 @pytest.mark.parametrize("loop_count", [128, 1024])
