@@ -207,6 +207,53 @@ def test_compile_missing_data_file(tmp_path, capsys):
     assert err.startswith("error E_IO:")
 
 
+def test_compile_unknown_idiom(bar_csv, capsys):
+    code, _, err = run(
+        capsys, "compile", "--data", str(bar_csv),
+        "--idiom", "sparkline", "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 1
+    assert err.startswith("error E_PARSE:")
+
+
+def test_compile_unknown_column(bar_csv, capsys):
+    code, _, err = run(
+        capsys, "compile", "--data", str(bar_csv),
+        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "nope",
+    )
+    assert code == 1
+    assert err.startswith("error E_BINDING:")
+
+
+def test_compile_negative_pie_share(tmp_path, capsys):
+    path = tmp_path / "shares.csv"
+    path.write_text("k,v\na,3\nb,-1\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "compile", "--data", str(path),
+        "--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 1
+    assert err.startswith("error E_PROPORTION:")
+
+
+def test_compile_refuses_a_pie_slice_below_one_sixteenth(tmp_path, capsys):
+    # A 1/32 cycle is 2 sixteenths, so only the first two of five equal
+    # slices could sound; the third is named and nothing is written.
+    path = tmp_path / "shares.csv"
+    path.write_text("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "compile", "--data", str(path), "--idiom", "pie",
+        "--palette", "positive", "--x", "k", "--y", "v",
+        "--time", "1/32", "--loop", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of "
+        "the cycle's 2 sixteenth units\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["shares.csv"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("idiom", "table"),
