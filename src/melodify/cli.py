@@ -78,21 +78,18 @@ def _summary(score: Score) -> str:
 
 def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -> str:
     """Write the score to whichever of the two paths are given and return
-    its summary. The score as played passes the ``structural_errors``
-    gate once, before any file is written, so a refusal names its events
-    by their index in the expansion. ``write_smf`` takes the looped score
-    and gates it too, and with no MIDI to write the looped score passes
-    that gate here: ``expand_loops`` sorts, so the expansion's gate
-    misses events out of order. The text score keeps its loop marker.
-    Both outputs are encoded before either is written, and a failed text
-    write removes the MIDI file just written, so a refusal leaves no file
-    behind."""
+    its summary. Every score passes the ``structural_errors`` gate before
+    any file is written. A looped score first passes it as played, so a
+    refusal numbers its events as played. ``write_smf`` gates the score
+    itself; with no MIDI to write, the score is gated here. Both outputs
+    are encoded before either is written, and a failed text write removes
+    the MIDI file just written, so a refusal leaves no file behind."""
     expanded = expand_loops(score)
-    if midi_path is None or score.loop is not None:
-        require_valid(expanded)
-    if midi_path is None and score.loop is not None:
-        require_valid(score)
-    midi = write_smf(score) if midi_path is not None else None  # gates a loop-free score
+    if score.loop is not None:
+        require_valid(expanded)  # a refusal numbers events as played
+    if midi_path is None:
+        require_valid(score)  # write_smf gates the score itself
+    midi = write_smf(score) if midi_path is not None else None
     text = write_text_score(score) if text_path is not None else None
     if midi_path is not None:
         midi_path.write_bytes(midi)

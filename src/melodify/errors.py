@@ -6,8 +6,8 @@ parsing prose.
 
 - ``MelodifyError`` (``E_INTERNAL``): the base, raised as itself when
   the package breaks its own contract (a bad scale degree, a pitch
-  outside MIDI range, writing an unexpanded or invalid score, bytes that
-  are not the expected MIDI layout).
+  outside MIDI range, writing an invalid score, bytes that are not the
+  expected MIDI layout).
 - ``ParseError`` (``E_PARSE``): table, spec or command line that cannot
   be decoded, or a value out of range or mistyped.
 - ``BindingError`` (``E_BINDING``): the spec's columns do not exist,

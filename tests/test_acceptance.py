@@ -130,14 +130,19 @@ def test_criterion_02_slope_degrees():
     score = melodify(
         dataset([0, 1, 2, 3, 4, 2, 0, -2]), spec(Idiom.LINE, Palette.POSITIVE)
     )
-    body = notes_of(score)[:9]
+    notes = notes_of(score)
+    body = notes[:9]
     # Slope +1 walks the first degree upward from the anchor.
     assert [n.pitch for n in body[:5]] == [48, 52, 55, 60, 64]
     # Slope -2 walks the second degree downward, voiced major.
     assert [n.pitch for n in body[5:]] == [62, 57, 54, 50]
-    accented = [i for i, n in enumerate(body) if n.articulation is Articulation.ACCENT]
-    assert accented == [5]
-    assert body[5].velocity == 112
+    assert all(n.duration_ticks == 240 for n in body)  # medium density
+    # Legato throughout, but the first note of each new segment is accented.
+    legato, accent = Articulation.LEGATO, Articulation.ACCENT
+    assert [n.articulation for n in body] == [legato] * 5 + [accent] + [legato] * 3
+    assert [n.velocity for n in body] == [80] * 5 + [112] + [80] * 3
+    # The body ends at tick 2160; the cadence starts on the next bar line.
+    assert {n.onset_tick for n in notes if n.velocity == 96} == {2 * BAR_TICKS, 3 * BAR_TICKS}
     _pass(2, "slope degrees")
 
 
@@ -502,6 +507,8 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
         golden = (GOLDEN_DIR / f"{track.slug}.txt").read_bytes()
         assert rendered == golden, f"{track.slug} text score drifted"
 
+    # test_melodifier.py and criterion 2 check tracks 03, 04, 05 and 07 by
+    # hand, on the same series.
     by_slug = {track.slug: melodify(track.dataset, track.spec) for track in TRACKS}
 
     # Rising bars close dominant-to-tonic in C major.
@@ -511,18 +518,6 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
     # Falling bars close deceptively: B-flat major into C minor.
     chords = chords_of(by_slug["02-bar-negative"])
     assert chords[-2:] == [(58, 62, 65), (48, 51, 55)]
-
-    # The two-trend line accents its downturn.
-    body = notes_of(by_slug["03-line-positive"])[:9]
-    assert [n.pitch for n in body] == [48, 52, 55, 60, 64, 62, 57, 54, 50]
-    assert [n.articulation for n in body].count(Articulation.ACCENT) == 1
-    assert body[5].articulation is Articulation.ACCENT
-
-    # Its grey twin weaves chromatic passing tones and never cadences.
-    grey_line = notes_of(by_slug["05-line-grey"])
-    assert len(grey_line) == 16
-    assert all(n.velocity != 96 for n in grey_line)
-    major_classes = {0, 2, 4, 5, 7, 9, 11}
 
     # Pie slices hold their share of the four-bar cycle and repeat.
     pie = by_slug["06-pie-positive"]
@@ -534,13 +529,6 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
     assert [slice_durations[o] for o in sorted(slice_durations)] == [3120, 2280, 1560, 720]
     assert total_duration_ticks(expand_loops(pie)) == 2 * CYCLE_TICKS + 2 * BAR_TICKS
 
-    # Sparse wide scatter blurs under one pedal and spans three octaves.
-    scatter = by_slug["07-scatter-sparse-wide"]
-    staccato = [n for n in notes_of(scatter) if n.articulation is Articulation.STACCATO]
-    assert [p.state for p in pedals_of(scatter)] == [PedalState.DOWN, PedalState.UP]
-    assert max(n.pitch for n in staccato) == 48 + 36
-    assert max(n.pitch for n in staccato) > 48 + 24
-
     # Dense narrow scatter stays within one octave, dry.
     scatter = by_slug["08-scatter-dense-narrow"]
     staccato = [n for n in notes_of(scatter) if n.articulation is Articulation.STACCATO]
@@ -551,6 +539,6 @@ def test_criterion_10_tracklist_golden(tmp_path, capsys):
     # Grey scatter leaves the diatonic set and never cadences.
     grey = by_slug["09-scatter-grey"]
     assert pedals_of(grey) == []
-    assert any(n.pitch % 12 not in major_classes for n in notes_of(grey))
+    assert any(n.pitch % 12 not in MAJOR_OFFSETS for n in notes_of(grey))
     assert all(n.velocity != 96 for n in notes_of(grey))
     _pass(10, "tracklist golden")

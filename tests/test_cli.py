@@ -207,53 +207,6 @@ def test_compile_missing_data_file(tmp_path, capsys):
     assert err.startswith("error E_IO:")
 
 
-def test_compile_unknown_idiom(bar_csv, capsys):
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv),
-        "--idiom", "sparkline", "--palette", "positive", "--x", "k", "--y", "v",
-    )
-    assert code == 1
-    assert err.startswith("error E_PARSE:")
-
-
-def test_compile_unknown_column(bar_csv, capsys):
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv),
-        "--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "nope",
-    )
-    assert code == 1
-    assert err.startswith("error E_BINDING:")
-
-
-def test_compile_negative_pie_share(tmp_path, capsys):
-    path = tmp_path / "shares.csv"
-    path.write_text("k,v\na,3\nb,-1\n", encoding="utf-8")
-    code, _, err = run(
-        capsys, "compile", "--data", str(path),
-        "--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v",
-    )
-    assert code == 1
-    assert err.startswith("error E_PROPORTION:")
-
-
-def test_compile_refuses_a_pie_slice_below_one_sixteenth(tmp_path, capsys):
-    # A 1/32 cycle is 2 sixteenths, so only the first two of five equal
-    # slices could sound; the third is named and nothing is written.
-    path = tmp_path / "shares.csv"
-    path.write_text("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", encoding="utf-8")
-    code, out, err = run(
-        capsys, "compile", "--data", str(path), "--idiom", "pie",
-        "--palette", "positive", "--x", "k", "--y", "v",
-        "--time", "1/32", "--loop", "1",
-    )
-    assert code == 1 and out == ""
-    assert err == (
-        "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of "
-        "the cycle's 2 sixteenth units\n"
-    )
-    assert [p.name for p in tmp_path.iterdir()] == ["shares.csv"]
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("idiom", "table"),
@@ -363,52 +316,32 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert not bar_csv.with_suffix(".mid").exists()
 
 
-def reverse_body(monkeypatch, idiom):
+@pytest.mark.parametrize("idiom", ["bar", "pie"])
+def test_out_of_order_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch, idiom):
     # melodify trusts each body to write its events in score order;
     # structural_errors must catch one that does not, before any output.
-    write_body = melodifier._BODIES[idiom]
+    # A pie loops: the gate on its expansion alone would not see the
+    # fault, since expand_loops sorts the events it copies.
+    write_body = melodifier._BODIES[Idiom(idiom)]
 
     def reversed_body(spec, plan, character):
         events, body_end = write_body(spec, plan, character)
         return events[::-1], body_end
 
-    monkeypatch.setitem(melodifier._BODIES, idiom, reversed_body)
-
-
-@pytest.fixture
-def reversed_bar_body(monkeypatch):
-    reverse_body(monkeypatch, Idiom.BAR)
-
-
-def assert_refused_out_of_order(bar_csv, capsys, emit, idiom="bar"):
-    code, out, err = run(
-        capsys, "compile", "--data", str(bar_csv), "--emit", emit,
-        "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
-    )
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    assert line.startswith("error E_INTERNAL: score fails validation: ")
-    assert "out of order" in line
-    assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
-    return line
-
-
-def test_out_of_order_body_is_internal_error(bar_csv, capsys, reversed_bar_body):
-    assert_refused_out_of_order(bar_csv, capsys, "both")
-
-
-def test_out_of_order_body_writes_no_text_score(bar_csv, capsys, reversed_bar_body):
-    # Text-only output passes the same gate as MIDI before it is written.
-    assert_refused_out_of_order(bar_csv, capsys, "text")
-
-
-def test_out_of_order_looped_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch):
-    # A pie loops: the gate on its expansion alone would not see the
-    # fault, since expand_loops sorts the events it copies.
-    reverse_body(monkeypatch, Idiom.PIE)
-    lines = {emit: assert_refused_out_of_order(bar_csv, capsys, emit, "pie")
-             for emit in ("midi", "text", "both")}
-    assert lines["text"] == lines["both"] == lines["midi"]
+    monkeypatch.setitem(melodifier._BODIES, Idiom(idiom), reversed_body)
+    lines = set()
+    for emit in ("midi", "text", "both"):
+        code, out, err = run(
+            capsys, "compile", "--data", str(bar_csv), "--emit", emit,
+            "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error E_INTERNAL: score fails validation: ")
+        assert "out of order" in line
+        assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
+        lines.add(line)
+    assert len(lines) == 1
 
 
 @pytest.mark.parametrize("idiom", ["bar", "pie"])
@@ -641,18 +574,6 @@ def test_analyze_categorical_x_reports_proportions(bar_csv, capsys):
     shares = {p["label"]: p["ratio"] for p in report["proportions"]}
     assert shares == {"a": pytest.approx(1 / 6), "b": pytest.approx(2 / 6), "c": pytest.approx(3 / 6)}
     assert sum(shares.values()) == pytest.approx(1.0)
-
-
-def test_analyze_negative_share_has_no_proportions(tmp_path, capsys):
-    # A bar chart plays this table, so analyze reports it instead of failing.
-    path = tmp_path / "bars.csv"
-    path.write_text("k,v\na,1\nb,-2\nc,3\n", encoding="utf-8")
-    code, out, err = run(capsys, "analyze", "--data", str(path), "--y", "v", "--x", "k")
-    assert code == 0 and err == ""
-    report = json.loads(out)
-    assert list(report) == ["rows", "segments", "density", "variance", "proportions"]
-    assert report["rows"] == 3 and len(report["segments"]) == 2
-    assert report["proportions"] is None
 
 
 def test_analyze_rejects_categorical_y(bar_csv, capsys):
@@ -958,6 +879,9 @@ def test_readme_compile_flag_table_matches_the_parser():
         assert ("(required)" in documented[flag]) == action.required, flag
         for choice in action.choices or ():
             assert f"`{choice}`" in documented[flag], (flag, choice)
+    # A spec file's keys are named too: --time is `time_signature` there.
+    for key in SPEC_KEYS:
+        assert f"`{key}`" in section, key
 
 
 def test_readme_exit_codes_match_the_cli():

@@ -317,19 +317,9 @@ def test_csv_utf8_byte_order_mark_stripped():
     assert tuple(c.name for c in ds.columns) == ("region", "sales")
 
 
-def test_csv_header_only_is_empty_dataset():
-    with pytest.raises(ParseError, match="header but no data rows"):
-        csv_table("a,b\n")
-
-
 def test_csv_no_content_is_malformed():
     with pytest.raises(ParseError, match="no header row"):
         csv_table("")
-
-
-def test_csv_ragged_row_rejected():
-    with pytest.raises(ParseError, match="row 1 has 1 cells, expected 2"):
-        csv_table("a,b\n1\n")
 
 
 def test_csv_duplicate_header_rejected():
@@ -445,11 +435,6 @@ def test_spec_flat_key_names():
     assert spec_of(key="bb").key_root == 10
 
 
-def test_spec_bad_key_name():
-    with pytest.raises(ParseError, match="unknown key name 'H'"):
-        spec_of(key="H")
-
-
 def test_spec_time_signature():
     assert spec_of(time_signature="3/4").time_signature == (3, 4)
     assert spec_of(time_signature="7/8").time_signature == (7, 8)
@@ -490,13 +475,6 @@ def test_spec_unknown_keys_rejected():
         spec_of(volume=11)
 
 
-def test_spec_unknown_idiom_and_palette():
-    with pytest.raises(ParseError, match="unknown idiom 'area'"):
-        spec_of(idiom="area")
-    with pytest.raises(ParseError, match="unknown palette 'magenta'"):
-        spec_of(palette="magenta")
-
-
 def test_parse_spec_bytes_roundtrip():
     raw = json.dumps({"idiom": "pie", "palette": "calm", "y": "v", "x": "k"}).encode()
     spec = parse_spec(raw)
@@ -522,18 +500,6 @@ def test_binding_bar_needs_categorical_x():
         # Quantitative x does not satisfy bar.
         ds2 = csv_table("k,v\n1,1\n2,2\n")
         validate_binding(ds2, MelodySpec(Idiom.BAR, Palette.POSITIVE, "v", x_field="k"))
-
-
-def test_binding_y_must_be_quantitative():
-    ds = csv_table("k,v\na,x\nb,y\n")
-    with pytest.raises(BindingError, match="y column 'v' must be quantitative"):
-        validate_binding(ds, MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "v"))
-
-
-def test_binding_unknown_column():
-    ds = csv_table("k,v\na,1\n")
-    with pytest.raises(BindingError, match="no column named 'missing'"):
-        validate_binding(ds, MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "missing"))
 
 
 def test_binding_line_x_must_be_quantitative_when_bound():

@@ -251,11 +251,6 @@ def test_write_rejects_invalid_score():
         write_smf(score)
 
 
-def test_write_is_deterministic():
-    score = make_score([note(0), note(480, pitch=64)])
-    assert write_smf(score) == write_smf(score)
-
-
 ARTICULATIONS = st.sampled_from(list(Articulation))
 
 
@@ -479,6 +474,10 @@ _STACCATO_PAIR = make_score(
 @example(make_score([note(0, dur=350, art=_LEGATO), note(5, dur=3)], loop=Loop(5, 105, 8)))
 # The seam before repeat 0 already matches the one after it.
 @example(_STACCATO_PAIR)
+# The last repeat's note and the tail's lower note end on one tick: the
+# tail comes later in the score as played, so its note-off goes second.
+@example(make_score([note(0, dur=960, art=_LEGATO), note(480, pitch=55, art=_LEGATO)],
+                    loop=Loop(0, 480, 2)))
 def test_looped_write_matches_the_write_of_its_expansion(score):
     assume(not structural_errors(score))
     got, want = write_smf(score), write_smf(expand_loops(score))
@@ -658,12 +657,6 @@ def test_text_score_layout():
         "0 60 480 80 normal\n"
         "480 PEDAL up\n"
     )
-
-
-def test_text_score_includes_loop_line():
-    score = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
-    text = write_text_score(score)
-    assert "loop 0 960 2\n" in text
 
 
 @st.composite
