@@ -316,32 +316,52 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert not bar_csv.with_suffix(".mid").exists()
 
 
-@pytest.mark.parametrize("idiom", ["bar", "pie"])
-def test_out_of_order_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch, idiom):
+def reverse_body(monkeypatch, idiom):
     # melodify trusts each body to write its events in score order;
     # structural_errors must catch one that does not, before any output.
-    # A pie loops: the gate on its expansion alone would not see the
-    # fault, since expand_loops sorts the events it copies.
-    write_body = melodifier._BODIES[Idiom(idiom)]
+    write_body = melodifier._BODIES[idiom]
 
     def reversed_body(spec, plan, character):
         events, body_end = write_body(spec, plan, character)
         return events[::-1], body_end
 
-    monkeypatch.setitem(melodifier._BODIES, Idiom(idiom), reversed_body)
-    lines = set()
-    for emit in ("midi", "text", "both"):
-        code, out, err = run(
-            capsys, "compile", "--data", str(bar_csv), "--emit", emit,
-            "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
-        )
-        assert code == 2 and out == ""
-        (line,) = err.splitlines()
-        assert line.startswith("error E_INTERNAL: score fails validation: ")
-        assert "out of order" in line
-        assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
-        lines.add(line)
-    assert len(lines) == 1
+    monkeypatch.setitem(melodifier._BODIES, idiom, reversed_body)
+
+
+@pytest.fixture
+def reversed_bar_body(monkeypatch):
+    reverse_body(monkeypatch, Idiom.BAR)
+
+
+def assert_refused_out_of_order(bar_csv, capsys, emit, idiom="bar"):
+    code, out, err = run(
+        capsys, "compile", "--data", str(bar_csv), "--emit", emit,
+        "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
+    )
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error E_INTERNAL: score fails validation: ")
+    assert "out of order" in line
+    assert sorted(path.name for path in bar_csv.parent.iterdir()) == [bar_csv.name]
+    return line
+
+
+def test_out_of_order_body_is_internal_error(bar_csv, capsys, reversed_bar_body):
+    assert_refused_out_of_order(bar_csv, capsys, "both")
+
+
+def test_out_of_order_body_writes_no_text_score(bar_csv, capsys, reversed_bar_body):
+    # Text-only output passes the same gate as MIDI before it is written.
+    assert_refused_out_of_order(bar_csv, capsys, "text")
+
+
+def test_out_of_order_looped_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch):
+    # A pie loops: the gate on its expansion alone would not see the
+    # fault, since expand_loops sorts the events it copies.
+    reverse_body(monkeypatch, Idiom.PIE)
+    lines = {emit: assert_refused_out_of_order(bar_csv, capsys, emit, "pie")
+             for emit in ("midi", "text", "both")}
+    assert lines["text"] == lines["both"] == lines["midi"]
 
 
 @pytest.mark.parametrize("idiom", ["bar", "pie"])

@@ -166,9 +166,13 @@ def test_bar_ascending_values_ascend_and_cadence():
     # Cadence velocity stands apart from the body.
     assert {n.velocity for n in notes_of(score)[:9]} == {80}
     assert {n.velocity for n in notes_of(score)[9:]} == {96}
+
+
+def test_bar_chords_are_note_records_with_enum_articulations():
     # The chord notes are built with tuple.__new__, which would take any
     # field values; they must still be NoteEvents holding ints and an
     # Articulation member, like those NoteEvent(...) builds.
+    score = melodify(dataset([1, 2, 3], ["a", "b", "c"]), spec(Idiom.BAR, x="k"))
     body = notes_of(score)[:9]
     assert {type(n) for n in body} == {NoteEvent}
     assert {tuple(map(type, n)) for n in body} == {(int, int, int, int, Articulation)}
@@ -277,8 +281,28 @@ def test_pie_slice_rounding_to_no_sixteenth_is_refused():
 
 # --- line ---------------------------------------------------------------------
 
-# The acceptance suite's criterion 2 plays this series in the positive palette.
 LINE_Y = [0, 1, 2, 3, 4, 2, 0, -2]
+
+
+def test_line_two_segments_up_then_down():
+    score = melodify(dataset(LINE_Y), spec(Idiom.LINE))
+    notes = notes_of(score)
+    body = notes[:9]
+    # Slope +1: ascending walk of the C-major triad, five points.
+    assert [n.pitch for n in body[:5]] == [48, 52, 55, 60, 64]
+    # Slope -2: descending walk of a D-major triad, four points.
+    assert [n.pitch for n in body[5:]] == [62, 57, 54, 50]
+    assert all(n.duration_ticks == 240 for n in body)  # medium density
+
+
+def test_line_accent_marks_each_new_segment():
+    score = melodify(dataset(LINE_Y), spec(Idiom.LINE))
+    body = notes_of(score)[:9]
+    accents = [i for i, n in enumerate(body) if n.articulation is Articulation.ACCENT]
+    assert accents == [5]
+    assert body[5].velocity == 112
+    assert all(n.articulation is Articulation.LEGATO for i, n in enumerate(body) if i != 5)
+    assert all(n.velocity == 80 for i, n in enumerate(body) if i != 5)
 
 
 def test_line_negative_uses_minor_triads():
@@ -311,6 +335,14 @@ def test_line_neutral_segment_repeats_the_root():
     assert all(n.duration_ticks == 480 for n in body)  # low density
 
 
+def test_line_cadence_starts_on_a_bar_boundary():
+    score = melodify(dataset(LINE_Y), spec(Idiom.LINE))
+    notes = notes_of(score)
+    cadence = [n for n in notes if n.velocity == 96]
+    assert min(n.onset_tick for n in cadence) == 3840  # body ends at 2160
+    assert {n.onset_tick for n in cadence} == {3840, 5760}
+
+
 # --- scatter ------------------------------------------------------------------
 
 SPARSE_WIDE = [5, 90, 20, 70, 1, 55, 35]
@@ -323,7 +355,10 @@ def test_scatter_sparse_wide_pitches():
     assert [n.pitch for n in body] == [50, 84, 55, 76, 48, 69, 62]
     assert all(n.duration_ticks == 480 for n in body)  # low density: quarters
     assert [n.onset_tick for n in body] == [i * 480 for i in range(7)]
-    # Low density: one sustain-pedal stroke across the body.
+
+
+def test_scatter_low_density_has_one_pedal_pair():
+    score = melodify(dataset(SPARSE_WIDE), spec(Idiom.SCATTER))
     pedals = pedals_of(score)
     assert [p.state for p in pedals] == [PedalState.DOWN, PedalState.UP]
     assert pedals[0].tick == 0
