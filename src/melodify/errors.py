@@ -14,6 +14,9 @@ parsing prose.
   have the wrong kind, or hold too few points for the idiom.
 - ``ProportionError`` (``E_PROPORTION``): pie values that are negative,
   all zero, or too small to sound.
+
+``clipped`` writes an integer a refusal quotes, so that one line stays
+short however large the number is.
 """
 
 
@@ -33,3 +36,13 @@ class BindingError(MelodifyError):
 
 class ProportionError(MelodifyError):
     code = "E_PROPORTION"
+
+
+def clipped(value: int) -> str:
+    """``value`` as written, or past 20 characters as its first three
+    digits and power of ten, such as ``1.00e+300`` (truncated, not rounded)."""
+    text = str(value)
+    if len(text) <= 20:
+        return text
+    digits = text.lstrip("-")
+    return f"{text[:len(text) - len(digits)]}{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"

@@ -15,7 +15,7 @@ from enum import Enum
 from operator import countOf
 from typing import NamedTuple
 
-from .errors import BindingError, ParseError
+from .errors import BindingError, ParseError, clipped
 
 
 class TableFormat(str, Enum):
@@ -351,7 +351,7 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
         tempo_bpm = fields["tempo_bpm"] = _require_int(given["tempo"], "tempo")
         if not TEMPO_MIN <= tempo_bpm <= TEMPO_MAX:
             raise ParseError(
-                f"tempo must be within [{TEMPO_MIN}, {TEMPO_MAX}], got {tempo_bpm}"
+                f"tempo must be within [{TEMPO_MIN}, {TEMPO_MAX}], got {clipped(tempo_bpm)}"
             )
 
     if "time_signature" in given:

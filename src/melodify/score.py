@@ -12,7 +12,7 @@ from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import MelodifyError, ParseError
+from .errors import MelodifyError, ParseError, clipped
 from .theory import ScaleMode, build_scale, is_tritone
 
 TICKS_PER_QUARTER = 480
@@ -112,10 +112,15 @@ def structural_errors(score: Score) -> list[str]:
     score with one.
 
     One pass over the events checks their order (``event_sort_key``),
-    each event's ranges and the pedal's balance. Pedal problems are
-    listed after every per-event problem. A looped score passes exactly
-    when its expansion would, provided its events are in order and its
-    region lies inside it."""
+    each event's types and ranges, and the pedal's balance. Each field
+    must be exactly of its type: an ``int`` for a tick, duration, pitch
+    or velocity (a ``bool`` or an integral float is not one), and an
+    ``Articulation`` or ``PedalState`` member, not its str value. An
+    event with a field of another type reports only that and is left
+    out of the order, range and pedal checks; the loop is then not
+    checked. Pedal problems are listed after every per-event problem. A
+    looped score passes exactly when its expansion would, provided its
+    events are in order and its region lies inside it."""
     problems: list[str] = []
     error = problems.append
 
@@ -147,11 +152,17 @@ def structural_errors(score: Score) -> list[str]:
 
     pedal_problems: list[str] = []
     pedal_down = False
+    mistyped = False
     # The previous event's sort key, (tick, 1 for a note, 0 for a pedal).
     previous_tick, previous_is_note = -math.inf, False
     for i, ev in enumerate(score.events):
         if type(ev) is NoteEvent:
-            onset, duration, pitch, velocity, _ = ev
+            onset, duration, pitch, velocity, articulation = ev
+            if not (type(onset) is type(duration) is type(pitch) is type(velocity) is int
+                    and type(articulation) is Articulation):
+                problems += _type_errors(i, ev)
+                mistyped = True
+                continue
             if onset < previous_tick:
                 error(f"event {i} out of order (tick {onset})")
             previous_tick, previous_is_note = onset, True
@@ -163,14 +174,14 @@ def structural_errors(score: Score) -> list[str]:
                 error(f"event {i}: pitch {pitch} outside 0..127")
             if not 1 <= velocity <= 127:
                 error(f"event {i}: velocity {velocity} outside 1..127")
-        else:
-            tick = ev.tick
+        elif type(ev) is PedalEvent and type(ev[0]) is int and type(ev[1]) is PedalState:
+            tick, state = ev
             if tick < previous_tick or (previous_is_note and tick == previous_tick):
                 error(f"event {i} out of order (tick {tick})")
             previous_tick, previous_is_note = tick, False
             if tick < 0:
                 error(f"event {i}: negative pedal tick {tick}")
-            if ev.state is PedalState.DOWN:
+            if state is PedalState.DOWN:
                 if pedal_down:
                     pedal_problems.append("pedal pressed twice without a release")
                 pedal_down = True
@@ -178,11 +189,14 @@ def structural_errors(score: Score) -> list[str]:
                 if not pedal_down:
                     pedal_problems.append("pedal released without a press")
                 pedal_down = False
+        else:
+            problems += _type_errors(i, ev)
+            mistyped = True
     problems += pedal_problems
     if pedal_down:
         error("pedal left pressed at end of score")
 
-    if score.loop is not None:
+    if score.loop is not None and not mistyped:
         start, end, count = score.loop
         base_end = _base_end_tick(score.events)
         if count < 1:
@@ -201,6 +215,24 @@ def structural_errors(score: Score) -> list[str]:
     if not 0 <= root <= 11:
         error(f"key signature root {root} outside 0..11")
     return problems
+
+
+def _type_errors(i: int, ev: Event) -> list[str]:
+    """A problem for each field of event ``i`` not exactly of its type: an
+    ``int`` for a number (a ``bool`` is not one), an enum member for the
+    articulation or pedal state. An event that is neither record is one
+    problem."""
+    if type(ev) is NoteEvent:
+        enum = Articulation
+    elif type(ev) is PedalEvent:
+        enum = PedalState
+    else:
+        return [f"event {i} is {type(ev).__name__}, not NoteEvent or PedalEvent"]
+    return [
+        f"event {i}: {name} is {type(value).__name__}, not {kind.__name__}"
+        for name, value, kind in zip(ev._fields, ev, (*(int,) * (len(ev) - 1), enum))
+        if type(value) is not kind
+    ]
 
 
 def _pedal_down_before(events: Iterable[Event], tick: int) -> bool:
@@ -253,8 +285,8 @@ def loop_region(events: Sequence[Event], loop: Loop) -> tuple[int, int]:
     expanded = len(events) + (after - first) * (loop.count - 1)
     if expanded > MAX_EXPANDED_EVENTS:
         raise ParseError(
-            f"loop of {loop.count} repeats would expand to {expanded} events, "
-            f"above the cap of {MAX_EXPANDED_EVENTS}"
+            f"loop of {clipped(loop.count)} repeats would expand to "
+            f"{clipped(expanded)} events, above the cap of {MAX_EXPANDED_EVENTS}"
         )
     return first, after
 

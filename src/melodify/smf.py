@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import struct
 from heapq import heappop, heappush
+from itertools import islice
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import MelodifyError
@@ -28,6 +30,10 @@ from .score import (
 from .theory import ScaleMode
 
 VLQ_LIMIT = 1 << 28
+
+# Fewest events for which ``write_smf`` caches the bytes of repeated
+# chords; below it, keying each chord costs more than the copies save.
+CHORD_CACHE_MIN_EVENTS = 256
 
 # Fraction of the written duration that actually sounds.
 GATE_BY_ARTICULATION = {
@@ -75,6 +81,11 @@ def key_signature_bytes(root: int, mode: ScaleMode) -> bytes:
     return struct.pack(">bB", sharps, 1 if mode is ScaleMode.NATURAL_MINOR else 0)
 
 
+# Both chunk headers; the track's length is filled in once it is written.
+_HEADER = b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER) + b"MTrk\0\0\0\0"
+_TEMPO = bytes([0, 0xFF, META_TEMPO, 0x03])
+_PROGRAM_CHANGE = bytes([0, 0xC0 | CHANNEL, PROGRAM])
+_END_OF_TRACK = bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
 _NOTE_ON = bytes([0x90 | CHANNEL])
 _NOTE_OFF = tuple(bytes([0x80 | CHANNEL, pitch, 0]) for pitch in range(128))
 _PEDAL = {
@@ -84,6 +95,7 @@ _PEDAL = {
 # Past every event: ``write_smf`` walks it last to flush the note-offs.
 _END = PedalEvent(math.inf, PedalState.UP)
 _ACCENT = Articulation.ACCENT
+_RECORD = itemgetter(slice(1, None))  # an event's fields after its tick
 
 
 def require_valid(score: Score) -> None:
@@ -114,6 +126,7 @@ def _encode(
     shift: int,
     index: int,
     gate: float,
+    chords: dict | None,
 ) -> tuple[int, float]:
     """Append ``events``, each played ``shift`` ticks late, to ``out`` and
     return the tick of the last message written and the gate then.
@@ -128,9 +141,27 @@ def _encode(
     or a later tick; ``_END`` flushes the rest. A delta below 2**14 is
     written inline as its one- or two-byte VLQ, with no function call
     per message; ``_long_delta`` writes longer ones.
+
+    ``chords``, when given, caches the bytes of a chord: two or more
+    notes at one onset, met with no note-off pending and followed by
+    another event in ``events``. When every note-off of such a chord
+    leaves the heap before that next event, its bytes (the delta, the
+    note-ons and the note-offs) depend only on the delta from the
+    cursor, the gate and its records after the tick (``ev[1:]``). Its
+    first occurrence is encoded as any other notes and its bytes are
+    then kept under that key, with the cursor and gate after it; a
+    later chord with the same key copies them and skips its notes. The
+    gate has checked that every field is exactly an int or a member, so
+    equal keys mean equal bytes.
     """
     append = out.append
-    for index, ev in enumerate(events, index):
+    first, last = index, len(events) - 1
+    # A chord met for the first time: its key, start in ``out`` and tick,
+    # and the index of the event after it, where its bytes are kept if
+    # its note-offs have all been written.
+    chord, chord_end = None, -1
+    walk = enumerate(events, index)
+    for index, ev in walk:
         tick = due = ev[0] + shift
         is_note = type(ev) is NoteEvent
         if is_note:
@@ -147,8 +178,34 @@ def _encode(
                 out += _long_delta(delta)
             out += _NOTE_OFF[pitch]
             cursor = off
+        if index == chord_end:
+            if not pending:  # the chord's note-offs all came before this event
+                key, mark, chord_tick = chord
+                chords[key] = out[mark:], cursor - chord_tick, gate
+            chord_end = -1
         if ev is _END:
             break
+        if is_note and not pending and chords is not None:
+            at = index - first
+            onset = ev[0]
+            if at < last and events[at + 1][0] == onset:
+                after = at + 2
+                while after <= last and events[after][0] == onset:
+                    after += 1
+                if after <= last:
+                    key = tick - cursor, gate, tuple(map(_RECORD, events[at:after]))
+                    cached = chords.get(key)
+                    if cached is None:
+                        chord, chord_end = (key, len(out), tick), first + after
+                    else:
+                        body, held, gate_then = cached
+                        nxt = events[after]
+                        if tick + held < nxt[0] + shift + (type(nxt) is NoteEvent):
+                            out += body
+                            cursor, gate = tick + held, gate_then
+                            skip = after - at - 1  # the chord's other notes
+                            next(islice(walk, skip, skip), None)
+                            continue
         delta = tick - cursor
         if delta < 0x80:
             append(delta)
@@ -192,32 +249,36 @@ def write_smf(score: Score) -> bytes:
     ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
     (``loop_region``) before any bytes are built; a gap between two
     messages that no delta-time can hold refuses it as it is met.
+
+    A score of ``CHORD_CACHE_MIN_EVENTS`` events or more also encodes
+    each repeated chord once (see ``_encode``): a bar chart is thousands
+    of copies of a few chords. Every part of the walk shares one cache,
+    and the bytes are the same as without it.
     """
     require_valid(score)
     events, loop = score.events, score.loop
     first, after = (len(events),) * 2 if loop is None else loop_region(events, loop)
     before, region, tail = events[:first], events[first:after], events[after:]
-    gate = next(
-        (GATE_BY_ARTICULATION[ev[4]] for ev in events
-         if type(ev) is NoteEvent and ev[4] is not _ACCENT),
-        GATE_BY_ARTICULATION[Articulation.NORMAL],
-    )
+    gate = GATE_BY_ARTICULATION[Articulation.NORMAL]  # if every note is an accent
+    for ev in events:
+        if type(ev) is NoteEvent and ev[4] is not _ACCENT:
+            gate = GATE_BY_ARTICULATION[ev[4]]
+            break
 
-    tempo_us = round(60_000_000 / score.tempo_bpm)
     numerator, denominator = score.time_signature
     root, mode = score.key_signature
 
-    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER))
-    out += b"MTrk\0\0\0\0"  # length filled in once the track is written
-    track_start = len(out)
-    out += bytes([0, 0xFF, META_TEMPO, 0x03]) + struct.pack(">I", tempo_us)[1:]
+    out = bytearray(_HEADER)
+    out += _TEMPO
+    out += round(60_000_000 / score.tempo_bpm).to_bytes(3, "big")
     out += bytes([0, 0xFF, META_TIME_SIGNATURE, 0x04, numerator,
-                  denominator.bit_length() - 1, 24, 8])
-    out += bytes([0, 0xFF, META_KEY_SIGNATURE, 0x02]) + key_signature_bytes(root, mode)
-    out += bytes([0, 0xC0 | CHANNEL, PROGRAM])
+                  denominator.bit_length() - 1, 24, 8, 0, 0xFF, META_KEY_SIGNATURE, 0x02])
+    out += key_signature_bytes(root, mode)
+    out += _PROGRAM_CHANGE
 
     pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
-    cursor, gate = _encode(out, pending, 0, before, 0, 0, gate)
+    chords = {} if len(events) >= CHORD_CACHE_MIN_EVENTS else None
+    cursor, gate = _encode(out, pending, 0, before, 0, 0, gate, chords)
     shift = added = 0  # ticks and events the repeats put before the tail
     if loop is not None:
         length, size, count = loop.end_tick - loop.start_tick, len(region), loop.count
@@ -241,11 +302,11 @@ def write_smf(score: Score) -> bytes:
                 ]
                 break
             seam, mark = state, len(out)
-            cursor, gate = _encode(out, pending, cursor, region, tick, index, gate)
-    _encode(out, pending, cursor, (*tail, _END), shift, after + added, gate)
-    out += bytes([0, 0xFF, META_END_OF_TRACK, 0x00])
+            cursor, gate = _encode(out, pending, cursor, region, tick, index, gate, chords)
+    _encode(out, pending, cursor, (*tail, _END), shift, after + added, gate, chords)
+    out += _END_OF_TRACK
 
-    struct.pack_into(">I", out, track_start - 4, len(out) - track_start)
+    struct.pack_into(">I", out, len(_HEADER) - 4, len(out) - len(_HEADER))
     return bytes(out)
 
 

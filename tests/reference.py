@@ -375,8 +375,8 @@ def expand_loops(score):
     expanded = len(score.events) + repeated * (count - 1)
     if expanded > score_module.MAX_EXPANDED_EVENTS:
         raise ParseError(
-            f"loop of {count} repeats would expand to {expanded} events, "
-            f"above the cap of {score_module.MAX_EXPANDED_EVENTS}"
+            f"loop of {short_int(count)} repeats would expand to {short_int(expanded)} "
+            f"events, above the cap of {score_module.MAX_EXPANDED_EVENTS}"
         )
     length = end - start
     out = []
@@ -388,6 +388,16 @@ def expand_loops(score):
         else:
             out.append(_shifted(ev, (count - 1) * length))
     return score._replace(events=sort_events(out), loop=None)
+
+
+def short_int(value):
+    """An integer as a refusal quotes it: in full up to 20 characters,
+    else its sign, first digit, next two and power of ten."""
+    if len(str(value)) <= 20:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    digits = str(abs(value))
+    return sign + digits[0] + "." + digits[1:3] + "e+" + str(len(digits) - 1)
 
 
 def total_duration_ticks(score):
@@ -428,8 +438,26 @@ def structural_errors(score):
                 "above 2**255"
             )
 
+    # A field that is not exactly an int (a bool is not one), or an
+    # articulation or pedal state that is not a member, is the only
+    # problem its event reports; the event is left out of every other check.
+    mistyped = set()
     previous_key = None
     for i, ev in enumerate(score.events):
+        if type(ev) is NoteEvent:
+            kinds = [int, int, int, int, Articulation]
+        elif type(ev) is PedalEvent:
+            kinds = [int, PedalState]
+        else:
+            error(f"event {i} is {type(ev).__name__}, not NoteEvent or PedalEvent")
+            mistyped.add(i)
+            continue
+        for name, value, kind in zip(ev._fields, ev, kinds):
+            if type(value) is not kind:
+                error(f"event {i}: {name} is {type(value).__name__}, not {kind.__name__}")
+                mistyped.add(i)
+        if i in mistyped:
+            continue
         key = (tick_of(ev), type(ev) is NoteEvent)
         if previous_key is not None and key < previous_key:
             error(f"event {i} out of order (tick {tick_of(ev)})")
@@ -447,7 +475,9 @@ def structural_errors(score):
             error(f"event {i}: negative pedal tick {ev.tick}")
 
     pedal_down = False
-    for ev in pedals_of(score):
+    for i, ev in enumerate(score.events):
+        if type(ev) is NoteEvent or i in mistyped:
+            continue
         if ev.state is PedalState.DOWN:
             if pedal_down:
                 error("pedal pressed twice without a release")
@@ -459,7 +489,7 @@ def structural_errors(score):
     if pedal_down:
         error("pedal left pressed at end of score")
 
-    if score.loop is not None:
+    if score.loop is not None and not mistyped:
         start, end, count = score.loop
         base_end = total_duration_ticks(score._replace(loop=None))
         if count < 1:

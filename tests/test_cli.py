@@ -198,6 +198,46 @@ def test_compile_spec_null_is_an_absent_key(bar_csv, tmp_path, capsys, key):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize(("key", "value", "line"), [
+    ("loop", 1e300, "error E_PARSE: loop of 1.00e+300 repeats would expand to 9.00e+300 "
+                    "events, above the cap of 250000"),
+    ("loop", -10**25, "error E_PARSE: loop must be a positive integer"),
+    ("tempo", 1e300, "error E_PARSE: tempo must be within [20, 300], got 1.00e+300"),
+    ("tempo", -10**25, "error E_PARSE: tempo must be within [20, 300], got -1.00e+25"),
+    ("tempo", 12345678901234567890, "error E_PARSE: tempo must be within [20, 300], "
+                                    "got 12345678901234567890"),
+], ids=["loop-1e300", "loop-negative", "tempo-1e300", "tempo-negative", "tempo-20-digits"])
+def test_spec_file_refusal_quotes_a_huge_integer_short(bar_csv, tmp_path, capsys,
+                                                       key, value, line):
+    # A spec integer may be written as an integral float; one past 20
+    # characters is quoted as its first three digits and power of ten.
+    spec_path = tmp_path / "spec.json"
+    spec = {"idiom": "pie", "palette": "positive", "x": "k", "y": "v", key: value}
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, "compile", "--data", str(bar_csv), "--spec", str(spec_path))
+    assert (code, out, err) == (1, "", line + "\n")
+
+
+def test_spec_file_integer_may_be_an_integral_float_but_a_flag_may_not(
+    bar_csv, tmp_path, capsys
+):
+    written = []
+    for tempo in (120, 120.0):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / f"{tempo!r}.mid"
+        spec_path.write_text(json.dumps({"idiom": "bar", "palette": "positive", "x": "k",
+                                         "y": "v", "tempo": tempo}), encoding="utf-8")
+        code, _, err = run(capsys, "compile", "--data", str(bar_csv),
+                           "--spec", str(spec_path), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+    code, out, err = run(capsys, "compile", "--data", str(bar_csv), *BAR_FLAGS,
+                         "--tempo", "120.0", "--out", str(tmp_path / "flag.mid"))
+    assert (code, out) == (1, "")
+    assert err == "error E_PARSE: argument --tempo: invalid int value: '120.0'\n"
+    assert not (tmp_path / "flag.mid").exists()
+
+
 def test_compile_missing_data_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "compile", "--data", str(tmp_path / "absent.csv"),
@@ -624,6 +664,32 @@ def test_tracklist_midi_bytes_are_pinned(tmp_path, capsys):
         for path in tmp_path.glob("*.mid")
     }
     assert digests == TRACK_MIDI_SHA256
+
+
+# A 2000-row bar table whose values cycle through seven numbers: 2002
+# chords, nearly all of them copies of a few. The CI console-script step
+# writes the same table and checks the same MIDI digest.
+CYCLING_BAR_SHA256 = {
+    ".mid": "7de6bad01df69773067d6737dd137b7946b4f3f639b195a068b25d160f50915e",
+    ".txt": "d556aa4c950745269d5e9b61f1dce5d78fb8f68e6b23fa1fbfc0e5fa64f69698",
+}
+
+
+def test_cycling_bar_table_bytes_are_pinned(tmp_path, capsys):
+    table = tmp_path / "bars.csv"
+    table.write_text(
+        "k,v\n" + "".join(f"c{i},{(3, 8, 1, 5, 9, 2, 6)[i % 7]}\n" for i in range(2000)),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "compile", "--data", str(table), *BAR_FLAGS,
+                         "--emit", "both", "--out", str(tmp_path / "bars.mid"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "bar positive notes=6006 ticks=3843840"
+    digests = {
+        suffix: hashlib.sha256(table.with_suffix(suffix).read_bytes()).hexdigest()
+        for suffix in CYCLING_BAR_SHA256
+    }
+    assert digests == CYCLING_BAR_SHA256
 
 
 def test_compile_demo_script_runs(tmp_path):

@@ -122,11 +122,31 @@ GATE_EVENTS = st.one_of(
     ),
     st.builds(PedalEvent, st.integers(-2, 12), st.sampled_from(list(PedalState))),
 )
+# Numbers that equal an int but are not exactly one, and an articulation
+# or pedal state written as its str value or as something else.
+NOT_INTS = st.sampled_from([0.0, 1.0, 80.0, 2.5, True, False])
+NOT_MEMBERS = st.sampled_from(["accent", "normal", "down", "up", None, 0])
+MISTYPED_EVENTS = st.one_of(
+    st.builds(
+        NoteEvent,
+        st.integers(-2, 12) | NOT_INTS,
+        st.integers(-1, 4) | NOT_INTS,
+        st.integers(-1, 128) | NOT_INTS,
+        st.integers(0, 128) | NOT_INTS,
+        st.sampled_from(list(Articulation)) | NOT_MEMBERS,
+    ),
+    st.builds(
+        PedalEvent,
+        st.integers(-2, 12) | NOT_INTS,
+        st.sampled_from(list(PedalState)) | NOT_MEMBERS,
+    ),
+)
 
 
 @st.composite
 def gate_scores(draw):
-    events = draw(st.lists(GATE_EVENTS, max_size=12))
+    events = draw(st.lists(GATE_EVENTS | MISTYPED_EVENTS if draw(st.booleans())
+                           else GATE_EVENTS, max_size=12))
     if draw(st.booleans()):
         events = sorted_events(events)  # in order, so the other faults show alone
     loop = draw(
@@ -153,6 +173,11 @@ def gate_scores(draw):
 @example(_faulty([note(0, dur=960)], loop=Loop(500, 400, 0)))
 @example(_faulty([note(-9, dur=2)], loop=Loop(0, 2, 2)))  # score ends below 0
 @example(_faulty([note(0)], time_signature=(0, 6), tempo=0, root=12))
+# Fields equal to a valid int, or to a member's value, that are not one;
+# each names its event and field, and its event leaves the other checks.
+@example(_faulty([note(0, vel=80.0), note(480, pitch=True, art="accent")]))
+@example(_faulty([PedalEvent(0.0, PedalState.DOWN), PedalEvent(1, "up")],
+                 loop=Loop(0, 1, 2)))
 def test_one_pass_gate_matches_two_pass_oracle(score):
     assert structural_errors(score) == reference.structural_errors(score)
     assert total_duration_ticks(score) == reference.total_duration_ticks(score)

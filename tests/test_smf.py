@@ -4,6 +4,7 @@ from __future__ import annotations
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -19,6 +20,7 @@ from melodify.score import (
     Loop,
     PedalEvent,
     PedalState,
+    Score,
     expand_loops,
     structural_errors,
 )
@@ -561,6 +563,137 @@ def test_looped_write_memory_does_not_grow_with_the_loop(loop_count):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(data)
+
+
+# --- the chord cache ----------------------------------------------------------
+
+@st.composite
+def chord_scores(draw):
+    """Chords (two to four notes at one onset) drawn from a pool of at
+    most four records, on a grid whose unit makes one- to three-byte
+    deltas. Durations land a chord's note-offs before, on and one tick
+    past the next onset. Between the chords: a long note that overlaps
+    the next ones, a pedal change and an accented note. Some scores loop."""
+    unit = draw(st.sampled_from([1, 2, 120, 480, 16384]))
+    durations = st.sampled_from([1, unit - 1, unit, unit + 1, 2 * unit]).filter(lambda d: d >= 1)
+    pool = draw(st.lists(
+        st.tuples(durations, st.integers(40, 44), st.sampled_from([1, 80, 127]), ARTICULATIONS),
+        min_size=1, max_size=4,
+    ))
+    events, pedal_ticks, tick = [], [], 0
+    for gap, chord, extra in draw(st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.lists(st.sampled_from(pool), min_size=2, max_size=4),
+            st.sampled_from([None, None, "overlap", "pedal", "accent"]),
+        ),
+        min_size=1, max_size=14,
+    )):
+        tick += gap * unit
+        events += [note(tick, dur, pitch, vel, art) for dur, pitch, vel, art in chord]
+        if extra == "overlap":
+            events.append(note(tick + unit // 2, dur=3 * unit + 1, pitch=50))
+        elif extra == "pedal":
+            pedal_ticks.append(tick + draw(st.sampled_from([0, unit])))
+        elif extra == "accent":
+            events.append(note(tick + unit, dur=unit, pitch=51, art=_ACCENT))
+    if len(pedal_ticks) % 2:
+        pedal_ticks.pop()
+    events += [PedalEvent(t, PedalState.DOWN if i % 2 == 0 else PedalState.UP)
+               for i, t in enumerate(sorted(pedal_ticks))]
+    loop = None
+    if tick and draw(st.booleans()):
+        start = draw(st.integers(0, tick - 1))
+        loop = Loop(start, draw(st.integers(start + 1, tick)), draw(st.integers(1, 4)))
+    return make_score(events, loop=loop)
+
+
+_CHORD = [note(0, pitch=60), note(0, pitch=64), note(0, pitch=67)]
+
+
+def _chords(*onsets, **fields):
+    return [ev._replace(onset_tick=onset, **fields) for onset in onsets for ev in _CHORD]
+
+
+@given(chord_scores())
+# A repeated chord after a long note that overlaps it, after a pedal
+# change and after an accent, each followed by more repeats.
+@example(make_score([*_chords(0, 480, 960, 1440, 1920), note(240, dur=960, pitch=50)]))
+@example(make_score([*_chords(0, 480, 960, 1440), PedalEvent(480, PedalState.DOWN),
+                     PedalEvent(1440, PedalState.UP)]))
+@example(make_score([*_chords(0, 480, 1440, 1920), *_chords(960, articulation=_ACCENT)]))
+# Legato note-offs on the next onset leave before it: the chord may be
+# copied. One tick later they are still pending at the next chord, and
+# on a pedal's own tick they leave after it: neither may be copied.
+@example(make_score(_chords(0, 480, 960, 1440, duration_ticks=480, articulation=_LEGATO)))
+@example(make_score(_chords(0, 480, 960, 1440, duration_ticks=481, articulation=_LEGATO)))
+@example(make_score([*_chords(0, 480, 960, duration_ticks=480, articulation=_LEGATO),
+                     PedalEvent(1440, PedalState.DOWN), PedalEvent(1441, PedalState.UP),
+                     *_chords(1440, duration_ticks=480, articulation=_LEGATO)]))
+# Accented chords at the same delta after a staccato and a legato chord
+# that end alike: the carried gate tells them apart.
+@example(make_score([*_chords(0, duration_ticks=960, articulation=_STACCATO),
+                     *_chords(960, 2400, articulation=_ACCENT),
+                     *_chords(1440, articulation=_LEGATO), note(2880)]))
+# A copied staccato chord leaves its gate to the accent after it.
+@example(make_score([*_chords(0, 960, articulation=_LEGATO),
+                     *_chords(480, 1440, articulation=_STACCATO),
+                     note(1920, art=_ACCENT)]))
+# A chord whose velocity equals a copied chord's but is a float.
+@example(make_score([*_chords(0, 480, 960), *_chords(1440, velocity=80.0)]))
+# The loop region's last chord keeps its note-offs pending at the seam.
+@example(make_score(_chords(0, 480, 960, 1440), loop=Loop(480, 1440, 3)))
+def test_chord_cache_matches_the_oracle(score):
+    with mock.patch.object(smf, "CHORD_CACHE_MIN_EVENTS", 0):
+        if reference.structural_errors(score):
+            with pytest.raises(MelodifyError, match="score fails validation"):
+                write_smf(score)
+        else:
+            assert write_smf(score) == reference.write_smf(reference.expand_loops(score))
+
+
+@pytest.mark.parametrize("over", [-1, 0])
+def test_chord_cache_starts_at_its_event_count(over, monkeypatch):
+    # Repeats of one chord, one event short of the count and at it: the
+    # same bytes either way, and only the second keeps chords.
+    kept = []
+    encode = smf._encode
+
+    def keeping(*args):
+        kept.append(args[-1])
+        return encode(*args)
+
+    monkeypatch.setattr(smf, "_encode", keeping)
+    size = smf.CHORD_CACHE_MIN_EVENTS + over
+    events = [note(i // 4 * 480, pitch=60 + i % 4) for i in range(size)]
+    score = make_score(events)
+    assert write_smf(score) == reference.write_smf(score)
+    if over < 0:
+        assert kept == [None, None]
+    else:
+        # One dict for the whole score, keyed on the first chord's delta
+        # from tick 0 and on every later one's.
+        assert kept[0] is kept[1] and len(kept[0]) == 2
+
+
+@pytest.mark.parametrize("event, problem", [
+    (note(0, vel=80.0), "event 0: velocity is float, not int"),
+    (note(0.0), "event 0: onset_tick is float, not int"),
+    (note(0, pitch=True), "event 0: pitch is bool, not int"),
+    (note(0, dur="480"), "event 0: duration_ticks is str, not int"),
+    (note(0, art="accent"), "event 0: articulation is str, not Articulation"),
+    (PedalEvent(0, "down"), "event 0: state is str, not PedalState"),
+    (PedalEvent(False, PedalState.DOWN), "event 0: tick is bool, not int"),
+    ((0, PedalState.DOWN), "event 0 is tuple, not NoteEvent or PedalEvent"),
+])
+def test_write_refuses_a_field_not_of_its_exact_type(event, problem):
+    # Each equals a valid field (80.0 == 80, True == 1, "accent" ==
+    # Articulation.ACCENT) or record, so only its type can refuse it.
+    score = Score(120, (4, 4), (0, ScaleMode.MAJOR), (event, note(960)))
+    assert structural_errors(score) == reference.structural_errors(score)
+    assert structural_errors(score)[0] == problem
+    with pytest.raises(MelodifyError, match=problem):
+        write_smf(score)
 
 
 # --- parse_smf_minimal --------------------------------------------------------
