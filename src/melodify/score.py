@@ -115,40 +115,49 @@ def structural_errors(score: Score) -> list[str]:
     each event's types and ranges, and the pedal's balance. Each field
     must be exactly of its type: an ``int`` for a tick, duration, pitch
     or velocity (a ``bool`` or an integral float is not one), and an
-    ``Articulation`` or ``PedalState`` member, not its str value. An
-    event with a field of another type reports only that and is left
-    out of the order, range and pedal checks; the loop is then not
-    checked. Pedal problems are listed after every per-event problem. A
+    ``Articulation`` or ``PedalState`` member, not its str value. The
+    score's own fields are held to the same rule: the tempo, both parts
+    of the time signature, the key root and each ``Loop`` field are
+    ints, the time and key signatures tuples of two, the mode a
+    ``ScaleMode`` member and the loop a ``Loop``. A field of another
+    type reports only that and is left out of the range checks; an
+    event of another type is also left out of the order and pedal
+    checks, and the loop is then not checked. Pedal problems are listed after every per-event problem. A
     looped score passes exactly when its expansion would, provided its
     events are in order and its region lies inside it."""
     problems: list[str] = []
     error = problems.append
 
-    if score.tempo_bpm < 1:
-        error(f"tempo must be positive, got {score.tempo_bpm}")
+    tempo = score.tempo_bpm
+    if type(tempo) is not int:
+        error(f"tempo_bpm is {type(tempo).__name__}, not int")
+    elif tempo < 1:
+        error(f"tempo must be positive, got {tempo}")
     else:
         # SMF stores whole microseconds per quarter in 24 bits, and
         # ``write_smf`` rounds to them.
-        tempo_us = round(60_000_000 / score.tempo_bpm)
+        tempo_us = round(60_000_000 / tempo)
         if tempo_us > 0xFFFFFF:
-            error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
+            error(f"tempo {tempo} bpm is below 4, the slowest SMF can encode")
         elif tempo_us < 1:
-            error(
-                f"tempo {score.tempo_bpm} bpm is above 119999999, "
-                "the fastest SMF can encode"
-            )
-    numerator, denominator = score.time_signature
-    if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
-        error(f"bad time signature {numerator}/{denominator}")
+            error(f"tempo {tempo} bpm is above 119999999, the fastest SMF can encode")
+    meter = _pair_errors("time_signature", score.time_signature, ("numerator", int),
+                         ("denominator", int))
+    if meter:
+        problems += meter
     else:
-        # SMF stores the numerator and log2 of the denominator in a byte each.
-        if numerator > 255:
-            error(f"time signature numerator {numerator} above 255")
-        if denominator.bit_length() > 256:
-            error(
-                f"time signature denominator 2**{denominator.bit_length() - 1} "
-                "above 2**255"
-            )
+        numerator, denominator = score.time_signature
+        if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
+            error(f"bad time signature {numerator}/{denominator}")
+        else:
+            # SMF stores the numerator and log2 of the denominator in a byte each.
+            if numerator > 255:
+                error(f"time signature numerator {numerator} above 255")
+            if denominator.bit_length() > 256:
+                error(
+                    f"time signature denominator 2**{denominator.bit_length() - 1} "
+                    "above 2**255"
+                )
 
     pedal_problems: list[str] = []
     pedal_down = False
@@ -196,8 +205,19 @@ def structural_errors(score: Score) -> list[str]:
     if pedal_down:
         error("pedal left pressed at end of score")
 
-    if score.loop is not None and not mistyped:
-        start, end, count = score.loop
+    loop = score.loop
+    if loop is None:
+        pass
+    elif type(loop) is not Loop:
+        error(f"loop is {type(loop).__name__}, not Loop")
+    elif not type(loop[0]) is type(loop[1]) is type(loop[2]) is int:
+        problems += [
+            f"loop {name} is {type(value).__name__}, not int"
+            for name, value in zip(Loop._fields, loop)
+            if type(value) is not int
+        ]
+    elif not mistyped:
+        start, end, count = loop
         base_end = _base_end_tick(score.events)
         if count < 1:
             error(f"loop count must be positive, got {count}")
@@ -211,10 +231,27 @@ def structural_errors(score: Score) -> list[str]:
                 "would press or release it twice"
             )
 
-    root, _ = score.key_signature
-    if not 0 <= root <= 11:
-        error(f"key signature root {root} outside 0..11")
+    key = _pair_errors("key_signature", score.key_signature, ("root", int),
+                       ("mode", ScaleMode))
+    if key:
+        problems += key
+    elif not 0 <= score.key_signature[0] <= 11:
+        error(f"key signature root {score.key_signature[0]} outside 0..11")
     return problems
+
+
+def _pair_errors(field: str, pair: object, *parts: tuple[str, type]) -> list[str]:
+    """A problem if the score's ``field`` is not a tuple of two, else one
+    for each part not exactly of its type."""
+    if type(pair) is not tuple:
+        return [f"{field} is {type(pair).__name__}, not tuple"]
+    if len(pair) != 2:
+        return [f"{field} has {len(pair)} parts, not 2"]
+    return [
+        f"{field} {name} is {type(value).__name__}, not {kind.__name__}"
+        for (name, kind), value in zip(parts, pair)
+        if type(value) is not kind
+    ]
 
 
 def _type_errors(i: int, ev: Event) -> list[str]:

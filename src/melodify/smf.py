@@ -248,7 +248,8 @@ def write_smf(score: Score) -> bytes:
     arithmetic. A loop-free score is all "before". The score passes
     ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
     (``loop_region``) before any bytes are built; a gap between two
-    messages that no delta-time can hold refuses it as it is met.
+    messages that no delta-time can hold, or a duration or loop length
+    past float range, refuses it as it is met.
 
     A score of ``CHORD_CACHE_MIN_EVENTS`` events or more also encodes
     each repeated chord once (see ``_encode``): a bar chart is thousands
@@ -278,32 +279,41 @@ def write_smf(score: Score) -> bytes:
 
     pending: list[tuple[int, int, int]] = []  # (off tick, event index, pitch)
     chords = {} if len(events) >= CHORD_CACHE_MIN_EVENTS else None
-    cursor, gate = _encode(out, pending, 0, before, 0, 0, gate, chords)
-    shift = added = 0  # ticks and events the repeats put before the tail
-    if loop is not None:
-        length, size, count = loop.end_tick - loop.start_tick, len(region), loop.count
-        shift, added = (count - 1) * length, (count - 1) * size
-    if region:  # only a loop has one; an empty one writes nothing
-        seam = None
-        for r in range(count):
-            tick, index = r * length, first + r * size
-            state = cursor - tick, gate, sorted(
-                (off - tick, i - index, pitch) for off, i, pitch in pending
-            )
-            if state == seam:
-                # Repeat r - 1 left the encoder as it found it, so every
-                # repeat from r on writes the same bytes.
-                skip = count - r
-                out += out[mark:] * skip
-                cursor += skip * length
-                pending[:] = [
-                    (off + skip * length, i + skip * size, pitch)
-                    for off, i, pitch in pending
-                ]
-                break
-            seam, mark = state, len(out)
-            cursor, gate = _encode(out, pending, cursor, region, tick, index, gate, chords)
-    _encode(out, pending, cursor, (*tail, _END), shift, after + added, gate, chords)
+    try:
+        cursor, gate = _encode(out, pending, 0, before, 0, 0, gate, chords)
+        shift = added = 0  # ticks and events the repeats put before the tail
+        if loop is not None:
+            length, size, count = loop.end_tick - loop.start_tick, len(region), loop.count
+            shift, added = (count - 1) * length, (count - 1) * size
+        if region:  # only a loop has one; an empty one writes nothing
+            seam = None
+            for r in range(count):
+                tick, index = r * length, first + r * size
+                state = cursor - tick, gate, sorted(
+                    (off - tick, i - index, pitch) for off, i, pitch in pending
+                )
+                if state == seam:
+                    # Repeat r - 1 left the encoder as it found it, so every
+                    # repeat from r on writes the same bytes.
+                    skip = count - r
+                    out += out[mark:] * skip
+                    cursor += skip * length
+                    pending[:] = [
+                        (off + skip * length, i + skip * size, pitch)
+                        for off, i, pitch in pending
+                    ]
+                    break
+                seam, mark = state, len(out)
+                cursor, gate = _encode(out, pending, cursor, region, tick, index, gate, chords)
+        _encode(out, pending, cursor, (*tail, _END), shift, after + added, gate, chords)
+    except OverflowError:
+        # Each note's sounding length is a float times its duration, and
+        # the flush past the last event is a float tick plus the ticks
+        # the repeats add: only a number past float range lands here.
+        raise MelodifyError(
+            "score fails validation: a duration or a loop's added length "
+            "past float range (about 2**1024 ticks) cannot be encoded"
+        ) from None
     out += _END_OF_TRACK
 
     struct.pack_into(">I", out, len(_HEADER) - 4, len(out) - len(_HEADER))

@@ -420,23 +420,30 @@ def structural_errors(score):
     problems = []
     error = problems.append
 
-    if score.tempo_bpm < 1:
+    if type(score.tempo_bpm) is not int:
+        error(f"tempo_bpm is {type(score.tempo_bpm).__name__}, not int")
+    elif score.tempo_bpm < 1:
         error(f"tempo must be positive, got {score.tempo_bpm}")
     elif round(60_000_000 / score.tempo_bpm) >= 1 << 24:
         error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
     elif round(60_000_000 / score.tempo_bpm) < 1:
         error(f"tempo {score.tempo_bpm} bpm is above 119999999, the fastest SMF can encode")
-    numerator, denominator = score.time_signature
-    if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
-        error(f"bad time signature {numerator}/{denominator}")
-    else:
-        if numerator > 255:
-            error(f"time signature numerator {numerator} above 255")
-        if denominator > 2**255:
-            error(
-                f"time signature denominator 2**{denominator.bit_length() - 1} "
-                "above 2**255"
-            )
+    meter_problems = pair_problems(
+        "time_signature", score.time_signature, [("numerator", int), ("denominator", int)]
+    )
+    problems += meter_problems
+    if not meter_problems:
+        numerator, denominator = score.time_signature
+        if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
+            error(f"bad time signature {numerator}/{denominator}")
+        else:
+            if numerator > 255:
+                error(f"time signature numerator {numerator} above 255")
+            if denominator > 2**255:
+                error(
+                    f"time signature denominator 2**{denominator.bit_length() - 1} "
+                    "above 2**255"
+                )
 
     # A field that is not exactly an int (a bool is not one), or an
     # articulation or pedal state that is not a member, is the only
@@ -489,7 +496,15 @@ def structural_errors(score):
     if pedal_down:
         error("pedal left pressed at end of score")
 
-    if score.loop is not None and not mistyped:
+    loop_problems = []
+    if score.loop is not None and type(score.loop) is not Loop:
+        loop_problems.append(f"loop is {type(score.loop).__name__}, not Loop")
+    elif score.loop is not None:
+        for name, value in zip(Loop._fields, score.loop):
+            if type(value) is not int:
+                loop_problems.append(f"loop {name} is {type(value).__name__}, not int")
+    problems += loop_problems
+    if score.loop is not None and not loop_problems and not mistyped:
         start, end, count = score.loop
         base_end = total_duration_ticks(score._replace(loop=None))
         if count < 1:
@@ -507,10 +522,27 @@ def structural_errors(score):
                 "would press or release it twice"
             )
 
-    root, _ = score.key_signature
-    if not 0 <= root <= 11:
-        error(f"key signature root {root} outside 0..11")
+    key_problems = pair_problems(
+        "key_signature", score.key_signature, [("root", int), ("mode", ScaleMode)]
+    )
+    problems += key_problems
+    if not key_problems and not 0 <= score.key_signature[0] <= 11:
+        error(f"key signature root {score.key_signature[0]} outside 0..11")
     return problems
+
+
+def pair_problems(field, value, parts):
+    """The score's time or key signature must be a tuple of two parts,
+    each exactly of its type."""
+    if type(value) is not tuple:
+        return [f"{field} is {type(value).__name__}, not tuple"]
+    if len(value) != 2:
+        return [f"{field} has {len(value)} parts, not 2"]
+    return [
+        f"{field} {name} is {type(part).__name__}, not {kind.__name__}"
+        for (name, kind), part in zip(parts, value)
+        if type(part) is not kind
+    ]
 
 
 # --- encoding -----------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import melodify
-from melodify import errors, melodifier, smf, smf_reader
+from melodify import cli, errors, melodifier, smf, smf_reader
 from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
 from melodify.ingest import SPEC_KEYS, Idiom, Palette
 from melodify.score import (
@@ -354,6 +355,49 @@ def test_unexpected_exception_is_internal_error(bar_csv, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error E_INTERNAL: ZeroDivisionError: division by zero\n"
     assert not bar_csv.with_suffix(".mid").exists()
+
+
+@pytest.mark.parametrize("case, caller_gc, outcome", [
+    ("compiles", True, 0),
+    ("unknown y column", True, 1),
+    ("handler raises", True, 2),
+    ("--help", True, SystemExit),
+    ("handler interrupted", True, KeyboardInterrupt),
+    ("compiles", False, 0),
+])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(
+    bar_csv, capsys, monkeypatch, case, caller_gc, outcome
+):
+    seen = []  # whether the collector ran while main compiled
+    load = cli._load_dataset
+
+    def loading(path):
+        seen.append(gc.isenabled())
+        return load(path)
+
+    def raising(dataset, spec):
+        raise KeyboardInterrupt if outcome is KeyboardInterrupt else ZeroDivisionError
+
+    monkeypatch.setattr(cli, "_load_dataset", loading)
+    if case.startswith("handler"):
+        monkeypatch.setattr(cli, "melodify", raising)
+    argv = ["compile", "--data", str(bar_csv), "--idiom", "bar", "--palette", "positive",
+            "--x", "k", "--y", "missing" if case == "unknown y column" else "v"]
+    if case == "--help":
+        argv = ["compile", "--help"]
+    if not caller_gc:
+        gc.disable()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is caller_gc
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == ([] if case == "--help" else [False])
 
 
 def reverse_body(monkeypatch, idiom):

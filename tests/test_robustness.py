@@ -1,23 +1,28 @@
 """The command line's robustness contract, property-tested through ``main``.
 
-Whatever table bytes and flags arrive, ``melodify compile`` takes one of
-two paths. It exits 0 having written a ``.mid`` that the strict reader
+Whatever table bytes, flags and ``--spec`` file arrive (the flags
+override the file key by key), ``melodify compile`` takes one of two
+paths. It exits 0 having written a ``.mid`` that the strict reader
 accepts, holding as many notes as its ``notes=`` summary says, and the
 ``.txt`` asked for. Or it exits 1 with exactly one ``error E_…: message``
 line on stderr and no file written. Exit 2 is a bug. Either way the
-table is left as it was, and the exit status, stdout, stderr and every
-byte written are those of the reference compiler (``reference.py``).
+table and the spec file are left as they were, the call leaves no
+reference cycle for the collector, and the exit status, stdout, stderr
+and every byte written are those of the reference compiler
+(``reference.py``).
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,31 +171,114 @@ def flag_sets(draw) -> list[str]:
     return flags + ["--emit", draw(st.sampled_from(("midi", "text", "both")))]
 
 
+# Spec-file values per key: the flags' valid values as the file writes
+# them, then wrong types, integral and non-integral floats, numbers past
+# every range, and an empty string.
+SPEC_VALUES = {
+    "idiom": (IDIOMS[0], (" Pie ", "sparkline", 1, ["bar"])),
+    "palette": (PALETTES[0], ("GREY ", "loud", 0)),
+    "x": (("k", "t"), ("", "v", 3)),
+    "y": (("v",), ("", "k", 0)),
+    "key": (KEYS[0], ("H", "", 0, 1.5)),
+    "tempo": ((72, 120, 120.0, 300), (19, 72.5, 1e300, 10**30, -(10**25), "120", True)),
+    "time_signature": (TIMES[0], ("3/3", "4", 4, [4, 4])),
+    "loop": ((1, 2, 3.0, 64), (0, 2.5, 1e300, 10**30, "2", False)),
+    "histogram": ((True, False), (1, "yes")),
+}
+# Whole files that are not one JSON object of keys: other JSON values,
+# broken JSON, an integer past Python's digit limit, bytes that are not
+# UTF-8.
+NOT_A_SPEC = (
+    b"[]", b'"bar"', b"null", b"3", b"{", b"", b'{"idiom": "bar",}', b"NaN",
+    b'{"loop": 1' + b"0" * 5000 + b"}", b'{"idiom": "\xff"}', b'{"idiom": "bar"\xff}',
+)
+
+
+@st.composite
+def spec_files(draw) -> bytes:
+    """A ``--spec`` file: mostly a JSON object of spec keys, each mostly
+    valid, at times ``null``, of another type or range, or unknown; at
+    times with a byte-order mark; now and then not a spec at all."""
+    if draw(rarely(12)):
+        return draw(st.sampled_from(NOT_A_SPEC))
+    mapping = {}
+    for key in draw(st.permutations(list(SPEC_VALUES))):
+        # The three keys a spec must hold are most often there.
+        if not draw(rarely(8)) if key in ("idiom", "palette", "y") else draw(st.booleans()):
+            mapping[key] = None if draw(rarely(10)) else draw(mostly(*SPEC_VALUES[key]))
+    if draw(rarely(10)):
+        mapping[draw(st.sampled_from(("tempo_bpm", "colour", "")))] = 1
+    raw = json.dumps(mapping).encode("utf-8")
+    return b"\xef\xbb\xbf" + raw if draw(rarely(5)) else raw
+
+
+def _thinned(draw, flags: list[str]) -> list[str]:
+    """About half of ``flags``, so that a spec file's keys show through;
+    ``--emit`` is kept."""
+    kept, i = [], 0
+    while i < len(flags):
+        width = 1 if flags[i] == "--histogram" else 2
+        if flags[i] == "--emit" or draw(st.booleans()):
+            kept += flags[i:i + width]
+        i += width
+    return kept
+
+
 def _compile(argv: list[str]):
+    """``main(["compile", *argv])``'s exit status, stdout and stderr, and
+    how many objects in reference cycles it left to the collector."""
     out, err = io.StringIO(), io.StringIO()
+    gc.collect()
+    gc.freeze()  # the collection after main scans only what main made
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["compile", *argv])
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), gc.collect()
+
+
+@pytest.fixture(scope="module")
+def warm_main(tmp_path_factory):
+    """One call first: the first ``main`` of a process builds the argument
+    parser, which leaves cycles that no later call makes. The objects
+    each call froze are handed back to the collector at the end."""
+    _compile(["--data", str(tmp_path_factory.mktemp("warm") / "absent.csv")])
+    yield
+    gc.unfreeze()
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=tables(), flags=flag_sets())
-def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(table, flags):
+@given(table=tables(), flags=flag_sets(), spec=st.none() | spec_files(), data=st.data())
+def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(
+    warm_main, table, flags, spec, data
+):
     suffix, raw = table
     with tempfile.TemporaryDirectory() as name:
-        data = Path(name) / f"table{suffix}"
-        data.write_bytes(raw)
-        argv = ["--data", str(data), *flags]
-        code, out, err = _compile(argv)
-        written = {path: path.read_bytes() for path in data.parent.iterdir() if path != data}
+        table_path = Path(name) / f"table{suffix}"
+        table_path.write_bytes(raw)
+        inputs = [table_path]
+        if spec is not None:
+            spec_path = Path(name) / "spec.json"
+            spec_path.write_bytes(spec)
+            inputs.append(spec_path)
+            flags = ["--spec", str(spec_path), *_thinned(data.draw, flags)]
+        argv = ["--data", str(table_path), *flags]
+        code, out, err, cyclic = _compile(argv)
+        written = {
+            path: path.read_bytes() for path in table_path.parent.iterdir()
+            if path not in inputs
+        }
 
         assert code in (0, 1), err
-        assert data.read_bytes() == raw
+        # No compile or refusal makes a reference cycle, so pausing the
+        # collector while ``main`` runs leaves nothing for it to find.
+        assert cyclic == 0
+        assert table_path.read_bytes() == raw
+        if spec is not None:
+            assert spec_path.read_bytes() == spec
         assert (code, out, err, written) == reference.compile_command(argv)
         if code == 0:
             assert err == ""
             notes = int(re.search(r" notes=(\d+) ticks=\d+$", out.splitlines()[0])[1])
-            midi = data.with_suffix(".mid")
+            midi = table_path.with_suffix(".mid")
             if midi in written:
                 assert len(parse_smf_minimal(written[midi]).notes) == notes
         else:

@@ -1,13 +1,14 @@
 """MIDI byte emission: VLQ coding, header layout, gates, round-trips."""
 from __future__ import annotations
 
+import math
 import re
 import struct
 import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from melodify import smf
@@ -18,6 +19,7 @@ from melodify.score import (
     MAX_EXPANDED_EVENTS,
     Articulation,
     Loop,
+    NoteEvent,
     PedalEvent,
     PedalState,
     Score,
@@ -685,15 +687,112 @@ def test_chord_cache_starts_at_its_event_count(over, monkeypatch):
     (PedalEvent(0, "down"), "event 0: state is str, not PedalState"),
     (PedalEvent(False, PedalState.DOWN), "event 0: tick is bool, not int"),
     ((0, PedalState.DOWN), "event 0 is tuple, not NoteEvent or PedalEvent"),
+    (make_score([note(0)], tempo=120.0), "tempo_bpm is float, not int"),
+    (make_score([note(0)], timesig=(4.0, 4)), "time_signature numerator is float, not int"),
+    (make_score([note(0)], timesig=(4, True)), "time_signature denominator is bool, not int"),
+    (make_score([note(0)], timesig=[4, 4]), "time_signature is list, not tuple"),
+    (make_score([note(0)], key=(0.0, ScaleMode.MAJOR)), "key_signature root is float, not int"),
+    # Written unrefused, "major" would have given an E-flat major signature.
+    (make_score([note(0)], key=(0, "major")), "key_signature mode is str, not ScaleMode"),
+    (make_score([note(0)], key=(0, ScaleMode.MAJOR, 0)), "key_signature has 3 parts, not 2"),
+    (make_score([note(0)], loop=Loop(0, 480, 2.0)), "loop count is float, not int"),
+    (make_score([note(0)], loop=Loop(0.0, 480, 2)), "loop start_tick is float, not int"),
+    (make_score([note(0)], loop=(0, 480, 2)), "loop is tuple, not Loop"),
 ])
 def test_write_refuses_a_field_not_of_its_exact_type(event, problem):
     # Each equals a valid field (80.0 == 80, True == 1, "accent" ==
     # Articulation.ACCENT) or record, so only its type can refuse it.
-    score = Score(120, (4, 4), (0, ScaleMode.MAJOR), (event, note(960)))
+    # A ``Score`` in place of an event stands for the score's own fields.
+    if type(event) is Score:
+        score = event
+    else:
+        score = Score(120, (4, 4), (0, ScaleMode.MAJOR), (event, note(960)))
     assert structural_errors(score) == reference.structural_errors(score)
     assert structural_errors(score)[0] == problem
     with pytest.raises(MelodifyError, match=problem):
         write_smf(score)
+
+
+# Values that equal a valid field but are of another type, values of no
+# use, and ints past every range, float range included.
+ODD_VALUES = st.sampled_from(
+    (80.0, 4.0, 0.0, True, False, "480", None, math.nan, math.inf, (4, 4),
+     2**1030, -(2**1030), 2**28, 10**30)
+)
+
+
+def rarely(odds: int):
+    """True about one time in ``odds``."""
+    return st.sampled_from((False,) * (odds - 1) + (True,))
+
+
+def mostly(good):
+    """A value from ``good``, else any int or a value of another type."""
+    return st.one_of(good, good, good, st.integers(-(2**70), 2**70), ODD_VALUES)
+
+
+@st.composite
+def any_scores(draw):
+    """Scores a library caller could build: every field of the right type
+    and range, or in about one score of three mostly so and at times of
+    another type, shape or range; events in order or not; pedals
+    balanced or not; a loop anywhere or none."""
+    field = mostly if draw(rarely(3)) else (lambda good: good)
+    ticks = field(st.integers(0, 2000))
+    notes = st.builds(
+        NoteEvent, ticks, field(st.integers(1, 960)), field(st.integers(0, 127)),
+        field(st.integers(1, 127)), field(st.sampled_from(list(Articulation))),
+    )
+    pedals = st.builds(PedalEvent, ticks, field(st.sampled_from(list(PedalState))))
+    records = notes | pedals
+    if field is mostly:
+        records |= st.tuples(ticks, ticks)
+    events = draw(st.lists(records, max_size=12))
+    if not draw(rarely(4)):
+        events.sort(key=lambda ev: (ev[0] if type(ev[0]) is int else 0, type(ev) is NoteEvent))
+    if not draw(rarely(4)):  # press and release in turn, ending released
+        pedal_at = [i for i, ev in enumerate(events) if type(ev) is PedalEvent]
+        if len(pedal_at) % 2:
+            del events[pedal_at.pop()]
+        for n, i in enumerate(pedal_at):
+            events[i] = PedalEvent(events[i][0], list(PedalState)[n % 2])
+    meter = st.tuples(field(st.integers(1, 16)), field(st.sampled_from([1, 2, 4, 8, 16])))
+    key = st.tuples(field(st.integers(0, 11)), field(st.sampled_from(list(ScaleMode))))
+    # Loop ends mostly at event ticks, so that a region often lies inside.
+    edges = st.sampled_from([0, 480, *(ev[0] for ev in events)]) | st.integers(0, 3000)
+    loop = st.builds(Loop, field(edges), field(edges), field(st.integers(1, 4)))
+    if field is mostly:
+        odd = st.sampled_from(([4, 4], (4,), (4, 4, 4), "4/4", None))
+        meter, key, loop = meter | odd, key | odd, loop | st.just((0, 480, 2))
+    return Score(
+        draw(field(st.integers(4, 400))), draw(meter), draw(key), tuple(events),
+        draw(st.none() | loop),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scores())
+@example(Score(120, (4, 4), (0, ScaleMode.MAJOR), (note(0, dur=2**1030),)))
+@example(make_score([note(0, dur=960)], loop=Loop(480, 960, 2**1030)))
+def test_any_score_is_refused_by_the_gate_or_written_and_read_back(score):
+    problems = structural_errors(score)
+    assert problems == reference.structural_errors(score)
+    if problems:
+        with pytest.raises(MelodifyError, match="score fails validation"):
+            write_smf(score)
+        return
+    try:
+        data = write_smf(score)
+    except MelodifyError as exc:
+        # The refusals the gate leaves to the writer: a gap no delta-time
+        # holds, a loop past the expansion cap, a number past float range.
+        assert re.search(
+            "ticks between two messages|above the cap of|past float range", str(exc)
+        ), exc
+        return
+    played = reference.notes_of(reference.expand_loops(score))
+    assert sorted((n.onset_tick, n.pitch, n.velocity) for n in parse_smf_minimal(data).notes) \
+        == sorted((n.onset_tick, n.pitch, n.velocity) for n in played)
 
 
 # --- parse_smf_minimal --------------------------------------------------------
