@@ -26,16 +26,16 @@ import sys
 from operator import countOf
 from pathlib import Path
 
-from .errors import BindingError, MelodifyError, ParseError, ProportionError
+from .errors import MelodifyError, ParseError, ProportionError
 from .ingest import (
     SPEC_KEYS,
-    ColumnKind,
     Dataset,
     MelodySpec,
     TableFormat,
     parse_table,
     spec_from_mapping,
     spec_mapping,
+    validate_y,
 )
 from .melodifier import derive_character, melodify
 from .score import NoteEvent, Score, expand_loops, total_duration_ticks
@@ -139,8 +139,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data)
-    if dataset.column(args.y).kind is not ColumnKind.QUANTITATIVE:
-        raise BindingError(f"y column {args.y!r} must be quantitative")
+    validate_y(dataset, args.y)
 
     character = derive_character(dataset, args.y, args.x or None)
     n = len(character.series)

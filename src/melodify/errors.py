@@ -40,9 +40,14 @@ class ProportionError(MelodifyError):
 
 def clipped(value: int) -> str:
     """``value`` as written, or past 20 characters as its first three
-    digits and power of ten, such as ``1.00e+300`` (truncated, not rounded)."""
-    text = str(value)
-    if len(text) <= 20:
-        return text
-    digits = text.lstrip("-")
-    return f"{text[:len(text) - len(digits)]}{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+    digits and power of ten, such as ``1.00e+300`` (truncated, not
+    rounded). Only a short int goes through ``str``, so an int past
+    Python's int-to-str digit limit is quoted too."""
+    sign, magnitude = "-" * (value < 0), abs(value)
+    if magnitude < 10 ** (20 - len(sign)):
+        return str(value)
+    # The power of ten, or one less: log10(2) times the bits below the top one.
+    power = int((magnitude.bit_length() - 1) * 0.30102999566398120)
+    power += 10 ** (power + 1) <= magnitude
+    digits = str(magnitude // 10 ** (power - 2))
+    return f"{sign}{digits[0]}.{digits[1:]}e+{power}"

@@ -395,6 +395,13 @@ def parse_spec(raw: bytes) -> MelodySpec:
     return spec_from_mapping(spec_mapping(raw))
 
 
+def validate_y(dataset: Dataset, y_field: str) -> None:
+    """Check that ``y_field`` names a quantitative column: the binding
+    check that every idiom and ``melodify analyze`` share."""
+    if dataset.column(y_field).kind is not ColumnKind.QUANTITATIVE:
+        raise BindingError(f"y column {y_field!r} must be quantitative")
+
+
 def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
     """Check that the spec's field bindings suit the chosen idiom.
 
@@ -407,10 +414,7 @@ def validate_binding(dataset: Dataset, spec: MelodySpec) -> None:
     if dataset.row_count == 0:
         raise ParseError("dataset has no rows")
 
-    y_col = dataset.column(spec.y_field)
-    if y_col.kind is not ColumnKind.QUANTITATIVE:
-        raise BindingError(f"y column {spec.y_field!r} must be quantitative")
-
+    validate_y(dataset, spec.y_field)
     x_col = dataset.column(spec.x_field) if spec.x_field is not None else None
 
     if spec.idiom in (Idiom.BAR, Idiom.PIE):

@@ -132,7 +132,7 @@ def structural_errors(score: Score) -> list[str]:
     if type(tempo) is not int:
         error(f"tempo_bpm is {type(tempo).__name__}, not int")
     elif tempo < 1:
-        error(f"tempo must be positive, got {tempo}")
+        error(f"tempo must be positive, got {clipped(tempo)}")
     else:
         # SMF stores whole microseconds per quarter in 24 bits, and
         # ``write_smf`` rounds to them.
@@ -140,7 +140,7 @@ def structural_errors(score: Score) -> list[str]:
         if tempo_us > 0xFFFFFF:
             error(f"tempo {tempo} bpm is below 4, the slowest SMF can encode")
         elif tempo_us < 1:
-            error(f"tempo {tempo} bpm is above 119999999, the fastest SMF can encode")
+            error(f"tempo {clipped(tempo)} bpm is above 119999999, the fastest SMF can encode")
     meter = _pair_errors("time_signature", score.time_signature, ("numerator", int),
                          ("denominator", int))
     if meter:
@@ -148,11 +148,11 @@ def structural_errors(score: Score) -> list[str]:
     else:
         numerator, denominator = score.time_signature
         if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
-            error(f"bad time signature {numerator}/{denominator}")
+            error(f"bad time signature {clipped(numerator)}/{clipped(denominator)}")
         else:
             # SMF stores the numerator and log2 of the denominator in a byte each.
             if numerator > 255:
-                error(f"time signature numerator {numerator} above 255")
+                error(f"time signature numerator {clipped(numerator)} above 255")
             if denominator.bit_length() > 256:
                 error(
                     f"time signature denominator 2**{denominator.bit_length() - 1} "
@@ -173,23 +173,23 @@ def structural_errors(score: Score) -> list[str]:
                 mistyped = True
                 continue
             if onset < previous_tick:
-                error(f"event {i} out of order (tick {onset})")
+                error(f"event {i} out of order (tick {clipped(onset)})")
             previous_tick, previous_is_note = onset, True
             if onset < 0:
-                error(f"event {i}: negative onset {onset}")
+                error(f"event {i}: negative onset {clipped(onset)}")
             if duration < 1:
                 error(f"event {i}: duration must be at least 1 tick")
             if not 0 <= pitch <= 127:
-                error(f"event {i}: pitch {pitch} outside 0..127")
+                error(f"event {i}: pitch {clipped(pitch)} outside 0..127")
             if not 1 <= velocity <= 127:
-                error(f"event {i}: velocity {velocity} outside 1..127")
+                error(f"event {i}: velocity {clipped(velocity)} outside 1..127")
         elif type(ev) is PedalEvent and type(ev[0]) is int and type(ev[1]) is PedalState:
             tick, state = ev
             if tick < previous_tick or (previous_is_note and tick == previous_tick):
-                error(f"event {i} out of order (tick {tick})")
+                error(f"event {i} out of order (tick {clipped(tick)})")
             previous_tick, previous_is_note = tick, False
             if tick < 0:
-                error(f"event {i}: negative pedal tick {tick}")
+                error(f"event {i}: negative pedal tick {clipped(tick)}")
             if state is PedalState.DOWN:
                 if pedal_down:
                     pedal_problems.append("pedal pressed twice without a release")
@@ -219,24 +219,22 @@ def structural_errors(score: Score) -> list[str]:
     elif not mistyped:
         start, end, count = loop
         base_end = _base_end_tick(score.events)
+        region = f"loop region [{clipped(start)}, {clipped(end)})"
         if count < 1:
-            error(f"loop count must be positive, got {count}")
+            error(f"loop count must be positive, got {clipped(count)}")
         if not 0 <= start < end <= max(base_end, 1):
-            error(f"loop region [{start}, {end}) outside score of {base_end} ticks")
+            error(f"{region} outside score of {clipped(base_end)} ticks")
         # Each repeat finds the pedal as the one before it left it.
         events = score.events
         if count > 1 and _pedal_down_before(events, start) != _pedal_down_before(events, end):
-            error(
-                f"loop region [{start}, {end}) changes the pedal, so a repeat "
-                "would press or release it twice"
-            )
+            error(f"{region} changes the pedal, so a repeat would press or release it twice")
 
     key = _pair_errors("key_signature", score.key_signature, ("root", int),
                        ("mode", ScaleMode))
     if key:
         problems += key
     elif not 0 <= score.key_signature[0] <= 11:
-        error(f"key signature root {score.key_signature[0]} outside 0..11")
+        error(f"key signature root {clipped(score.key_signature[0])} outside 0..11")
     return problems
 
 
@@ -345,28 +343,35 @@ def expand_loops(score: Score) -> Score:
     A score past the cap is a user error (``E_PARSE``). An empty or
     inverted region, or a count below one, is ``E_INTERNAL``: the spec
     parser rejects such a count and ``melodify`` never builds such a
-    region, so reaching it is a bug.
+    region, so reaching it is a bug. So is a loop or event the expansion
+    cannot read, such as a tick given as a str: the gate's problems say why.
     """
     if score.loop is None:
         return score
-    start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
-    if count < 1 or end <= start:
-        raise MelodifyError(
-            f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
-        )
-    events = sorted_events(score.events)
-    first, after = loop_region(events, score.loop)
-    region = events[first:after]
-    length = end - start
-    # Repeat 0 is the region's own events. Every record's tick is its
-    # field 0, so a copy is (tick + shift,) + the rest of its fields. A
-    # NamedTuple's __new__ only packs its fields and checks nothing, so
-    # tuple.__new__ builds the same record without a Python frame.
-    new = tuple.__new__
-    split = [(type(ev), ev[0], ev[1:]) for ev in region]
-    out = [*events[:after]]
-    for shift in range(length, count * length, length):
-        out += [new(cls, (tick + shift,) + rest) for cls, tick, rest in split]
-    shift = (count - 1) * length
-    out += [new(type(ev), (ev[0] + shift,) + ev[1:]) for ev in events[after:]]
-    return score._replace(events=tuple(out), loop=None)
+    try:
+        start, end, count = score.loop.start_tick, score.loop.end_tick, score.loop.count
+        if count < 1 or end <= start:
+            raise MelodifyError(
+                f"loop region [{clipped(start)}, {clipped(end)}) with {clipped(count)} "
+                "repeats cannot be expanded"
+            )
+        events = sorted_events(score.events)
+        first, after = loop_region(events, score.loop)
+        region = events[first:after]
+        length = end - start
+        # Repeat 0 is the region's own events. Every record's tick is its
+        # field 0, so a copy is (tick + shift,) + the rest of its fields. A
+        # NamedTuple's __new__ only packs its fields and checks nothing, so
+        # tuple.__new__ builds the same record without a Python frame.
+        new = tuple.__new__
+        split = [(type(ev), ev[0], ev[1:]) for ev in region]
+        out = [*events[:after]]
+        if split:  # an empty region adds nothing, however many its repeats
+            for shift in range(length, count * length, length):
+                out += [new(cls, (tick + shift,) + rest) for cls, tick, rest in split]
+        shift = (count - 1) * length
+        out += [new(type(ev), (ev[0] + shift,) + ev[1:]) for ev in events[after:]]
+        return score._replace(events=tuple(out), loop=None)
+    except (AttributeError, TypeError):
+        problems = "; ".join(structural_errors(score))
+        raise MelodifyError(f"score fails validation: {problems}") from None

@@ -15,7 +15,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import MelodifyError
+from .errors import MelodifyError, clipped
 from .score import (
     TICKS_PER_QUARTER,
     Articulation,
@@ -112,7 +112,7 @@ def _long_delta(delta: int) -> bytes:
     encoder knows when each note-off falls, so the gate leaves it here."""
     if delta >= VLQ_LIMIT:
         raise MelodifyError(
-            f"score fails validation: {delta} ticks between two messages, "
+            f"score fails validation: {clipped(delta)} ticks between two messages, "
             f"above the {VLQ_LIMIT - 1} a delta-time can hold"
         )
     return encode_vlq(delta)
@@ -332,36 +332,50 @@ def write_text_score(score: Score) -> str:
     after the tick (``ev[1:]``) and looked up for every repeat of it. A
     record with a field that is not exactly an int is formatted on its
     own: ``480.0`` equals ``480`` and ``True`` equals ``1`` as dict keys,
-    but each prints as itself."""
-    numerator, denominator = score.time_signature
-    root, mode = score.key_signature
-    lines = [
-        f"tpq {TICKS_PER_QUARTER}",
-        f"tempo {score.tempo_bpm}",
-        f"time {numerator}/{denominator}",
-        f"key {root} {mode.value}",
-    ]
-    if score.loop is not None:
-        lines.append(
-            f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}"
-        )
-    tails: dict[tuple, str] = {}
-    for ev in score.events:
-        if type(ev) is not NoteEvent:
-            lines.append(f"{ev.tick} PEDAL {ev.state.value}")
-            continue
-        onset, duration, pitch, velocity, articulation = ev
-        if type(duration) is int and type(pitch) is int and type(velocity) is int:
-            record = ev[1:]
-            tail = tails.get(record)
-            if tail is None:
-                tail = tails[record] = (
-                    f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
-                )
-        else:
-            tail = f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
-        lines.append(f"{onset}{tail}")
-    return "\n".join(lines) + "\n"
+    but each prints as itself.
+
+    A score that formats is written without the gate. One that does not,
+    such as a mode given as ``"major"``, raises ``MelodifyError`` with
+    the gate's problems, or, if the gate finds none, with its largest
+    int, which is past Python's int-to-str digit limit."""
+    try:
+        numerator, denominator = score.time_signature
+        root, mode = score.key_signature
+        lines = [
+            f"tpq {TICKS_PER_QUARTER}",
+            f"tempo {score.tempo_bpm}",
+            f"time {numerator}/{denominator}",
+            f"key {root} {mode.value}",
+        ]
+        if score.loop is not None:
+            lines.append(
+                f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}"
+            )
+        tails: dict[tuple, str] = {}
+        for ev in score.events:
+            if type(ev) is not NoteEvent:
+                lines.append(f"{ev.tick} PEDAL {ev.state.value}")
+                continue
+            onset, duration, pitch, velocity, articulation = ev
+            if type(duration) is int and type(pitch) is int and type(velocity) is int:
+                record = ev[1:]
+                tail = tails.get(record)
+                if tail is None:
+                    tail = tails[record] = (
+                        f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
+                    )
+            else:
+                tail = f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
+            lines.append(f"{onset}{tail}")
+        return "\n".join(lines) + "\n"
+    except (AttributeError, KeyError, TypeError, ValueError):
+        problems = structural_errors(score)
+        if not problems:
+            # The gate bounds every field but the loop's and each event's
+            # ticks and duration: the largest int is one str() refuses.
+            ints = [*(score.loop or ()), *(n for ev in score.events for n in ev if type(n) is int)]
+            problems = [f"{clipped(max(ints))} is past the int-to-str digit limit"]
+    raise MelodifyError("score fails validation: " + "; ".join(problems))
 
 
 _READER_NAMES = frozenset({"ParsedNote", "ParsedSmf", "parse_smf_minimal"})

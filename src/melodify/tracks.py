@@ -2,15 +2,17 @@
 
 Nine small datasets chosen so that each chart idiom, palette family,
 and data regime (sparse/dense, narrow/wide spread, rising/falling
-trends) is heard at least once. Each is a dataset plus spec for
-`melodify`; the command line's `tracklist` subcommand compiles and
-writes them all out.
+trends) is heard at least once. Each track is a CSV table and a spec
+mapping, read by ``parse_table`` and ``spec_from_mapping`` as
+``melodify compile`` reads a table and a spec file, so ``ingest`` alone
+types the columns and fills in the spec's defaults. The command line's
+``tracklist`` subcommand compiles and writes them all out.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ingest import Column, ColumnKind, Dataset, Idiom, MelodySpec, Palette
+from .ingest import Dataset, MelodySpec, TableFormat, parse_table, spec_from_mapping
 
 
 class TrackDef(NamedTuple):
@@ -19,86 +21,42 @@ class TrackDef(NamedTuple):
     spec: MelodySpec
 
 
-def _categorical(name: str, values: list[str]) -> Column:
-    return Column(name, ColumnKind.CATEGORICAL, tuple(values))
+def _values(*numbers: int) -> str:
+    """A one-column CSV table of ``numbers`` under the header ``value``."""
+    return "value\n" + "".join(f"{n}\n" for n in numbers)
 
 
-def _quantitative(name: str, values: list[float]) -> Column:
-    return Column(name, ColumnKind.QUANTITATIVE, tuple(float(v) for v in values))
-
-
-def _dataset(*columns: Column) -> Dataset:
-    return Dataset(tuple(columns), len(columns[0].values))
-
-
-_LINE_Y = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 0.0, -2.0]
+_LINE = _values(0, 1, 2, 3, 4, 2, 0, -2)
 
 # Dense scatter hugging a flat level: high density, narrow spread.
-_STEADY_Y = [
+_STEADY = _values(
     100, 102, 98, 101, 99, 103, 97, 100, 102, 99, 101, 98, 100, 103, 97, 102,
     99, 101, 100, 98, 102, 97, 103, 100, 99, 101, 98, 102, 100, 97, 103, 99,
-]
+)
 
 # Dense scatter sprayed over the full range: high density, wide spread.
-_SPRAY_Y = [
+_SPRAY = _values(
     5, 62, 18, 88, 33, 71, 9, 47, 80, 25, 58, 2, 90, 41, 14, 67,
     29, 76, 52, 7, 84, 37, 60, 21, 73, 45, 11, 55, 31, 86, 16, 64,
-]
+)
 
-
-TRACKS: tuple[TrackDef, ...] = (
-    TrackDef(
-        slug="01-bar-positive",
-        dataset=_dataset(
-            _categorical("category", ["A", "B", "C", "D", "E"]),
-            _quantitative("value", [1, 2, 3, 4, 5]),
-        ),
-        spec=MelodySpec(Idiom.BAR, Palette.POSITIVE, "value", x_field="category"),
-    ),
-    TrackDef(
-        slug="02-bar-negative",
-        dataset=_dataset(
-            _categorical("category", ["A", "B", "C", "D", "E"]),
-            _quantitative("value", [5, 4, 3, 2, 1]),
-        ),
-        spec=MelodySpec(Idiom.BAR, Palette.NEGATIVE, "value", x_field="category"),
-    ),
-    TrackDef(
-        slug="03-line-positive",
-        dataset=_dataset(_quantitative("value", _LINE_Y)),
-        spec=MelodySpec(Idiom.LINE, Palette.POSITIVE, "value"),
-    ),
-    TrackDef(
-        slug="04-line-negative",
-        dataset=_dataset(_quantitative("value", _LINE_Y)),
-        spec=MelodySpec(Idiom.LINE, Palette.NEGATIVE, "value"),
-    ),
-    TrackDef(
-        slug="05-line-grey",
-        dataset=_dataset(_quantitative("value", _LINE_Y)),
-        spec=MelodySpec(Idiom.LINE, Palette.GREY, "value"),
-    ),
-    TrackDef(
-        slug="06-pie-positive",
-        dataset=_dataset(
-            _categorical("category", ["A", "B", "C", "D"]),
-            _quantitative("value", [4, 3, 2, 1]),
-        ),
-        spec=MelodySpec(Idiom.PIE, Palette.POSITIVE, "value", x_field="category"),
-    ),
-    TrackDef(
-        slug="07-scatter-sparse-wide",
-        dataset=_dataset(_quantitative("value", [5, 90, 20, 70, 1, 55, 35])),
-        spec=MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "value"),
-    ),
-    TrackDef(
-        slug="08-scatter-dense-narrow",
-        dataset=_dataset(_quantitative("value", _STEADY_Y)),
-        spec=MelodySpec(Idiom.SCATTER, Palette.POSITIVE, "value"),
-    ),
-    TrackDef(
-        slug="09-scatter-grey",
-        dataset=_dataset(_quantitative("value", _SPRAY_Y)),
-        spec=MelodySpec(Idiom.SCATTER, Palette.GREY, "value"),
-    ),
+# Each track: its slug, its table as CSV text and its spec mapping.
+TRACKS: tuple[TrackDef, ...] = tuple(
+    TrackDef(slug, parse_table(table.encode(), TableFormat.CSV), spec_from_mapping(spec))
+    for slug, table, spec in (
+        ("01-bar-positive", "category,value\nA,1\nB,2\nC,3\nD,4\nE,5\n",
+         {"idiom": "bar", "palette": "positive", "x": "category", "y": "value"}),
+        ("02-bar-negative", "category,value\nA,5\nB,4\nC,3\nD,2\nE,1\n",
+         {"idiom": "bar", "palette": "negative", "x": "category", "y": "value"}),
+        ("03-line-positive", _LINE, {"idiom": "line", "palette": "positive", "y": "value"}),
+        ("04-line-negative", _LINE, {"idiom": "line", "palette": "negative", "y": "value"}),
+        ("05-line-grey", _LINE, {"idiom": "line", "palette": "grey", "y": "value"}),
+        ("06-pie-positive", "category,value\nA,4\nB,3\nC,2\nD,1\n",
+         {"idiom": "pie", "palette": "positive", "x": "category", "y": "value"}),
+        ("07-scatter-sparse-wide", _values(5, 90, 20, 70, 1, 55, 35),
+         {"idiom": "scatter", "palette": "positive", "y": "value"}),
+        ("08-scatter-dense-narrow", _STEADY,
+         {"idiom": "scatter", "palette": "positive", "y": "value"}),
+        ("09-scatter-grey", _SPRAY, {"idiom": "scatter", "palette": "grey", "y": "value"}),
+    )
 )

@@ -18,12 +18,14 @@ inputs the same way.
 from __future__ import annotations
 
 import csv
+import decimal
 import errno
 import io
 import json
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 from melodify import cli, ingest, melodifier
@@ -369,7 +371,8 @@ def expand_loops(score):
     start, end, count = score.loop
     if count < 1 or end <= start:
         raise MelodifyError(
-            f"loop region [{start}, {end}) with {count} repeats cannot be expanded"
+            f"loop region [{short_int(start)}, {short_int(end)}) with {short_int(count)} "
+            "repeats cannot be expanded"
         )
     repeated = sum(start <= tick_of(ev) < end for ev in score.events)
     expanded = len(score.events) + repeated * (count - 1)
@@ -392,12 +395,19 @@ def expand_loops(score):
 
 def short_int(value):
     """An integer as a refusal quotes it: in full up to 20 characters,
-    else its sign, first digit, next two and power of ten."""
-    if len(str(value)) <= 20:
+    else its sign, first digit, next two and power of ten. The digits
+    come from ``decimal``, which reads an int of any length."""
+    sign, digits, _ = decimal.Decimal(value).as_tuple()
+    if sign + len(digits) <= 20:
         return str(value)
-    sign = "-" if value < 0 else ""
-    digits = str(abs(value))
-    return sign + digits[0] + "." + digits[1:3] + "e+" + str(len(digits) - 1)
+    return "-" * sign + "{}.{}{}e+".format(*digits[:3]) + str(len(digits) - 1)
+
+
+def past_str_limit(value):
+    """Whether ``str`` refuses ``value``: an int of more digits than
+    Python's int-to-str limit, where a limit of 0 means none."""
+    limit = sys.get_int_max_str_digits()
+    return type(value) is int and 0 < limit < len(decimal.Decimal(value).as_tuple().digits)
 
 
 def total_duration_ticks(score):
@@ -423,11 +433,11 @@ def structural_errors(score):
     if type(score.tempo_bpm) is not int:
         error(f"tempo_bpm is {type(score.tempo_bpm).__name__}, not int")
     elif score.tempo_bpm < 1:
-        error(f"tempo must be positive, got {score.tempo_bpm}")
+        error(f"tempo must be positive, got {short_int(score.tempo_bpm)}")
     elif round(60_000_000 / score.tempo_bpm) >= 1 << 24:
         error(f"tempo {score.tempo_bpm} bpm is below 4, the slowest SMF can encode")
     elif round(60_000_000 / score.tempo_bpm) < 1:
-        error(f"tempo {score.tempo_bpm} bpm is above 119999999, the fastest SMF can encode")
+        error(f"tempo {short_int(score.tempo_bpm)} bpm is above 119999999, the fastest SMF can encode")
     meter_problems = pair_problems(
         "time_signature", score.time_signature, [("numerator", int), ("denominator", int)]
     )
@@ -435,10 +445,10 @@ def structural_errors(score):
     if not meter_problems:
         numerator, denominator = score.time_signature
         if numerator < 1 or denominator < 1 or denominator & (denominator - 1):
-            error(f"bad time signature {numerator}/{denominator}")
+            error(f"bad time signature {short_int(numerator)}/{short_int(denominator)}")
         else:
             if numerator > 255:
-                error(f"time signature numerator {numerator} above 255")
+                error(f"time signature numerator {short_int(numerator)} above 255")
             if denominator > 2**255:
                 error(
                     f"time signature denominator 2**{denominator.bit_length() - 1} "
@@ -467,19 +477,19 @@ def structural_errors(score):
             continue
         key = (tick_of(ev), type(ev) is NoteEvent)
         if previous_key is not None and key < previous_key:
-            error(f"event {i} out of order (tick {tick_of(ev)})")
+            error(f"event {i} out of order (tick {short_int(tick_of(ev))})")
         previous_key = key
         if type(ev) is NoteEvent:
             if ev.onset_tick < 0:
-                error(f"event {i}: negative onset {ev.onset_tick}")
+                error(f"event {i}: negative onset {short_int(ev.onset_tick)}")
             if ev.duration_ticks < 1:
                 error(f"event {i}: duration must be at least 1 tick")
             if not 0 <= ev.pitch <= 127:
-                error(f"event {i}: pitch {ev.pitch} outside 0..127")
+                error(f"event {i}: pitch {short_int(ev.pitch)} outside 0..127")
             if not 1 <= ev.velocity <= 127:
-                error(f"event {i}: velocity {ev.velocity} outside 1..127")
+                error(f"event {i}: velocity {short_int(ev.velocity)} outside 1..127")
         elif ev.tick < 0:
-            error(f"event {i}: negative pedal tick {ev.tick}")
+            error(f"event {i}: negative pedal tick {short_int(ev.tick)}")
 
     pedal_down = False
     for i, ev in enumerate(score.events):
@@ -508,9 +518,10 @@ def structural_errors(score):
         start, end, count = score.loop
         base_end = total_duration_ticks(score._replace(loop=None))
         if count < 1:
-            error(f"loop count must be positive, got {count}")
+            error(f"loop count must be positive, got {short_int(count)}")
         if not 0 <= start < end <= max(base_end, 1):
-            error(f"loop region [{start}, {end}) outside score of {base_end} ticks")
+            error(f"loop region [{short_int(start)}, {short_int(end)}) outside score of "
+                  f"{short_int(base_end)} ticks")
 
         def pedal_down_before(tick):
             pedals = [ev for ev in pedals_of(score) if ev.tick < tick]
@@ -518,8 +529,8 @@ def structural_errors(score):
 
         if count > 1 and pedal_down_before(start) != pedal_down_before(end):
             error(
-                f"loop region [{start}, {end}) changes the pedal, so a repeat "
-                "would press or release it twice"
+                f"loop region [{short_int(start)}, {short_int(end)}) changes the pedal, "
+                "so a repeat would press or release it twice"
             )
 
     key_problems = pair_problems(
@@ -527,7 +538,7 @@ def structural_errors(score):
     )
     problems += key_problems
     if not key_problems and not 0 <= score.key_signature[0] <= 11:
-        error(f"key signature root {score.key_signature[0]} outside 0..11")
+        error(f"key signature root {short_int(score.key_signature[0])} outside 0..11")
     return problems
 
 
@@ -596,8 +607,8 @@ def write_smf(score):
     for tick, _, data in messages:
         if tick - cursor >= VLQ_LIMIT:
             raise MelodifyError(
-                f"score fails validation: {tick - cursor} ticks between two messages, "
-                f"above the {VLQ_LIMIT - 1} a delta-time can hold"
+                f"score fails validation: {short_int(tick - cursor)} ticks between two "
+                f"messages, above the {VLQ_LIMIT - 1} a delta-time can hold"
             )
         body += encode_vlq(tick - cursor) + data
         cursor = tick
@@ -620,6 +631,17 @@ def write_text_score(score):
         else:
             lines.append(f"{ev.tick} PEDAL {ev.state.value}")
     return "\n".join(lines) + "\n"
+
+
+def text_problems(score):
+    """What the text writer's refusal lists: the gate's problems, or for
+    a score the gate passes, the largest of its ints that ``str`` refuses."""
+    problems = structural_errors(score)
+    if problems:
+        return problems
+    fields = [*(score.loop or ())] + [value for ev in score.events for value in ev]
+    too_long = [value for value in fields if past_str_limit(value)]
+    return [f"{short_int(max(too_long))} is past the int-to-str digit limit"] if too_long else []
 
 
 def summary(score):

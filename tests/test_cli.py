@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import melodify
 from melodify import cli, errors, melodifier, smf, smf_reader
 from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
-from melodify.ingest import SPEC_KEYS, Idiom, Palette
+from melodify.ingest import PITCH_CLASS_BY_NAME, SPEC_KEYS, Idiom, Palette
 from melodify.score import (
     MAX_EXPANDED_EVENTS,
     Articulation,
@@ -31,6 +31,7 @@ from melodify.score import (
 )
 from melodify.smf import parse_smf_minimal
 from melodify.theory import ScaleMode
+from melodify.tracks import TRACKS
 
 import reference
 from reference import decode_vlq
@@ -708,6 +709,42 @@ def test_tracklist_midi_bytes_are_pinned(tmp_path, capsys):
         for path in tmp_path.glob("*.mid")
     }
     assert digests == TRACK_MIDI_SHA256
+
+
+@pytest.fixture(scope="module")
+def tracklist_dir(tmp_path_factory):
+    """The files ``melodify tracklist`` writes, rendered once."""
+    out_dir = tmp_path_factory.mktemp("tracklist")
+    assert main(["tracklist", "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("track", TRACKS, ids=lambda track: track.slug)
+def test_compile_writes_the_bytes_tracklist_writes(track, tracklist_dir, tmp_path, capsys):
+    # The track's table as a CSV file and every spec field under its
+    # spec key in a --spec file, null where the spec leaves it unset.
+    columns = track.dataset.columns
+    table = tmp_path / "table.csv"
+    table.write_text(
+        ",".join(column.name for column in columns) + "\n"
+        + "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.values for c in columns))),
+        encoding="utf-8",
+    )
+    spec = track.spec
+    key_names = {root: name for name, root in PITCH_CLASS_BY_NAME.items()}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "idiom": spec.idiom.value, "palette": spec.palette.value, "y": spec.y_field,
+        "x": spec.x_field, "key": key_names[spec.key_root], "tempo": spec.tempo_bpm,
+        "time_signature": spec.time_signature and "{}/{}".format(*spec.time_signature),
+        "loop": spec.loop_count, "histogram": spec.histogram,
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "compile", "--data", str(table), "--spec", str(spec_file),
+                       "--emit", "both", "--out", str(tmp_path / "song.mid"))
+    assert (code, err) == (0, "")
+    for suffix in (".mid", ".txt"):
+        assert (tmp_path / "song").with_suffix(suffix).read_bytes() \
+            == (tracklist_dir / track.slug).with_suffix(suffix).read_bytes()
 
 
 # A 2000-row bar table whose values cycle through seven numbers: 2002

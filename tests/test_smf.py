@@ -713,11 +713,15 @@ def test_write_refuses_a_field_not_of_its_exact_type(event, problem):
         write_smf(score)
 
 
+# Past Python's 4300-digit int-to-str limit: a refusal quotes it all the same.
+BIG = 10**5000
+
 # Values that equal a valid field but are of another type, values of no
-# use, and ints past every range, float range included.
+# use, and ints past every range, float range and the int-to-str limit
+# included.
 ODD_VALUES = st.sampled_from(
     (80.0, 4.0, 0.0, True, False, "480", None, math.nan, math.inf, (4, 4),
-     2**1030, -(2**1030), 2**28, 10**30)
+     2**1030, -(2**1030), 2**28, 10**30, BIG)
 )
 
 
@@ -775,8 +779,43 @@ def any_scores(draw):
 @example(Score(120, (4, 4), (0, ScaleMode.MAJOR), (note(0, dur=2**1030),)))
 @example(make_score([note(0, dur=960)], loop=Loop(480, 960, 2**1030)))
 def test_any_score_is_refused_by_the_gate_or_written_and_read_back(score):
+    assert_refused_or_written(score)
+
+
+# Hypothesis prints each @example with repr, which refuses an int past
+# the int-to-str limit, so these scores are passed by pytest instead.
+@pytest.mark.parametrize("score", [
+    make_score([note(0)], tempo=BIG),
+    make_score([note(0, pitch=BIG)]),
+    make_score([note(BIG)]),
+    make_score([note(0, dur=960)], loop=Loop(0, 480, BIG)),
+], ids=["tempo", "pitch", "onset", "loop-count"])
+def test_an_int_past_the_str_limit_is_refused_or_written(score):
+    assert_refused_or_written(score)
+
+
+def assert_refused_or_written(score):
+    """The gate lists the reference's problems. The text writer returns
+    the reference's text or refuses with a reason, ``expand_loops`` raises
+    nothing but ``MelodifyError``, and ``write_smf`` refuses what the gate
+    refuses, else writes a file that reads back as the score played."""
     problems = structural_errors(score)
     assert problems == reference.structural_errors(score)
+    # The text writer formats what it can and refuses the rest with the
+    # gate's problems, or else with each int too long for str().
+    try:
+        text = write_text_score(score)
+    except MelodifyError as exc:
+        expected = reference.text_problems(score)
+        assert expected and str(exc) == "score fails validation: " + "; ".join(expected)
+    else:
+        assert text == reference.write_text_score(score)
+    try:
+        expand_loops(score)
+    except ParseError as exc:
+        assert "above the cap of" in str(exc)
+    except MelodifyError:
+        assert problems  # a score it cannot read, or an empty or inverted region
     if problems:
         with pytest.raises(MelodifyError, match="score fails validation"):
             write_smf(score)
