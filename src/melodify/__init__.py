@@ -5,7 +5,7 @@ The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
 into a `Score`, and `write_smf` / `write_text_score` serialize it, loop
 and all: the MIDI file plays the repeats, the text score marks the loop.
 `expand_loops` writes a loop out in full, for inspection and for the
-gate `melodify compile` runs on the score as played. `melodify` is the
+notes `melodify compile` counts in the score as played. `melodify` is the
 one mapping entry point for every idiom: it checks the binding
 (`validate_binding`), summarizes the data (`derive_character(dataset,
 y_field, x_field)` -> `DataCharacter`), resolves the palette

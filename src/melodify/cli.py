@@ -66,31 +66,17 @@ def _spec_from_args(args: argparse.Namespace) -> MelodySpec:
     return spec_from_mapping(mapping)
 
 
-def _summary(score: Score) -> str:
-    """``notes=... ticks=...`` of the score as played, read from the score
-    before loop expansion: each extra repeat adds the notes whose onset
-    lies in the loop region, and ``total_duration_ticks`` adds its length."""
-    events = score.events
-    notes = countOf(map(type, events), NoteEvent)
-    if score.loop is not None:
-        start, end, count = score.loop
-        notes += (count - 1) * sum(
-            type(ev) is NoteEvent and start <= ev.onset_tick < end for ev in events
-        )
-    return f"notes={notes} ticks={total_duration_ticks(score)}"
-
-
 def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -> str:
     """Write the score to whichever of the two paths are given and return
-    its summary. Every score passes the ``structural_errors`` gate before
-    any file is written. A looped score first passes it as played, so a
-    refusal numbers its events as played. ``write_smf`` gates the score
-    itself; with no MIDI to write, the score is gated here. Both outputs
-    are encoded before either is written, and a failed text write removes
-    the MIDI file just written, so a refusal leaves no file behind."""
-    expanded = expand_loops(score)
-    if score.loop is not None:
-        require_valid(expanded)  # a refusal numbers events as played
+    its ``notes=... ticks=...`` summary as played. The score passes the
+    ``structural_errors`` gate once, as ``melodify`` built it, before any
+    file is written: ``write_smf`` gates it itself, and with no MIDI to
+    write it is gated here. The expansion comes first: it refuses a loop
+    past ``MAX_EXPANDED_EVENTS`` on every emit, and the summary counts its
+    notes. Both outputs are encoded before either is written, and a
+    failed text write removes the MIDI file just written, so a refusal
+    leaves no file behind."""
+    played = expand_loops(score)
     if midi_path is None:
         require_valid(score)  # write_smf gates the score itself
     midi = write_smf(score) if midi_path is not None else None
@@ -104,7 +90,8 @@ def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -
             if midi_path is not None:
                 midi_path.unlink()
             raise
-    return _summary(score)
+    notes = countOf(map(type, played.events), NoteEvent)
+    return f"notes={notes} ticks={total_duration_ticks(score)}"
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:

@@ -118,13 +118,15 @@ def structural_errors(score: Score) -> list[str]:
     ``Articulation`` or ``PedalState`` member, not its str value. The
     score's own fields are held to the same rule: the tempo, both parts
     of the time signature, the key root and each ``Loop`` field are
-    ints, the time and key signatures tuples of two, the mode a
-    ``ScaleMode`` member and the loop a ``Loop``. A field of another
-    type reports only that and is left out of the range checks; an
-    event of another type is also left out of the order and pedal
-    checks, and the loop is then not checked. Pedal problems are listed after every per-event problem. A
-    looped score passes exactly when its expansion would, provided its
-    events are in order and its region lies inside it."""
+    ints, the events, time and key signatures tuples (the signatures of
+    two), the mode a ``ScaleMode`` member and the loop a ``Loop``. A
+    field of another type reports only that and is left out of the range
+    checks; an event of another type is also left out of the order and
+    pedal checks, and the loop is then not checked. Events not held in a
+    tuple are one problem, and none of them is checked. Pedal problems
+    are listed after every per-event problem. A looped score passes
+    exactly when its expansion would, provided its events are in order
+    and its region lies inside it."""
     problems: list[str] = []
     error = problems.append
 
@@ -161,10 +163,14 @@ def structural_errors(score: Score) -> list[str]:
 
     pedal_problems: list[str] = []
     pedal_down = False
-    mistyped = False
+    events = score.events
+    mistyped = type(events) is not tuple
+    if mistyped:
+        error(f"events is {type(events).__name__}, not tuple")
+        events = ()
     # The previous event's sort key, (tick, 1 for a note, 0 for a pedal).
     previous_tick, previous_is_note = -math.inf, False
-    for i, ev in enumerate(score.events):
+    for i, ev in enumerate(events):
         if type(ev) is NoteEvent:
             onset, duration, pitch, velocity, articulation = ev
             if not (type(onset) is type(duration) is type(pitch) is type(velocity) is int
@@ -218,14 +224,13 @@ def structural_errors(score: Score) -> list[str]:
         ]
     elif not mistyped:
         start, end, count = loop
-        base_end = _base_end_tick(score.events)
+        base_end = _base_end_tick(events)
         region = f"loop region [{clipped(start)}, {clipped(end)})"
         if count < 1:
             error(f"loop count must be positive, got {clipped(count)}")
         if not 0 <= start < end <= max(base_end, 1):
             error(f"{region} outside score of {clipped(base_end)} ticks")
         # Each repeat finds the pedal as the one before it left it.
-        events = score.events
         if count > 1 and _pedal_down_before(events, start) != _pedal_down_before(events, end):
             error(f"{region} changes the pedal, so a repeat would press or release it twice")
 
@@ -328,8 +333,8 @@ def loop_region(events: Sequence[Event], loop: Loop) -> tuple[int, int]:
 
 def expand_loops(score: Score) -> Score:
     """Materialize the loop region as literal repeats: the score as
-    played, for inspection and for checking its events one by one.
-    ``write_smf`` takes the looped score itself.
+    played, for inspection and for counting what it plays. ``write_smf``
+    and the gate take the looped score itself.
 
     Events inside the region are copied once per repetition; events after
     it shift right by the added length. Idempotent: a score without a

@@ -458,9 +458,13 @@ def structural_errors(score):
     # A field that is not exactly an int (a bool is not one), or an
     # articulation or pedal state that is not a member, is the only
     # problem its event reports; the event is left out of every other check.
-    mistyped = set()
+    # Events not held in a tuple are one problem, and none is checked.
+    events, mistyped = score.events, set()
+    if type(events) is not tuple:
+        error(f"events is {type(events).__name__}, not tuple")
+        events, mistyped = (), {"events"}
     previous_key = None
-    for i, ev in enumerate(score.events):
+    for i, ev in enumerate(events):
         if type(ev) is NoteEvent:
             kinds = [int, int, int, int, Articulation]
         elif type(ev) is PedalEvent:
@@ -492,7 +496,7 @@ def structural_errors(score):
             error(f"event {i}: negative pedal tick {short_int(ev.tick)}")
 
     pedal_down = False
-    for i, ev in enumerate(score.events):
+    for i, ev in enumerate(events):
         if type(ev) is NoteEvent or i in mistyped:
             continue
         if ev.state is PedalState.DOWN:

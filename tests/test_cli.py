@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import melodify
 from melodify import cli, errors, melodifier, smf, smf_reader
-from melodify.cli import USER_ERROR_CODES, _build_parser, _summary, main
+from melodify.cli import USER_ERROR_CODES, _build_parser, _write_score, main
 from melodify.ingest import PITCH_CLASS_BY_NAME, SPEC_KEYS, Idiom, Palette
 from melodify.score import (
     MAX_EXPANDED_EVENTS,
@@ -28,6 +28,7 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
+    structural_errors,
 )
 from melodify.smf import parse_smf_minimal
 from melodify.theory import ScaleMode
@@ -441,8 +442,8 @@ def test_out_of_order_body_writes_no_text_score(bar_csv, capsys, reversed_bar_bo
 
 
 def test_out_of_order_looped_body_is_refused_alike_on_every_emit(bar_csv, capsys, monkeypatch):
-    # A pie loops: the gate on its expansion alone would not see the
-    # fault, since expand_loops sorts the events it copies.
+    # A pie loops. The gate sees the fault because it runs on the looped
+    # score as melodify built it: expand_loops sorts the events it copies.
     reverse_body(monkeypatch, Idiom.PIE)
     lines = {emit: assert_refused_out_of_order(bar_csv, capsys, emit, "pie")
              for emit in ("midi", "text", "both")}
@@ -452,31 +453,28 @@ def test_out_of_order_looped_body_is_refused_alike_on_every_emit(bar_csv, capsys
 @pytest.mark.parametrize("idiom", ["bar", "pie"])
 @pytest.mark.parametrize("emit", ["midi", "text", "both"])
 def test_every_emit_runs_the_gate_once(bar_csv, capsys, monkeypatch, emit, idiom):
-    calls = []
-    gate = smf.structural_errors
+    calls, built = [], []
+    gate, build = smf.structural_errors, cli.melodify
     monkeypatch.setattr(smf, "structural_errors", lambda score: calls.append(score) or gate(score))
+    monkeypatch.setattr(cli, "melodify", lambda *args: built.append(build(*args)) or built[0])
     code, _, err = run(
         capsys, "compile", "--data", str(bar_csv), "--emit", emit,
         "--idiom", idiom, "--palette", "positive", "--x", "k", "--y", "v",
     )
     assert code == 0, err
-    # Once on the expanded score, whose events a refusal numbers as played.
-    (checked,) = [score for score in calls if score.loop is None]
-    others = [score for score in calls if score.loop is not None]
-    if idiom == "pie":
-        # The only other call checks the looped score: write_smf's own
-        # check, or, with no MIDI, the same check made in its place.
-        (looped,) = others
-        pie = reference.melodify(reference.dataset([1, 2, 3], "abc"), reference.spec(Idiom.PIE))
-        assert len(looped.events) == len(pie.events)
-    else:
-        assert others == []
+    # One call, on the score melodify built: write_smf's own check, or,
+    # with no MIDI, the same check made in its place. A pie's is looped.
+    (checked,) = calls
+    assert checked is built[0]
+    assert (checked.loop is not None) == (idiom == "pie")
 
 
 @st.composite
 def summarised_scores(draw):
     """Looped pies as ``melodify`` writes them, or notes and pedals on
-    ticks around a loop region's edges, with or without the loop."""
+    ticks around a loop region's edges, with or without the loop. The
+    events are in order and the pedal is pressed and released in turn, so
+    the gate passes most scores."""
     if draw(st.booleans()):
         # At most 7 slices of 0-4: every positive slice is above 1/32, the
         # sixteenths in the shortest (2/4) cycle.
@@ -485,29 +483,29 @@ def summarised_scores(draw):
         pie = reference.spec(Idiom.PIE, draw(st.sampled_from(list(Palette))),
                              loop_count=draw(st.integers(1, 6)))
         return melodifier.melodify(reference.dataset(shares, reference.labels(shares)), pie)
-    events = draw(st.lists(
-        st.one_of(
-            st.builds(
-                NoteEvent, st.integers(0, 24).map(lambda t: 60 * t),
-                st.integers(1, 240), st.just(60), st.just(80),
-                st.just(Articulation.NORMAL),
-            ),
-            st.builds(
-                PedalEvent, st.integers(0, 24).map(lambda t: 60 * t),
-                st.sampled_from(list(PedalState)),
-            ),
-        ),
-        max_size=20,
+    ticks = st.integers(0, 24).map(lambda t: 60 * t)
+    notes = draw(st.lists(
+        st.builds(NoteEvent, ticks, st.integers(1, 240), st.just(60), st.just(80),
+                  st.just(Articulation.NORMAL)),
+        max_size=16,
     ))
+    presses = sorted(draw(st.lists(ticks, max_size=6)))
+    pedals = [PedalEvent(tick, list(PedalState)[i % 2])
+              for i, tick in enumerate(presses[:len(presses) // 2 * 2])]
+    events = reference.sort_events(notes + pedals)
     start, length = draw(st.integers(0, 12)), draw(st.integers(1, 12))
     loop = draw(st.none() | st.builds(
         Loop, st.just(60 * start), st.just(60 * (start + length)), st.integers(1, 5)))
-    return Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), loop)
+    return Score(120, (4, 4), (0, ScaleMode.MAJOR), events, loop)
 
 
 @given(summarised_scores())
-def test_summary_of_the_unexpanded_score_matches_the_expansion(score):
-    assert _summary(score) == reference.summary(score)
+def test_summary_of_the_unexpanded_score_matches_the_expansion(tmp_path_factory, score):
+    # The output tail counts the notes of the expansion and the ticks of
+    # the looped score.
+    assume(not structural_errors(score))
+    text_path = tmp_path_factory.mktemp("summary") / "score.txt"
+    assert _write_score(score, None, text_path) == reference.summary(score)
 
 
 def test_parser_is_built_once():
@@ -620,10 +618,18 @@ PIE_FLAGS = ["--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v"]
         ("k,v\na,1\nb,1\nc,1\nd,1\ne,1\n", PIE_FLAGS + ["--time", "1/32", "--loop", "1"],
          "error E_PROPORTION: pie slice 'c' (share 0.2) rounds to 0 of the "
          "cycle's 2 sixteenth units"),
+        # Two 3-note chords per cycle plus a 6-note cadence, just past the
+        # cap: the expansion refuses it before any file, on every emit.
+        ("k,v\na,3\nb,1\n", PIE_FLAGS + ["--loop", "41666", "--emit", "text"],
+         "error E_PARSE: loop of 41666 repeats would expand to 250002 events, "
+         "above the cap of 250000"),
+        ("k,v\na,3\nb,1\n", PIE_FLAGS + ["--loop", "41666", "--emit", "both"],
+         "error E_PARSE: loop of 41666 repeats would expand to 250002 events, "
+         "above the cap of 250000"),
     ],
     ids=["ragged-row", "no-rows", "unknown-idiom", "unknown-palette", "missing-y",
          "invalid-key", "numerator-above-byte", "unknown-column", "categorical-y", "one-point-line",
-         "negative-share", "all-zero-shares", "unsounded-slice"],
+         "negative-share", "all-zero-shares", "unsounded-slice", "loop-cap-text", "loop-cap-both"],
 )
 def test_rejection_line_is_pinned(tmp_path, capsys, table, flags, line):
     path = tmp_path / "table.csv"

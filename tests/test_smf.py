@@ -698,6 +698,9 @@ def test_chord_cache_starts_at_its_event_count(over, monkeypatch):
     (make_score([note(0)], loop=Loop(0, 480, 2.0)), "loop count is float, not int"),
     (make_score([note(0)], loop=Loop(0.0, 480, 2)), "loop start_tick is float, not int"),
     (make_score([note(0)], loop=(0, 480, 2)), "loop is tuple, not Loop"),
+    (make_score([note(0)])._replace(events=[note(0)]), "events is list, not tuple"),
+    (make_score([note(0)], loop=Loop(0, 480, 2))._replace(events=None),
+     "events is NoneType, not tuple"),
 ])
 def test_write_refuses_a_field_not_of_its_exact_type(event, problem):
     # Each equals a valid field (80.0 == 80, True == 1, "accent" ==
@@ -739,8 +742,9 @@ def mostly(good):
 def any_scores(draw):
     """Scores a library caller could build: every field of the right type
     and range, or in about one score of three mostly so and at times of
-    another type, shape or range; events in order or not; pedals
-    balanced or not; a loop anywhere or none."""
+    another type, shape or range, the events at times in a list or
+    none; events in order or not; pedals balanced or not; a loop
+    anywhere or none."""
     field = mostly if draw(rarely(3)) else (lambda good: good)
     ticks = field(st.integers(0, 2000))
     notes = st.builds(
@@ -768,8 +772,11 @@ def any_scores(draw):
     if field is mostly:
         odd = st.sampled_from(([4, 4], (4,), (4, 4, 4), "4/4", None))
         meter, key, loop = meter | odd, key | odd, loop | st.just((0, 480, 2))
+    events = tuple(events)
+    if field is mostly:
+        events = draw(st.sampled_from((events, events, list(events), None)))
     return Score(
-        draw(field(st.integers(4, 400))), draw(meter), draw(key), tuple(events),
+        draw(field(st.integers(4, 400))), draw(meter), draw(key), events,
         draw(st.none() | loop),
     )
 
@@ -778,6 +785,7 @@ def any_scores(draw):
 @given(any_scores())
 @example(Score(120, (4, 4), (0, ScaleMode.MAJOR), (note(0, dur=2**1030),)))
 @example(make_score([note(0, dur=960)], loop=Loop(480, 960, 2**1030)))
+@example(make_score([], loop=Loop(0, 480, 2))._replace(events=None))
 def test_any_score_is_refused_by_the_gate_or_written_and_read_back(score):
     assert_refused_or_written(score)
 
