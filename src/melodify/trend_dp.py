@@ -2,7 +2,9 @@
 
 For each segment count k and end index b, the DP keeps the least total
 squared residual of k contiguous line segments covering points 0..b, and
-the start of the last one. ``pure_dp`` runs it in Python lists and
+the start of the last one. A span a..b costs ``syy - sxy² / sxx``, with
+``sxy = Σiy - s_y · (a+b)/2`` taken about its mean index: exact on integer
+data up to the two divisions. ``pure_dp`` runs it in Python lists and
 ``numpy_dp`` in arrays, with the same expressions in the same order, so
 their costs agree to the bit. ``stats`` imports this module only when it
 segments a series.
@@ -23,11 +25,13 @@ def cost_tolerance(values: list[float]) -> float:
     """The span cost below which a fit counts as exact, from the spread of
     the shifted values. Refuses values whose squared sums could overflow.
 
-    The largest intermediate of the DP, ``sxy * sxy``, is at most about
-    25 n³ Σv², so n³ Σv² below ``SQUARED_SUM_LIMIT`` keeps every one of
-    them finite with a wide margin for rounding. Values bounded by ingest's
-    ±1e100 pass for any n below 1e20. ``math.fsum`` makes the tolerance
-    the same on every machine, whatever BLAS kernel numpy would pick.
+    By Cauchy-Schwarz, a span's ``|Σiy|`` and ``|s_y · (a+b)/2|`` are each
+    at most n^{3/2} √Σv², so the DP's largest intermediate, ``sxy * sxy``,
+    is at most 4 n³ Σv². n³ Σv² below ``SQUARED_SUM_LIMIT`` keeps every one
+    of them finite with a wide margin for rounding. Values bounded by
+    ingest's ±1e100 pass for any n below 1e20. ``math.fsum`` makes the
+    tolerance the same on every machine, whatever BLAS kernel numpy would
+    pick.
     """
     n = len(values)
     try:
@@ -52,17 +56,17 @@ def pure_dp(
     the prefix sums accumulate left to right as ``np.cumsum`` does, and
     ``min`` + ``index`` is ``argmin``'s first minimum."""
     n = len(values)
-    idx = [float(i) for i in range(n)]
     c_y = [0.0, *accumulate(values)]
-    c_iy = [0.0, *accumulate(map(mul, idx, values))]
+    c_iy = [0.0, *accumulate(map(mul, map(float, range(n)), values))]
     c_y2 = [0.0, *accumulate(map(mul, values, values))]
-    # Index sums of a span of m = 2..n points, reversed so that zipping
-    # from index n-1-b walks the spans a = 0..b-1, which are b+1..2 long.
+    halves = [i / 2 for i in range(2 * n)]  # the mean index of span a..b is halves[a + b]
+    # Span lengths m = n..2, so that the slice from index n-1-b walks the
+    # spans a = 0..b-1, which are b+1..2 long; sxx is their index spread.
     lengths = [float(m) for m in range(n, 1, -1)]
-    sums_x = [m * (m - 1) / 2.0 for m in lengths]
     sxx_by_length = [
         (m - 1) * m * (2 * m - 1) / 6.0 - s_x * s_x / m
-        for m, s_x in zip(lengths, sums_x)
+        for m in lengths
+        for s_x in (m * (m - 1) / 2.0,)
     ]
 
     inf = math.inf
@@ -74,12 +78,11 @@ def pure_dp(
         # One-element `for` clauses name the intermediates of numpy_dp.
         cost = [
             0.0 if c < tolerance else c  # also clears rounding below zero
-            for a, y_a, iy_a, y2_a, m, s_x, sxx in zip(
-                idx, c_y, c_iy, c_y2,
-                lengths[skip:], sums_x[skip:], sxx_by_length[skip:],
+            for y_a, iy_a, y2_a, mean_x, m, sxx in zip(
+                c_y, c_iy, c_y2, halves[b:2 * b], lengths[skip:], sxx_by_length[skip:]
             )
             for s_y in (y_b - y_a,)
-            for sxy in ((iy_b - iy_a) - a * s_y - s_x * s_y / m,)
+            for sxy in ((iy_b - iy_a) - s_y * mean_x,)
             for c in ((y2_b - y2_a) - s_y * s_y / m - sxy * sxy / sxx,)
         ]
         best[1][b] = cost[0]
@@ -105,8 +108,9 @@ def numpy_dp(values: list[float], tolerance: float, k_max: int):
     c_y = np.concatenate(([0.0], np.cumsum(values)))
     c_iy = np.concatenate(([0.0], np.cumsum(idx * values)))
     c_y2 = np.concatenate(([0.0], np.cumsum(values * values)))
-    # Index sums of a span depend only on its length m = 2..n.
-    lengths = np.arange(2, n + 1, dtype=float)
+    halves = np.arange(2 * n) / 2  # the mean index of span a..b is halves[a + b]
+    # Index spreads depend only on the span length m, held n..2 like pure_dp's.
+    lengths = np.arange(n, 1, -1, dtype=float)
     sums_x = lengths * (lengths - 1) / 2.0
     sums_x2 = (lengths - 1) * lengths * (2 * lengths - 1) / 6.0
     sxx_by_length = sums_x2 - sums_x * sums_x / lengths
@@ -115,14 +119,10 @@ def numpy_dp(values: list[float], tolerance: float, k_max: int):
     parent = np.zeros((k_max + 1, n), dtype=int)
     rows = np.arange(k_max - 1)
     for b in range(1, n):
-        by_start = slice(b - 1, None, -1)  # spans a = 0..b-1 are b+1..2 points long
-        m, s_x, sxx = lengths[by_start], sums_x[by_start], sxx_by_length[by_start]
+        m, sxx = lengths[n - 1 - b:], sxx_by_length[n - 1 - b:]  # b+1..2 points long
         s_y = c_y[b + 1] - c_y[:b]
-        s_xy = (c_iy[b + 1] - c_iy[:b]) - idx[:b] * s_y
-        s_y2 = c_y2[b + 1] - c_y2[:b]
-        sxy = s_xy - s_x * s_y / m
-        syy = s_y2 - s_y * s_y / m
-        cost = syy - sxy * sxy / sxx
+        sxy = (c_iy[b + 1] - c_iy[:b]) - s_y * halves[b:2 * b]
+        cost = (c_y2[b + 1] - c_y2[:b]) - s_y * s_y / m - sxy * sxy / sxx
         cost[cost < tolerance] = 0.0  # also clears rounding below zero
         best[1, b] = cost[0]
         # Every segment count k = 2..k_max at once: row k-2 ends its last

@@ -214,6 +214,21 @@ def test_segments_match_pinned_fits(n):
         assert tuple(s.slope for s in segs) == slopes
 
 
+# Integer series whose chosen fits tie on exact costs with rival fits: a
+# cost that rounds differently, such as one multiplied by a reciprocal
+# instead of divided, moves their boundaries.
+TIED_INTEGER_SERIES = {
+    (3, 2, 1, 0, 0, 3, 2, 0, 2, 2, 0, 3, 1): (0, 4, 5, 8, 10, 11, 12),
+    (0, 1, 2, 3, 4, 1, 0, 7, 3, 1, 1, 3, 0, 1, 2, 1, 1, 1, 3, 1): (0, 4, 5, 6, 7, 9, 19),
+}
+
+
+@pytest.mark.parametrize("series", sorted(TIED_INTEGER_SERIES))
+def test_integer_ties_keep_their_segments(series):
+    segs = segment_trends(list(series))
+    assert (segs[0].start_index,) + tuple(s.end_index for s in segs) == TIED_INTEGER_SERIES[series]
+
+
 @st.composite
 def dp_series(draw):
     """2 to 300 points, so that both sides of PURE_DP_MAX_POINTS are drawn:
@@ -240,6 +255,8 @@ def dp_series(draw):
 @given(dp_series(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 @example([0, 1, 2, 3, 4, 2, 0, -2], 6)
+@example(list(min(TIED_INTEGER_SERIES)), 6)  # both tied series, on the numpy path too
+@example(list(max(TIED_INTEGER_SERIES)), 6)
 @example([7] * PURE_DP_MAX_POINTS, 6)
 @example([1e100, -1e100] * 150, 6)
 def test_pure_and_numpy_dps_agree(series, max_segments):
