@@ -1,7 +1,8 @@
 """melodify: compile tabular data plus chart intent into musical scores.
 
 The pipeline runs ingest -> analysis -> mapping -> score -> bytes:
-`parse_table` and `parse_spec` read the inputs, `melodify` turns them
+`parse_table` reads the table and `spec_from_mapping` the spec's keys
+(a decoded JSON object, or flags laid over one), `melodify` turns them
 into a `Score`, and `write_smf` / `write_text_score` serialize it, loop
 and all: the MIDI file plays the repeats, the text score marks the loop.
 `expand_loops` writes a loop out in full, for inspection and for the
@@ -17,8 +18,7 @@ computed on first use, so only the idioms that read them pay for them,
 and `melodify analyze` prints the same record. Every `Score` counts
 time at a fixed 480 ticks per quarter note. `write_smf` refuses a score
 with `structural_errors`, the one-pass gate that also proves the events
-are in order; `lint` lists advisory musical warnings and is never run on
-the way to the bytes.
+are in order.
 
 The names in `__all__` are the public API. Each resolves on first use
 (PEP 562), so `import melodify` loads no submodule and a name costs only
@@ -33,10 +33,10 @@ _EXPORTS = {
     for module, names in (
         ("errors", "MelodifyError"),
         ("ingest", "Column ColumnKind Dataset Idiom MelodySpec Palette TableFormat "
-                   "parse_spec parse_table spec_from_mapping validate_binding"),
+                   "parse_table spec_from_mapping validate_binding"),
         ("melodifier", "DataCharacter TonalPlan apply_palette derive_character melodify"),
         ("score", "Articulation Loop NoteEvent PedalEvent PedalState Score "
-                  "expand_loops lint structural_errors total_duration_ticks"),
+                  "expand_loops structural_errors total_duration_ticks"),
         ("smf", "write_smf write_text_score"),
         ("smf_reader", "parse_smf_minimal"),
         ("stats", "compute_density compute_variance proportions segment_trends"),

@@ -390,11 +390,6 @@ def spec_mapping(raw: bytes) -> dict:
     return payload
 
 
-def parse_spec(raw: bytes) -> MelodySpec:
-    """Parse spec bytes (one JSON object) into a validated MelodySpec."""
-    return spec_from_mapping(spec_mapping(raw))
-
-
 def validate_y(dataset: Dataset, y_field: str) -> None:
     """Check that ``y_field`` names a quantitative column: the binding
     check that every idiom and ``melodify analyze`` share."""

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import MelodifyError, ParseError, clipped
-from .theory import ScaleMode, build_scale, is_tritone
+from .theory import ScaleMode
 
 TICKS_PER_QUARTER = 480
 
@@ -282,37 +282,6 @@ def _pedal_down_before(events: Iterable[Event], tick: int) -> bool:
         if type(ev) is PedalEvent and ev.tick < tick:
             down = ev.state is PedalState.DOWN
     return down
-
-
-def lint(score: Score) -> list[str]:
-    """Advisory musical warnings: pitches outside the key's scale and
-    tritones sounding together. Nothing here stops a score being written."""
-    warnings: list[str] = []
-    warn = warnings.append
-
-    root, mode = score.key_signature
-    if 0 <= root <= 11 and mode is not ScaleMode.CHROMATIC:
-        scale = build_scale(root, mode)
-        for ev in score.events:
-            if isinstance(ev, NoteEvent) and not scale.contains(ev.pitch):
-                warn(
-                    f"pitch {ev.pitch} at tick {ev.onset_tick} outside the "
-                    f"{ScaleMode(mode).value} scale on {root}"
-                )
-
-    notes = [ev for ev in score.events if isinstance(ev, NoteEvent)]
-    for i, first in enumerate(notes):
-        first_end = first.onset_tick + first.duration_ticks
-        j = i + 1
-        while j < len(notes) and notes[j].onset_tick < first_end:
-            second = notes[j]
-            if is_tritone(first.pitch, second.pitch):
-                warn(
-                    f"tritone between pitches {first.pitch} and {second.pitch} "
-                    f"sounding together at tick {second.onset_tick}"
-                )
-            j += 1
-    return warnings
 
 
 def loop_region(events: Sequence[Event], loop: Loop) -> tuple[int, int]:

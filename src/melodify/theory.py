@@ -115,14 +115,6 @@ def triad_on_pitch(root: int, quality: ChordQuality) -> Chord:
     return Chord(quality, pitches)
 
 
-def interval_class(a: int, b: int) -> int:
-    return abs(a - b) % 12
-
-
-def is_tritone(a: int, b: int) -> bool:
-    return interval_class(a, b) == 6
-
-
 def make_cadence(kind: CadenceKind, scale: Scale, octave_anchor: int) -> list[Chord]:
     """Closing chord pair on a major scale: V then I for a perfect
     cadence, V then vi for a deceptive one, nothing for none.

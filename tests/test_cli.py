@@ -920,14 +920,14 @@ def test_a_json_compile_never_loads_csv(tmp_path):
     ]
 
 
-# Every name `melodify/__init__` imported eagerly before it resolved them lazily.
+# The public API: every name `melodify/__init__` resolves on first use.
 PUBLIC_NAMES = (
     "MelodifyError",
     "Column", "ColumnKind", "Dataset", "Idiom", "MelodySpec", "Palette", "TableFormat",
-    "parse_spec", "parse_table", "spec_from_mapping", "validate_binding",
+    "parse_table", "spec_from_mapping", "validate_binding",
     "DataCharacter", "TonalPlan", "apply_palette", "derive_character", "melodify",
     "Articulation", "Loop", "NoteEvent", "PedalEvent", "PedalState", "Score",
-    "expand_loops", "lint", "structural_errors", "total_duration_ticks",
+    "expand_loops", "structural_errors", "total_duration_ticks",
     "parse_smf_minimal", "write_smf", "write_text_score",
     "compute_density", "compute_variance", "proportions", "segment_trends",
     "ArpeggioDirection", "CadenceKind", "Chord", "ChordQuality", "Scale", "ScaleMode",

@@ -17,7 +17,6 @@ from melodify.ingest import (
     MelodySpec,
     Palette,
     TableFormat,
-    parse_spec,
     parse_table,
     spec_from_mapping,
     spec_mapping,
@@ -477,14 +476,14 @@ def test_spec_unknown_keys_rejected():
 
 def test_parse_spec_bytes_roundtrip():
     raw = json.dumps({"idiom": "pie", "palette": "calm", "y": "v", "x": "k"}).encode()
-    spec = parse_spec(raw)
+    spec = spec_from_mapping(spec_mapping(raw))
     assert spec.idiom is Idiom.PIE
     assert spec.x_field == "k"
 
 
 def test_parse_spec_rejects_non_object():
     with pytest.raises(ParseError, match="single JSON object"):
-        parse_spec(b"[1, 2]")
+        spec_mapping(b"[1, 2]")
 
 
 # --- validate_binding ---------------------------------------------------------

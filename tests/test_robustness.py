@@ -10,6 +10,10 @@ table and the spec file are left as they were, the call leaves no
 reference cycle for the collector, and the exit status, stdout, stderr
 and every byte written are those of the reference compiler
 (``reference.py``).
+
+``melodify analyze`` takes one of the same two paths: it exits 0 with
+a JSON report on stdout whose ``rows`` is the table's row count, or 1
+with one ``error E_…: message`` line. It writes no file either way.
 """
 from __future__ import annotations
 
@@ -283,5 +287,40 @@ def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(
                 assert len(parse_smf_minimal(written[midi]).notes) == notes
         else:
             assert out == "" and written == {}
+            assert len(err.splitlines()) == 1, err
+            assert re.fullmatch(r"error (E_[A-Z]+): .*\n", err, re.DOTALL)[1] in USER_ERROR_CODES
+
+
+def _analyze(argv: list[str]):
+    """``main(["analyze", *argv])``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=tables(),
+    y=st.sampled_from((*COLUMNS, "absent")),
+    x=st.none() | st.sampled_from((*COLUMNS, "absent")),
+)
+def test_analyze_either_prints_a_report_or_fails_with_one_coded_line(table, y, x):
+    suffix, raw = table
+    with tempfile.TemporaryDirectory() as name:
+        table_path = Path(name) / f"table{suffix}"
+        table_path.write_bytes(raw)
+        argv = ["--data", str(table_path), "--y", y] + (["--x", x] if x is not None else [])
+        code, out, err = _analyze(argv)
+
+        assert code in (0, 1), err
+        assert table_path.read_bytes() == raw
+        assert list(table_path.parent.iterdir()) == [table_path]
+        if code == 0:
+            assert err == ""
+            rows = reference.parse_table(raw, suffix == ".json").row_count
+            assert json.loads(out)["rows"] == rows
+        else:
+            assert out == ""
             assert len(err.splitlines()) == 1, err
             assert re.fullmatch(r"error (E_[A-Z]+): .*\n", err, re.DOTALL)[1] in USER_ERROR_CODES

@@ -1,4 +1,4 @@
-"""Score timeline invariants, structural checks, lint, and loop expansion."""
+"""Score timeline invariants, structural checks, and loop expansion."""
 from __future__ import annotations
 
 from unittest import mock
@@ -18,7 +18,6 @@ from melodify.score import (
     Score,
     event_tick,
     expand_loops,
-    lint,
     sorted_events,
     structural_errors,
     total_duration_ticks,
@@ -53,7 +52,7 @@ def test_records_are_immutable(record, field):
         setattr(record, field, getattr(record, field))
 
 
-# --- structural_errors and lint ----------------------------------------------
+# --- structural_errors --------------------------------------------------------
 
 def test_valid_score_has_no_errors():
     score = make_score(
@@ -211,45 +210,11 @@ def test_gate_refuses_a_tempo_or_meter_smf_cannot_encode(tempo, time_signature, 
     assert structural_errors(score) == problems
 
 
-def test_out_of_scale_pitch_is_warning_not_error():
-    score = make_score([note(0, pitch=61)])  # C# against C major
-    assert any("scale" in m for m in lint(score))
-    assert structural_errors(score) == []
-
-
-def test_chromatic_key_never_warns_about_scale():
-    score = make_score([note(0, pitch=61)], key=(0, ScaleMode.CHROMATIC))
-    assert not any("scale" in m for m in lint(score))
-
-
-def test_cosounding_tritone_is_warning():
-    score = make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])
-    assert any("tritone" in m for m in lint(score))
-    assert structural_errors(score) == []
-    # Sequential tritone pitches never overlap, so no warning.
-    apart = make_score([note(0, pitch=60, dur=240), note(240, pitch=66)])
-    assert not any("tritone" in m for m in lint(apart))
-
-
-@given(
-    st.lists(
-        # Onsets and durations on a coarse grid, so notes often end
-        # exactly where another starts.
-        st.tuples(st.integers(0, 16), st.integers(1, 8), st.integers(54, 66)),
-        max_size=30,
-    )
-)
-def test_tritone_lint_matches_all_pairs_oracle(specs):
-    # Chromatic key: no scale warnings, so lint reports only tritones.
-    notes = sorted_events(note(120 * on, dur=120 * dur, pitch=p) for on, dur, p in specs)
-    expected = [
-        f"tritone between pitches {a.pitch} and {b.pitch} "
-        f"sounding together at tick {b.onset_tick}"
-        for i, a in enumerate(notes)
-        for b in notes[i + 1 :]
-        if b.onset_tick < a.onset_tick + a.duration_ticks and abs(a.pitch - b.pitch) % 12 == 6
-    ]
-    assert lint(make_score(notes, key=(0, ScaleMode.CHROMATIC))) == expected
+def test_gate_passes_out_of_scale_pitches_and_tritones():
+    # Musical choices are not structural faults: a C# against C major and
+    # a tritone sounding together both pass the gate.
+    assert structural_errors(make_score([note(0, pitch=61)])) == []
+    assert structural_errors(make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])) == []
 
 
 # --- durations and loops ------------------------------------------------------

@@ -17,8 +17,6 @@ from melodify.theory import (
     arpeggiate,
     build_scale,
     degree_triad,
-    interval_class,
-    is_tritone,
     make_cadence,
     quantize_pitch,
     triad_on_pitch,
@@ -114,16 +112,6 @@ def test_degree_triad_rejects_chromatic_and_bad_degree():
 def test_degree_triad_out_of_range():
     with pytest.raises(MelodifyError, match="outside MIDI range"):
         degree_triad(C_MAJOR, 7, 125)
-
-
-# --- intervals ----------------------------------------------------------------
-
-def test_tritone_detection():
-    assert is_tritone(60, 66)
-    assert is_tritone(66, 60)
-    assert is_tritone(60, 78)  # compound
-    assert not is_tritone(60, 67)
-    assert interval_class(60, 72) == 0
 
 
 # --- cadences -----------------------------------------------------------------
