@@ -210,11 +210,16 @@ def test_gate_refuses_a_tempo_or_meter_smf_cannot_encode(tempo, time_signature, 
     assert structural_errors(score) == problems
 
 
-def test_gate_passes_out_of_scale_pitches_and_tritones():
-    # Musical choices are not structural faults: a C# against C major and
-    # a tritone sounding together both pass the gate.
-    assert structural_errors(make_score([note(0, pitch=61)])) == []
-    assert structural_errors(make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])) == []
+# Musical choices are not structural faults: the gate lets both of these pass.
+
+def test_out_of_scale_pitch_is_warning_not_error():
+    score = make_score([note(0, pitch=61)])  # C# against C major
+    assert structural_errors(score) == []
+
+
+def test_cosounding_tritone_is_warning():
+    score = make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])
+    assert structural_errors(score) == []
 
 
 # --- durations and loops ------------------------------------------------------
