@@ -301,34 +301,28 @@ SPEC_KEYS = (
 )
 
 
+def _member(enum: type[Enum], key: str, raw: object) -> Enum:
+    """The ``enum`` member that spec key ``key`` names, in any case and
+    padding."""
+    if not isinstance(raw, str):
+        raise ParseError(f"{key} must be a string, got {raw!r}")
+    try:
+        return enum(raw.strip().lower())
+    except ValueError:
+        raise ParseError(f"unknown {key} {raw!r}") from None
+
+
 def spec_from_mapping(mapping: dict) -> MelodySpec:
     """Build a MelodySpec from a plain dict of spec keys."""
     unknown = set(mapping).difference(SPEC_KEYS)
     if unknown:
         raise ParseError(f"unknown spec keys: {sorted(unknown)}")
 
-    if "idiom" not in mapping:
-        raise ParseError("spec is missing 'idiom'")
-    if "palette" not in mapping:
-        raise ParseError("spec is missing 'palette'")
-    if "y" not in mapping:
-        raise ParseError("spec is missing 'y'")
-
-    idiom_raw = mapping["idiom"]
-    if not isinstance(idiom_raw, str):
-        raise ParseError(f"idiom must be a string, got {idiom_raw!r}")
-    try:
-        idiom = Idiom(idiom_raw.strip().lower())
-    except ValueError:
-        raise ParseError(f"unknown idiom {idiom_raw!r}") from None
-
-    palette_raw = mapping["palette"]
-    if not isinstance(palette_raw, str):
-        raise ParseError(f"palette must be a string, got {palette_raw!r}")
-    try:
-        palette = Palette(palette_raw.strip().lower())
-    except ValueError:
-        raise ParseError(f"unknown palette {palette_raw!r}") from None
+    for key in ("idiom", "palette", "y"):
+        if key not in mapping:
+            raise ParseError(f"spec is missing {key!r}")
+    idiom = _member(Idiom, "idiom", mapping["idiom"])
+    palette = _member(Palette, "palette", mapping["palette"])
 
     y_field = mapping["y"]
     if not isinstance(y_field, str) or not y_field:

@@ -436,9 +436,8 @@ def melodify(dataset: Dataset, spec: MelodySpec) -> Score:
     the palette, let the idiom write the body, then close it with the
     palette's cadence from the next bar line. A pie's body is its loop.
 
-    Every body writes its events in score order (``event_sort_key``):
-    ticks never fall, and a pedal change comes before the notes at its
-    tick. The cadence starts at or after the body's end, so the events
+    Every body writes its events in score order: by tick, with a pedal
+    change before the notes at its tick. The cadence starts at or after the body's end, so the events
     need no sort; ``structural_errors`` proves the order before any
     bytes are written."""
     validate_binding(dataset, spec)

@@ -66,19 +66,6 @@ class Score(NamedTuple):
     loop: Loop | None = None
 
 
-def event_tick(event: Event) -> int:
-    return event.onset_tick if isinstance(event, NoteEvent) else event.tick
-
-
-def event_sort_key(event: Event) -> tuple[int, int]:
-    # Pedal changes land before notes that share their tick.
-    return (event_tick(event), 1 if isinstance(event, NoteEvent) else 0)
-
-
-def sorted_events(events: Iterable[Event]) -> tuple[Event, ...]:
-    return tuple(sorted(events, key=event_sort_key))
-
-
 def _base_end_tick(events: Iterable[Event]) -> int:
     """The latest note end or pedal tick, and never below 0."""
     ends = (
@@ -89,44 +76,54 @@ def _base_end_tick(events: Iterable[Event]) -> int:
 
 
 def total_duration_ticks(score: Score) -> int:
-    """Ticks from zero to the last event end, loop repetitions included."""
-    if score.loop is None:
-        return _base_end_tick(score.events)
-    start = score.loop.start_tick
-    shift = (score.loop.count - 1) * (score.loop.end_tick - start)
-    end = 0
-    for ev in score.events:
-        if type(ev) is NoteEvent:
-            tick = ev.onset_tick
-            ev_end = tick + ev.duration_ticks
-        else:
-            tick = ev_end = ev.tick
-        if tick >= start:
-            ev_end += shift
-        end = max(end, ev_end)
-    return end
+    """Ticks from zero to the last event end, loop repetitions included.
+    A score it cannot read is refused with the gate's problems."""
+    try:
+        if score.loop is None:
+            return _base_end_tick(score.events)
+        start = score.loop.start_tick
+        shift = (score.loop.count - 1) * (score.loop.end_tick - start)
+        end = 0
+        for ev in score.events:
+            if type(ev) is NoteEvent:
+                tick = ev.onset_tick
+                ev_end = tick + ev.duration_ticks
+            else:
+                tick = ev_end = ev.tick
+            if tick >= start:
+                ev_end += shift
+            end = max(end, ev_end)
+        return end
+    except (AttributeError, OverflowError, TypeError):
+        raise _refusal(score) from None
+
+
+def _refusal(score: Score) -> MelodifyError:
+    """The refusal of a score that cannot be read: the gate's problems say why."""
+    return MelodifyError("score fails validation: " + "; ".join(structural_errors(score)))
 
 
 def structural_errors(score: Score) -> list[str]:
     """Problems that make a score unwritable; ``write_smf`` refuses any
     score with one.
 
-    One pass over the events checks their order (``event_sort_key``),
-    each event's types and ranges, and the pedal's balance. Each field
-    must be exactly of its type: an ``int`` for a tick, duration, pitch
-    or velocity (a ``bool`` or an integral float is not one), and an
-    ``Articulation`` or ``PedalState`` member, not its str value. The
-    score's own fields are held to the same rule: the tempo, both parts
-    of the time signature, the key root and each ``Loop`` field are
-    ints, the events, time and key signatures tuples (the signatures of
-    two), the mode a ``ScaleMode`` member and the loop a ``Loop``. A
-    field of another type reports only that and is left out of the range
-    checks; an event of another type is also left out of the order and
-    pedal checks, and the loop is then not checked. Events not held in a
-    tuple are one problem, and none of them is checked. Pedal problems
-    are listed after every per-event problem. A looped score passes
-    exactly when its expansion would, provided its events are in order
-    and its region lies inside it."""
+    One pass over the events checks their order (by tick, with a pedal
+    change before the notes at its tick), each event's types and ranges,
+    and the pedal's balance. Each field must be exactly of its type: an
+    ``int`` for a tick, duration, pitch or velocity (a ``bool`` or an
+    integral float is not one), and an ``Articulation`` or
+    ``PedalState`` member, not its str value. The score's own fields are
+    held to the same rule: the tempo, both parts of the time signature,
+    the key root and each ``Loop`` field are ints, the events, time and
+    key signatures tuples (the signatures of two), the mode a
+    ``ScaleMode`` member and the loop a ``Loop``. A field of another
+    type reports only that and is left out of the range checks; an event
+    of another type is also left out of the order and pedal checks, and
+    the loop is then not checked. Events not held in a tuple are one
+    problem, and none of them is checked. Pedal problems are listed
+    after every per-event problem. A looped score passes exactly when
+    its expansion would, provided its events are in order and its region
+    lies inside it."""
     problems: list[str] = []
     error = problems.append
 
@@ -318,7 +315,8 @@ def expand_loops(score: Score) -> Score:
     inverted region, or a count below one, is ``E_INTERNAL``: the spec
     parser rejects such a count and ``melodify`` never builds such a
     region, so reaching it is a bug. So is a loop or event the expansion
-    cannot read, such as a tick given as a str: the gate's problems say why.
+    cannot read, such as a tick given as a str or a float tick that the
+    repeats push past float range: the gate's problems say why.
     """
     if score.loop is None:
         return score
@@ -329,7 +327,8 @@ def expand_loops(score: Score) -> Score:
                 f"loop region [{clipped(start)}, {clipped(end)}) with {clipped(count)} "
                 "repeats cannot be expanded"
             )
-        events = sorted_events(score.events)
+        events = sorted(score.events, key=lambda ev: (
+            (ev.onset_tick, 1) if isinstance(ev, NoteEvent) else (ev.tick, 0)))
         first, after = loop_region(events, score.loop)
         region = events[first:after]
         length = end - start
@@ -339,13 +338,12 @@ def expand_loops(score: Score) -> Score:
         # tuple.__new__ builds the same record without a Python frame.
         new = tuple.__new__
         split = [(type(ev), ev[0], ev[1:]) for ev in region]
-        out = [*events[:after]]
+        out = events[:after]
         if split:  # an empty region adds nothing, however many its repeats
             for shift in range(length, count * length, length):
                 out += [new(cls, (tick + shift,) + rest) for cls, tick, rest in split]
         shift = (count - 1) * length
         out += [new(type(ev), (ev[0] + shift,) + ev[1:]) for ev in events[after:]]
         return score._replace(events=tuple(out), loop=None)
-    except (AttributeError, TypeError):
-        problems = "; ".join(structural_errors(score))
-        raise MelodifyError(f"score fails validation: {problems}") from None
+    except (AttributeError, OverflowError, TypeError):
+        raise _refusal(score) from None

@@ -420,6 +420,18 @@ def test_spec_case_insensitive_enums():
     spec = spec_of(idiom="Line", palette="NEGATIVE")
     assert spec.idiom is Idiom.LINE
     assert spec.palette is Palette.NEGATIVE
+    assert spec_of(idiom=" Line ").idiom is Idiom.LINE
+
+
+@pytest.mark.parametrize("keys,message", [
+    ({"idiom": 3}, "idiom must be a string, got 3"),
+    ({"palette": None}, "palette must be a string, got None"),
+    ({"idiom": ["bar"], "palette": 1}, "idiom must be a string, got ['bar']"),
+])
+def test_spec_enum_keys_must_be_strings(keys, message):
+    with pytest.raises(ParseError) as exc:
+        spec_of(**keys)
+    assert str(exc.value) == message
 
 
 def test_spec_key_names():

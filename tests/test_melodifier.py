@@ -20,7 +20,7 @@ from melodify.melodifier import (
     largest_remainder_allocation,
     melodify,
 )
-from melodify.score import Articulation, NoteEvent, PedalState, sorted_events
+from melodify.score import Articulation, NoteEvent, PedalState
 from melodify.theory import (
     CadenceKind,
     ChordQuality,
@@ -430,11 +430,10 @@ def test_melodify_empty_dataset():
 )
 def test_every_idiom_writes_its_events_in_score_order(ds, melody_spec, pedals):
     # melodify no longer sorts, so each body and the cadence after it
-    # must already be in sorted_events order, a pedal before the notes
-    # at its tick.
+    # must already be in score order, a pedal before the notes at its tick.
     score = melodify(ds, melody_spec)
     assert len(pedals_of(score)) == pedals
-    assert score.events == sorted_events(score.events)
+    assert score.events == reference.sort_events(score.events)
 
 
 # --- the per-root chord cache -------------------------------------------------

@@ -16,9 +16,7 @@ from melodify.score import (
     PedalEvent,
     PedalState,
     Score,
-    event_tick,
     expand_loops,
-    sorted_events,
     structural_errors,
     total_duration_ticks,
 )
@@ -30,17 +28,21 @@ from reference import assert_same_events, make_score, note
 
 # --- ordering -----------------------------------------------------------------
 
+def _played_once(events):
+    """The events as ``expand_loops`` orders them, under a loop played once."""
+    score = Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), Loop(0, 480, 1))
+    return expand_loops(score).events
+
+
 def test_sorted_events_puts_pedal_before_notes_at_same_tick():
-    events = sorted_events(
-        [note(0), PedalEvent(0, PedalState.DOWN), note(0, pitch=64)]
-    )
+    events = _played_once([note(0), PedalEvent(0, PedalState.DOWN), note(0, pitch=64)])
     assert isinstance(events[0], PedalEvent)
 
 
 def test_sorted_events_is_stable_for_equal_notes():
     a, b = note(0, pitch=60), note(0, pitch=64)
-    assert sorted_events([a, b]) == (a, b)
-    assert sorted_events([b, a]) == (b, a)
+    assert _played_once([a, b]) == (a, b)
+    assert _played_once([b, a]) == (b, a)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +149,7 @@ def gate_scores(draw):
     events = draw(st.lists(GATE_EVENTS | MISTYPED_EVENTS if draw(st.booleans())
                            else GATE_EVENTS, max_size=12))
     if draw(st.booleans()):
-        events = sorted_events(events)  # in order, so the other faults show alone
+        events = reference.sort_events(events)  # in order, so the other faults show alone
     loop = draw(
         st.none()
         | st.builds(Loop, st.integers(-3, 20), st.integers(-3, 20), st.integers(-1, 3))
@@ -344,11 +346,11 @@ def looped_scores(draw):
     )
     order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
     if order != "drawn":
-        events = sorted_events(events)[:: 1 if order == "sorted" else -1]
+        events = reference.sort_events(events)[:: 1 if order == "sorted" else -1]
     count = draw(st.integers(1, 6))
     score = Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), Loop(start, end, count))
     # The cap at, one below or one above the expanded size, or left as is.
-    repeated = sum(start <= event_tick(ev) < end for ev in events)
+    repeated = sum(start <= reference.tick_of(ev) < end for ev in events)
     expanded = len(events) + repeated * (count - 1)
     cap = draw(st.sampled_from([None, expanded - 1, expanded, expanded + 1]))
     return score, cap

@@ -25,6 +25,7 @@ from melodify.score import (
     Score,
     expand_loops,
     structural_errors,
+    total_duration_ticks,
 )
 from melodify.smf import (
     SUSTAIN_CONTROLLER,
@@ -812,6 +813,10 @@ def any_scores(draw):
 @example(Score(120, (4, 4), (0, ScaleMode.MAJOR), (note(0, dur=2**1030),)))
 @example(make_score([note(0, dur=960)], loop=Loop(480, 960, 2**1030)))
 @example(make_score([], loop=Loop(0, 480, 2))._replace(events=None))
+@example(Score(120, (4, 4), (0, ScaleMode.MAJOR), None))
+@example(make_score([note(0)], loop=(0, 480, 2)))
+@example(make_score([note(0.0, dur=2**1030)]))
+@example(make_score([note(0), note(2000.0)], loop=Loop(960, 1000, 10**400)))
 def test_any_score_is_refused_by_the_gate_or_written_and_read_back(score):
     assert_refused_or_written(with_big(score))
 
@@ -830,9 +835,11 @@ def test_an_int_past_the_str_limit_is_refused_or_written(score):
 
 def assert_refused_or_written(score):
     """The gate lists the reference's problems. The text writer returns
-    the reference's text or refuses with a reason, ``expand_loops`` raises
-    nothing but ``MelodifyError``, and ``write_smf`` refuses what the gate
-    refuses, else writes a file that reads back as the score played."""
+    the reference's text or refuses with a reason, ``expand_loops`` and
+    ``total_duration_ticks`` raise nothing but ``MelodifyError``, the
+    latter giving the reference's ticks for a score the gate passes, and
+    ``write_smf`` refuses what the gate refuses, else writes a file that
+    reads back as the score played."""
     problems = structural_errors(score)
     assert problems == reference.structural_errors(score)
     # The text writer formats what it can and refuses the rest with the
@@ -850,6 +857,12 @@ def assert_refused_or_written(score):
         assert "above the cap of" in str(exc)
     except MelodifyError:
         assert problems  # a score it cannot read, or an empty or inverted region
+    try:
+        ticks = total_duration_ticks(score)
+    except MelodifyError as exc:
+        assert problems and str(exc) == "score fails validation: " + "; ".join(problems)
+    else:
+        assert problems or ticks == reference.total_duration_ticks(score)
     if problems:
         with pytest.raises(MelodifyError, match="score fails validation"):
             write_smf(score)
