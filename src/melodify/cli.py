@@ -72,25 +72,32 @@ def _write_score(score: Score, midi_path: Path | None, text_path: Path | None) -
     ``structural_errors`` gate once, as ``melodify`` built it, before any
     file is written: ``write_smf`` gates it itself, and with no MIDI to
     write it is gated here. The expansion comes first: it refuses a loop
-    past ``MAX_EXPANDED_EVENTS`` on every emit, and the summary counts its
-    notes. Both outputs are encoded before either is written, and a
-    failed text write removes the MIDI file just written, so a refusal
-    leaves no file behind."""
-    played = expand_loops(score)
+    past ``MAX_EXPANDED_EVENTS`` on every emit, and its notes are counted
+    at once, so its copies are freed before either writer runs. Both
+    outputs are encoded before either file is opened, and written as
+    bytes, so the text keeps its LF line ends on every platform. An
+    ``OSError`` from an open, a write or a close removes every output
+    this call opened, the MIDI file already written included: a refusal
+    or a full disk leaves no output, and no part of one. A path that
+    could not be opened is not removed."""
+    notes = countOf(map(type, expand_loops(score).events), NoteEvent)
     if midi_path is None:
         require_valid(score)  # write_smf gates the score itself
-    midi = write_smf(score) if midi_path is not None else None
-    text = write_text_score(score) if text_path is not None else None
+    outputs = []
     if midi_path is not None:
-        midi_path.write_bytes(midi)
+        outputs.append((midi_path, write_smf(score)))
     if text_path is not None:
-        try:
-            text_path.write_text(text, encoding="utf-8")
-        except OSError:
-            if midi_path is not None:
-                midi_path.unlink()
-            raise
-    notes = countOf(map(type, played.events), NoteEvent)
+        outputs.append((text_path, write_text_score(score).encode("utf-8")))
+    opened = []
+    try:
+        for path, data in outputs:
+            with open(path, "wb") as file:
+                opened.append(path)
+                file.write(data)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
     return f"notes={notes} ticks={total_duration_ticks(score)}"
 
 
@@ -99,9 +106,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     # has no file name to give the .mid or .txt suffix.
     if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
         raise ParseError(f"--out {args.out!r} names no file; give a file path such as song.mid")
-    dataset = _load_dataset(args.data)
+    dataset = _load_dataset(args.data)  # read before the spec: its refusals come first
     spec = _spec_from_args(args)
     score = melodify(dataset, spec)
+    del dataset  # not held while the outputs are encoded
 
     out = Path(args.out) if args.out else Path(args.data)
     midi_path = out.with_suffix(".mid") if args.emit in ("midi", "both") else None

@@ -328,11 +328,14 @@ def write_text_score(score: Score) -> str:
     """Line-per-event dump: headers, then ``tick pitch dur vel art`` for
     notes and ``tick PEDAL state`` for pedal changes. UTF-8, LF ends.
 
-    The text after a note's tick is formatted once per distinct record
-    after the tick (``ev[1:]``) and looked up for every repeat of it. A
-    record with a field that is not exactly an int is formatted on its
-    own: ``480.0`` equals ``480`` and ``True`` equals ``1`` as dict keys,
-    but each prints as itself.
+    The text is one join of pieces, each ending its line or starting
+    one. A note's onset is formatted once per onset object and reused
+    while the next note's onset is that same object, so ``480`` and
+    ``480.0`` never share a text. The text after it is formatted once
+    per distinct record after the tick (``ev[1:]``) and looked up for
+    every repeat of it. A record with a field that is not exactly an int
+    is formatted on its own: ``480.0`` equals ``480`` and ``True`` equals
+    ``1`` as dict keys, but each prints as itself.
 
     A score that formats is written without the gate. One that does not,
     such as a mode given as ``"major"``, raises ``MelodifyError`` with
@@ -341,33 +344,38 @@ def write_text_score(score: Score) -> str:
     try:
         numerator, denominator = score.time_signature
         root, mode = score.key_signature
-        lines = [
-            f"tpq {TICKS_PER_QUARTER}",
-            f"tempo {score.tempo_bpm}",
-            f"time {numerator}/{denominator}",
-            f"key {root} {mode.value}",
+        pieces = [
+            f"tpq {TICKS_PER_QUARTER}\n"
+            f"tempo {score.tempo_bpm}\n"
+            f"time {numerator}/{denominator}\n"
+            f"key {root} {mode.value}\n"
         ]
         if score.loop is not None:
-            lines.append(
-                f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}"
+            pieces.append(
+                f"loop {score.loop.start_tick} {score.loop.end_tick} {score.loop.count}\n"
             )
+        append = pieces.append
         tails: dict[tuple, str] = {}
+        last_onset, last_text = object(), ""  # an onset no event has
         for ev in score.events:
             if type(ev) is not NoteEvent:
-                lines.append(f"{ev.tick} PEDAL {ev.state.value}")
+                append(f"{ev.tick} PEDAL {ev.state.value}\n")
                 continue
             onset, duration, pitch, velocity, articulation = ev
+            if onset is not last_onset:
+                last_onset, last_text = onset, f"{onset}"
+            append(last_text)
             if type(duration) is int and type(pitch) is int and type(velocity) is int:
                 record = ev[1:]
                 tail = tails.get(record)
                 if tail is None:
                     tail = tails[record] = (
-                        f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
+                        f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}\n"
                     )
             else:
-                tail = f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}"
-            lines.append(f"{onset}{tail}")
-        return "\n".join(lines) + "\n"
+                tail = f" {pitch} {duration} {velocity} {_ARTICULATION_TEXT[articulation]}\n"
+            append(tail)
+        return "".join(pieces)
     except (AttributeError, KeyError, TypeError, ValueError):
         problems = structural_errors(score)
         if not problems:

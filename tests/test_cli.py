@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import gc
 import hashlib
 import json
@@ -121,6 +122,77 @@ def test_failed_text_write_leaves_no_midi_behind(bar_csv, tmp_path, capsys):
     assert err.startswith("error E_IO: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "song.mid").exists()
     assert reference.compile_command(argv) == (1, "", err, {})
+
+
+class FullDisk:
+    """An output file that fills the disk: half of what is written reaches
+    it before ``write`` raises ENOSPC, or all of it before ``close`` does."""
+
+    def __init__(self, path, mode, fail_at):
+        self.file, self.path, self.fail_at = open(path, mode), path, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+        if self.fail_at == "close" and exc_info[0] is None:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data):
+        if self.fail_at == "close":
+            return self.file.write(data)
+        self.file.write(data[:len(data) // 2])
+        self.file.flush()
+        assert 0 < os.path.getsize(self.path) < len(data)  # a partial file is on disk
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fail_at", ["write", "close"])
+@pytest.mark.parametrize("emit, full", [
+    ("text", ".txt"), ("both", ".txt"), ("both", ".mid"), ("midi", ".mid"),
+])
+def test_a_failed_write_leaves_no_partial_output(bar_csv, tmp_path, capsys, monkeypatch,
+                                                 emit, full, fail_at):
+    # The disk fills while one output is written: with --emit both the
+    # MIDI file is already whole when the text score's write fails.
+    def patched_open(path, mode="r", *args, **kwargs):
+        if Path(path).suffix == full:
+            return FullDisk(path, mode, fail_at)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", patched_open, raising=False)
+    code, out, err = run(capsys, "compile", "--data", str(bar_csv), *BAR_FLAGS,
+                         "--emit", emit, "--out", str(tmp_path / "song.mid"))
+    assert (code, out) == (1, "")
+    assert err == f"error E_IO: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bars.csv"]
+
+
+def test_compile_holds_no_table_or_expansion_while_encoding(bar_csv, capsys, monkeypatch):
+    # Once melodify returns, the parsed table is no longer needed, and the
+    # expansion only until its notes are counted: neither is held by the
+    # command while either writer runs. Each is held here once, as a
+    # plain object in a list is, and by nothing else.
+    held, control = {}, [object()]
+    for name in ("parse_table", "expand_loops"):
+        def capture(*args, name=name, call=getattr(cli, name)):
+            held[name] = [call(*args)]
+            return held[name][0]
+
+        monkeypatch.setattr(cli, name, capture)
+    counts = []
+    for name in ("write_smf", "write_text_score"):
+        def check(score, call=getattr(cli, name)):
+            counts.append([sys.getrefcount(held[key][0]) for key in sorted(held)])
+            return call(score)
+
+        monkeypatch.setattr(cli, name, check)
+    code, _, err = run(capsys, "compile", "--data", str(bar_csv), "--emit", "both",
+                       "--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v")
+    assert code == 0, err
+    assert held["expand_loops"][0].loop is None  # a looped pie's copies
+    assert counts == [[sys.getrefcount(control[0])] * 2] * 2
 
 
 def test_compile_overrides_reach_the_score(bar_csv, tmp_path, capsys):
