@@ -13,7 +13,7 @@ import math
 import re
 from enum import Enum
 from operator import countOf
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import BindingError, ParseError, clipped
 
@@ -129,24 +129,24 @@ def _build_dataset(header: list[str], rows: list[list[str]]) -> Dataset:
     if list(map(len, rows)).count(width) != len(rows):
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ParseError(f"row {i + 1} has {len(rows[i])} cells, expected {width}")
-    columns = [[row[j] for row in rows] for j in range(width)]
-    return Dataset(tuple(map(_typed_column, header, columns)), len(rows))
+    return Dataset(tuple(map(_typed_column, header, zip(*rows))), len(rows))
 
 
-def _typed_column(name: str, cells: list[str]) -> Column:
+def _typed_column(name: str, cells: Sequence[str]) -> Column:
     """Type a column of cells, one C-level scan per check."""
-    # A column is text from its first non-number: all() stops there.
-    # The stripped cells are converted, since str.strip removes the
-    # separators \x1c-\x1f that float() refuses. A literal past float
-    # range such as 1e400 is ±inf, over the bound.
-    if all(map(_NUMBER.fullmatch, map(str.strip, cells))):
-        return _number_column(name, list(map(float, map(str.strip, cells))), cells)
+    # Each cell is stripped once, then matched and converted: str.strip
+    # removes the separators \x1c-\x1f that float() refuses. A column
+    # is text from its first non-number: all() stops there. A literal
+    # past float range such as 1e400 is ±inf, over the bound.
+    stripped = list(map(str.strip, cells))
+    if all(map(_NUMBER.fullmatch, stripped)):
+        return _number_column(name, list(map(float, stripped)), cells)
     if "" in cells:
         raise ParseError(f"empty cell at row {cells.index('') + 1}, column {name!r}")
     return Column(name, ColumnKind.CATEGORICAL, tuple(cells))
 
 
-def _number_column(name: str, numbers: list[float], cells: list) -> Column:
+def _number_column(name: str, numbers: list[float], cells: Sequence) -> Column:
     """The quantitative column of ``numbers``, read from ``cells``; an
     error names a value out of bound by its cell, or by its ``str`` for a
     JSON number, which is its ``repr``. The numbers come as a list: a

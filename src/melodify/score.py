@@ -66,13 +66,21 @@ class Score(NamedTuple):
     loop: Loop | None = None
 
 
-def _base_end_tick(events: Iterable[Event]) -> int:
-    """The latest note end or pedal tick, and never below 0."""
-    ends = (
-        ev.onset_tick + ev.duration_ticks if type(ev) is NoteEvent else ev.tick
-        for ev in events
-    )
-    return max(0, max(ends, default=0))
+def _end_tick(events: Iterable[Event], start: float = math.inf, shift: int = 0) -> int:
+    """The latest note end or pedal tick, never below 0, where an event at
+    or after tick ``start`` ends ``shift`` ticks later."""
+    end = 0
+    for ev in events:
+        if type(ev) is NoteEvent:
+            tick = ev.onset_tick
+            ev_end = tick + ev.duration_ticks
+        else:
+            tick = ev_end = ev.tick
+        if tick >= start:
+            ev_end += shift
+        if ev_end > end:
+            end = ev_end
+    return end
 
 
 def total_duration_ticks(score: Score) -> int:
@@ -80,27 +88,17 @@ def total_duration_ticks(score: Score) -> int:
     A score it cannot read is refused with the gate's problems."""
     try:
         if score.loop is None:
-            return _base_end_tick(score.events)
+            return _end_tick(score.events)
         start = score.loop.start_tick
         shift = (score.loop.count - 1) * (score.loop.end_tick - start)
-        end = 0
-        for ev in score.events:
-            if type(ev) is NoteEvent:
-                tick = ev.onset_tick
-                ev_end = tick + ev.duration_ticks
-            else:
-                tick = ev_end = ev.tick
-            if tick >= start:
-                ev_end += shift
-            end = max(end, ev_end)
-        return end
+        return _end_tick(score.events, start, shift)
     except (AttributeError, OverflowError, TypeError):
-        raise _refusal(score) from None
+        raise validation_error(structural_errors(score)) from None
 
 
-def _refusal(score: Score) -> MelodifyError:
-    """The refusal of a score that cannot be read: the gate's problems say why."""
-    return MelodifyError("score fails validation: " + "; ".join(structural_errors(score)))
+def validation_error(problems: Iterable[str]) -> MelodifyError:
+    """The refusal of a score for ``problems``, in the one form all share."""
+    return MelodifyError("score fails validation: " + "; ".join(problems))
 
 
 def structural_errors(score: Score) -> list[str]:
@@ -121,8 +119,10 @@ def structural_errors(score: Score) -> list[str]:
     of another type is also left out of the order and pedal checks, and
     the loop is then not checked. Events not held in a tuple are one
     problem, and none of them is checked. Pedal problems are listed
-    after every per-event problem. A looped score passes exactly when
-    its expansion would, provided its events are in order and its region
+    after every per-event problem. The tempo and meter must be ones SMF
+    can encode: 4 to 119,999,999 bpm, a numerator up to 255 and a
+    denominator up to 2**255. A looped score passes exactly when its
+    expansion would, provided its events are in order and its region
     lies inside it."""
     problems: list[str] = []
     error = problems.append
@@ -221,7 +221,7 @@ def structural_errors(score: Score) -> list[str]:
         ]
     elif not mistyped:
         start, end, count = loop
-        base_end = _base_end_tick(events)
+        base_end = _end_tick(events)
         region = f"loop region [{clipped(start)}, {clipped(end)})"
         if count < 1:
             error(f"loop count must be positive, got {clipped(count)}")
@@ -346,4 +346,4 @@ def expand_loops(score: Score) -> Score:
         out += [new(type(ev), (ev[0] + shift,) + ev[1:]) for ev in events[after:]]
         return score._replace(events=tuple(out), loop=None)
     except (AttributeError, OverflowError, TypeError):
-        raise _refusal(score) from None
+        raise validation_error(structural_errors(score)) from None

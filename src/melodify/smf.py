@@ -15,7 +15,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import MelodifyError, clipped
+from .errors import clipped
 from .score import (
     TICKS_PER_QUARTER,
     Articulation,
@@ -26,6 +26,7 @@ from .score import (
     Score,
     loop_region,
     structural_errors,
+    validation_error,
 )
 from .theory import ScaleMode
 
@@ -103,7 +104,7 @@ def require_valid(score: Score) -> None:
     passes before a file is written. ``write_smf`` runs it itself."""
     problems = structural_errors(score)
     if problems:
-        raise MelodifyError("score fails validation: " + "; ".join(problems))
+        raise validation_error(problems)
 
 
 def _long_delta(delta: int) -> bytes:
@@ -111,10 +112,8 @@ def _long_delta(delta: int) -> bytes:
     ticks or more between two messages refuses the score: only the
     encoder knows when each note-off falls, so the gate leaves it here."""
     if delta >= VLQ_LIMIT:
-        raise MelodifyError(
-            f"score fails validation: {clipped(delta)} ticks between two messages, "
-            f"above the {VLQ_LIMIT - 1} a delta-time can hold"
-        )
+        raise validation_error([f"{clipped(delta)} ticks between two messages, above "
+                                f"the {VLQ_LIMIT - 1} a delta-time can hold"])
     return encode_vlq(delta)
 
 
@@ -247,9 +246,9 @@ def write_smf(score: Score) -> bytes:
     written, so those bytes are repeated and the state is shifted by
     arithmetic. A loop-free score is all "before". The score passes
     ``structural_errors`` and the ``MAX_EXPANDED_EVENTS`` cap
-    (``loop_region``) before any bytes are built; a gap between two
-    messages that no delta-time can hold, or a duration or loop length
-    past float range, refuses it as it is met.
+    (``loop_region``) before any bytes are built; a gap of 2**28 ticks
+    or more between two messages, which no delta-time can hold, or a
+    duration or loop length past float range, refuses it as it is met.
 
     A score of ``CHORD_CACHE_MIN_EVENTS`` events or more also encodes
     each repeated chord once (see ``_encode``): a bar chart is thousands
@@ -310,10 +309,8 @@ def write_smf(score: Score) -> bytes:
         # Each note's sounding length is a float times its duration, and
         # the flush past the last event is a float tick plus the ticks
         # the repeats add: only a number past float range lands here.
-        raise MelodifyError(
-            "score fails validation: a duration or a loop's added length "
-            "past float range (about 2**1024 ticks) cannot be encoded"
-        ) from None
+        raise validation_error(["a duration or a loop's added length past float range "
+                                "(about 2**1024 ticks) cannot be encoded"]) from None
     out += _END_OF_TRACK
 
     struct.pack_into(">I", out, len(_HEADER) - 4, len(out) - len(_HEADER))
@@ -340,7 +337,8 @@ def write_text_score(score: Score) -> str:
     A score that formats is written without the gate. One that does not,
     such as a mode given as ``"major"``, raises ``MelodifyError`` with
     the gate's problems, or, if the gate finds none, with its largest
-    int, which is past Python's int-to-str digit limit."""
+    int, which is past Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``, 4300 digits by default)."""
     try:
         numerator, denominator = score.time_signature
         root, mode = score.key_signature
@@ -383,7 +381,7 @@ def write_text_score(score: Score) -> str:
             # ticks and duration: the largest int is one str() refuses.
             ints = [*(score.loop or ()), *(n for ev in score.events for n in ev if type(n) is int)]
             problems = [f"{clipped(max(ints))} is past the int-to-str digit limit"]
-    raise MelodifyError("score fails validation: " + "; ".join(problems))
+    raise validation_error(problems)
 
 
 _READER_NAMES = frozenset({"ParsedNote", "ParsedSmf", "parse_smf_minimal"})

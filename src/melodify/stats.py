@@ -102,7 +102,7 @@ def segment_trends(
     ``PURE_DP_MAX_POINTS`` points run a pure-Python DP, longer ones the
     same DP in numpy; both give the same costs bit for bit. A series that
     is not finite, or whose squared sums could overflow a float, raises
-    ``ParseError``.
+    ``ParseError``; values within ingest's bound of ±1e100 never overflow.
     """
     n = len(series)
     if n < 2:
@@ -207,7 +207,8 @@ def compute_variance(series: Sequence[float]) -> VarianceClass:
 
 def proportions(pairs: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
     """Normalize (category, value) pairs into (category, ratio) pairs in
-    the same order, the ratios summing to one."""
+    the same order, the ratios summing to one. A negative value or a
+    total that is not positive raises ``ProportionError``."""
     items = list(pairs)
     for name, value in items:
         if value < 0:

@@ -1,6 +1,7 @@
 """Score timeline invariants, structural checks, and loop expansion."""
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
@@ -179,6 +180,11 @@ def gate_scores(draw):
 @example(_faulty([note(0, vel=80.0), note(480, pitch=True, art="accent")]))
 @example(_faulty([PedalEvent(0.0, PedalState.DOWN), PedalEvent(1, "up")],
                  loop=Loop(0, 1, 2)))
+# Where the score ends: past a first end of NaN, below 0 throughout, and
+# under a loop whose region starts after every event.
+@example(_faulty([note(0, dur=math.nan), note(0, dur=2)]))
+@example(_faulty([note(-9, dur=2), PedalEvent(-2, PedalState.DOWN)]))
+@example(_faulty([note(0, dur=2)], loop=Loop(5, 9, 3)))
 def test_one_pass_gate_matches_two_pass_oracle(score):
     assert structural_errors(score) == reference.structural_errors(score)
     assert total_duration_ticks(score) == reference.total_duration_ticks(score)

@@ -835,11 +835,12 @@ def test_an_int_past_the_str_limit_is_refused_or_written(score):
 
 def assert_refused_or_written(score):
     """The gate lists the reference's problems. The text writer returns
-    the reference's text or refuses with a reason, ``expand_loops`` and
-    ``total_duration_ticks`` raise nothing but ``MelodifyError``, the
-    latter giving the reference's ticks for a score the gate passes, and
-    ``write_smf`` refuses what the gate refuses, else writes a file that
-    reads back as the score played."""
+    the reference's text or refuses with a reason. ``expand_loops`` and
+    ``total_duration_ticks`` raise nothing but ``MelodifyError``, with
+    the gate's line for a score they cannot read, and the latter gives
+    the reference's ticks for a score the gate passes. ``write_smf``
+    refuses what the gate refuses, else writes a file that reads back as
+    the score played."""
     problems = structural_errors(score)
     assert problems == reference.structural_errors(score)
     # The text writer formats what it can and refuses the rest with the
@@ -855,8 +856,10 @@ def assert_refused_or_written(score):
         expand_loops(score)
     except ParseError as exc:
         assert "above the cap of" in str(exc)
-    except MelodifyError:
-        assert problems  # a score it cannot read, or an empty or inverted region
+    except MelodifyError as exc:
+        # A score it cannot read, or an empty or inverted region.
+        assert problems and (str(exc) == "score fails validation: " + "; ".join(problems)
+                             or str(exc).endswith(" cannot be expanded")), exc
     try:
         ticks = total_duration_ticks(score)
     except MelodifyError as exc:
