@@ -700,3 +700,45 @@ def compile_command(argv):
         return 1, "", f"error E_IO: {exc}\n", {}
     stdout = f"{melody_spec.idiom.value} {melody_spec.palette.value} {summary(played)}\n"
     return 0, stdout + "".join(f"wrote {path}\n" for path in files), "", files
+
+
+def analyze_command(argv):
+    """``melodify analyze`` on ``argv``: the exit status, stdout and
+    stderr. The table is read as ``compile_command`` reads it, and the
+    summaries come from ``derive_character``, as ``melodify`` takes
+    them; the report follows README's rules: with a single row,
+    segments are ``[]`` and the spread is ``null``, and proportions are
+    ``null`` without a categorical x or when a y value is negative or
+    all are zero."""
+    try:
+        args = cli._build_parser().parse_args(["analyze", *argv])
+        data = parse_table(Path(args.data).read_bytes(), Path(args.data).suffix.lower() == ".json")
+        ingest.validate_y(data, args.y)
+        character = melodifier.derive_character(data, args.y, args.x or None)
+    except MelodifyError as exc:
+        return 1 if exc.code in cli.USER_ERROR_CODES else 2, "", f"error {exc.code}: {exc}\n"
+    except OSError as exc:
+        return 1, "", f"error E_IO: {exc}\n"
+    series = character.series
+    spread = len(series) >= 2
+    shares = character.labels is not None and min(series) >= 0 and any(series)
+    report = {
+        "rows": len(series),
+        "segments": [
+            {"start": seg.start_index, "end": seg.end_index, "slope": seg.slope,
+             "direction": seg.direction.value}
+            for seg in (character.segments if spread else ())
+        ],
+        "density": {
+            "level": character.density.level.value,
+            "points_per_bar": character.density.points_per_bar,
+        },
+        "variance": {
+            "level": character.variance.level.value,
+            "semitone_span": character.variance.semitone_span,
+        } if spread else None,
+        "proportions": [
+            {"label": label, "ratio": ratio} for label, ratio in character.proportions
+        ] if shares else None,
+    }
+    return 0, json.dumps(report, indent=2) + "\n", ""

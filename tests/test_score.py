@@ -27,24 +27,7 @@ import reference
 from reference import assert_same_events, make_score, note
 
 
-# --- ordering -----------------------------------------------------------------
-
-def _played_once(events):
-    """The events as ``expand_loops`` orders them, under a loop played once."""
-    score = Score(120, (4, 4), (0, ScaleMode.MAJOR), tuple(events), Loop(0, 480, 1))
-    return expand_loops(score).events
-
-
-def test_sorted_events_puts_pedal_before_notes_at_same_tick():
-    events = _played_once([note(0), PedalEvent(0, PedalState.DOWN), note(0, pitch=64)])
-    assert isinstance(events[0], PedalEvent)
-
-
-def test_sorted_events_is_stable_for_equal_notes():
-    a, b = note(0, pitch=60), note(0, pitch=64)
-    assert _played_once([a, b]) == (a, b)
-    assert _played_once([b, a]) == (b, a)
-
+# --- records ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "record,field",
@@ -67,44 +50,6 @@ def test_valid_score_has_no_errors():
         ]
     )
     assert structural_errors(score) == []
-
-
-def test_out_of_order_events_flagged():
-    score = make_score([])
-    score = score._replace(events=(note(480), note(0)))
-    assert any("out of order" in m for m in structural_errors(score))
-
-
-def test_bad_pitch_velocity_duration_flagged():
-    assert any("pitch" in m for m in structural_errors(make_score([note(0, pitch=128)])))
-    assert any("velocity" in m for m in structural_errors(make_score([note(0, vel=0)])))
-    assert any("duration" in m for m in structural_errors(make_score([note(0, dur=0)])))
-    assert any("onset" in m for m in structural_errors(make_score([note(-1)])))
-
-
-def test_unbalanced_pedal_flagged():
-    down_only = make_score([PedalEvent(0, PedalState.DOWN)])
-    assert any("pedal" in m for m in structural_errors(down_only))
-    up_first = make_score([PedalEvent(0, PedalState.UP)])
-    assert any("pedal" in m for m in structural_errors(up_first))
-    double_down = make_score(
-        [PedalEvent(0, PedalState.DOWN), PedalEvent(10, PedalState.DOWN)]
-    )
-    assert any("twice" in m for m in structural_errors(double_down))
-
-
-def test_bad_time_signature_flagged():
-    score = make_score([note(0)])._replace(time_signature=(4, 6))
-    assert any("time signature" in m for m in structural_errors(score))
-
-
-def test_loop_bounds_checked():
-    good = make_score([note(0, dur=960)], loop=Loop(0, 960, 2))
-    assert structural_errors(good) == []
-    past_end = make_score([note(0, dur=960)], loop=Loop(0, 2000, 2))
-    assert any("loop" in m for m in structural_errors(past_end))
-    inverted = make_score([note(0, dur=960)], loop=Loop(500, 400, 2))
-    assert any("loop" in m for m in structural_errors(inverted))
 
 
 def _faulty(events=(), loop=None, time_signature=(4, 4), tempo=120, root=0):
@@ -175,6 +120,11 @@ def gate_scores(draw):
 @example(_faulty([note(0, dur=960)], loop=Loop(500, 400, 0)))
 @example(_faulty([note(-9, dur=2)], loop=Loop(0, 2, 2)))  # score ends below 0
 @example(_faulty([note(0)], time_signature=(0, 6), tempo=0, root=12))
+@example(_faulty([note(0)], time_signature=(4, 6)))  # 6 alone: no power of two
+@example(_faulty([note(0, dur=960)], loop=Loop(0, 960, 2)))  # a region to the very end
+# Musical choices are not structural faults: the gate lets an out-of-key
+# pitch and a sounding tritone pass.
+@example(_faulty([note(0, pitch=60), note(240, pitch=66, dur=120)]))
 # Fields equal to a valid int, or to a member's value, that are not one;
 # each names its event and field, and its event leaves the other checks.
 @example(_faulty([note(0, vel=80.0), note(480, pitch=True, art="accent")]))
@@ -218,61 +168,11 @@ def test_gate_refuses_a_tempo_or_meter_smf_cannot_encode(tempo, time_signature, 
     assert structural_errors(score) == problems
 
 
-# Musical choices are not structural faults: the gate lets both of these pass.
-
-def test_out_of_scale_pitch_is_warning_not_error():
-    score = make_score([note(0, pitch=61)])  # C# against C major
-    assert structural_errors(score) == []
-
-
-def test_cosounding_tritone_is_warning():
-    score = make_score([note(0, pitch=60), note(240, pitch=66, dur=120)])
-    assert structural_errors(score) == []
-
-
 # --- durations and loops ------------------------------------------------------
-
-def test_total_duration_simple():
-    assert total_duration_ticks(make_score([note(0), note(480)])) == 960
-    assert total_duration_ticks(make_score([])) == 0
-
-
-def test_total_duration_counts_trailing_pedal():
-    score = make_score(
-        [PedalEvent(0, PedalState.DOWN), note(0, dur=400), PedalEvent(500, PedalState.UP)]
-    )
-    assert total_duration_ticks(score) == 500
-
-
-def test_total_duration_with_loop_and_tail():
-    # Loop [0, 7680) twice plus a cadence tail of 2 bars at the old end.
-    events = [note(0, dur=7680), note(7680, dur=1920), note(9600, dur=1920)]
-    score = make_score(events, loop=Loop(0, 7680, 2))
-    assert total_duration_ticks(score) == 7680 * 2 + 3840
-
 
 def test_expand_loops_identity_without_marker():
     score = make_score([note(0)])
     assert expand_loops(score) is score
-
-
-def test_expand_loops_doubles_region_and_shifts_tail():
-    events = [note(0, dur=960), note(960, dur=480)]
-    score = make_score(events, loop=Loop(0, 960, 2))
-    out = expand_loops(score)
-    assert out.loop is None
-    onsets = [e.onset_tick for e in out.events]
-    assert onsets == [0, 960, 1920]
-    assert total_duration_ticks(out) == total_duration_ticks(score)
-
-
-def test_expand_loops_preserves_events_before_region():
-    events = [note(0, dur=100), note(480, dur=480), note(960, dur=100)]
-    score = make_score(events, loop=Loop(480, 960, 3))
-    out = expand_loops(score)
-    onsets = [e.onset_tick for e in out.events]
-    # Pre-region untouched; region tripled; tail shifted by 2*480.
-    assert onsets == [0, 480, 960, 1440, 1920]
 
 
 def test_expand_loops_refuses_past_the_event_cap_before_copying():
@@ -299,20 +199,10 @@ def test_expand_loops_refuses_an_empty_or_inverted_region():
         assert exc.value.code == "E_INTERNAL"
 
 
-def test_expanded_score_compares_by_value():
-    score = make_score([note(0, dur=240), note(240, pitch=64)], loop=Loop(0, 480, 2))
-    expected = make_score(
-        [note(0, dur=240), note(240, pitch=64), note(480, dur=240), note(720, pitch=64)]
-    )
-    assert expand_loops(score) == expected
-    assert hash(expand_loops(score)) == hash(expected)
-    assert expand_loops(score) != expected._replace(tempo_bpm=121)
-
-
 def assert_same_records(new, old):
     """Equal scores of the same record types down to each event's fields."""
     assert type(new) is type(old)
-    assert new._replace(events=()) == old._replace(events=())
+    assert new == old and hash(new) == hash(old)
     assert_same_events(new.events, old.events)
 
 
@@ -363,6 +253,12 @@ def looped_scores(draw):
 
 
 @given(looped_scores())
+# A pedal change before the notes at its tick; equal notes in input order.
+@example((_faulty([note(0, pitch=64), PedalEvent(0, PedalState.DOWN), note(0),
+                   note(0, pitch=67)], Loop(0, 480, 1)), None))
+# Events before, inside and after the region.
+@example((make_score([note(0, dur=100), note(480), note(960, dur=100)],
+                     loop=Loop(480, 960, 3)), None))
 def test_expand_loops_matches_per_copy_oracle(case):
     score, cap = case
     cap = score_module.MAX_EXPANDED_EVENTS if cap is None else cap
