@@ -38,7 +38,6 @@ _EXPORTS = {
         ("score", "Articulation Loop NoteEvent PedalEvent PedalState Score "
                   "expand_loops structural_errors total_duration_ticks"),
         ("smf", "write_smf write_text_score"),
-        ("smf_reader", "parse_smf_minimal"),
         ("stats", "compute_density compute_variance proportions segment_trends"),
         ("theory", "ArpeggioDirection CadenceKind Chord ChordQuality Scale ScaleMode "
                    "arpeggiate build_scale degree_triad make_cadence quantize_pitch"),

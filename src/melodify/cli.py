@@ -32,6 +32,7 @@ from .ingest import (
     Dataset,
     MelodySpec,
     TableFormat,
+    check_field_names,
     parse_table,
     spec_from_mapping,
     spec_mapping,
@@ -134,9 +135,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data)
+    check_field_names(args.y, args.x)
     validate_y(dataset, args.y)
 
-    character = derive_character(dataset, args.y, args.x or None)
+    character = derive_character(dataset, args.y, args.x)
     n = len(character.series)
     try:
         ratios = character.proportions

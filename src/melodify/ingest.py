@@ -312,6 +312,16 @@ def _member(enum: type[Enum], key: str, raw: object) -> Enum:
         raise ParseError(f"unknown {key} {raw!r}") from None
 
 
+def check_field_names(y_field: object, x_field: object) -> None:
+    """Refuse a y that is not a non-empty string, and an x that is given
+    (not ``None``) but is not one: the name rule that ``compile``'s spec
+    and ``analyze``'s flags share."""
+    if not isinstance(y_field, str) or not y_field:
+        raise ParseError("y must be a non-empty column name")
+    if x_field is not None and (not isinstance(x_field, str) or not x_field):
+        raise ParseError("x must be a non-empty column name when given")
+
+
 def spec_from_mapping(mapping: dict) -> MelodySpec:
     """Build a MelodySpec from a plain dict of spec keys."""
     unknown = set(mapping).difference(SPEC_KEYS)
@@ -324,16 +334,12 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
     idiom = _member(Idiom, "idiom", mapping["idiom"])
     palette = _member(Palette, "palette", mapping["palette"])
 
-    y_field = mapping["y"]
-    if not isinstance(y_field, str) or not y_field:
-        raise ParseError("y must be a non-empty column name")
+    check_field_names(mapping["y"], mapping.get("x"))
 
     # An optional key set to null is absent; MelodySpec holds the defaults.
     given = {key: value for key, value in mapping.items() if value is not None}
     fields = {}
     if "x" in given:
-        if not isinstance(given["x"], str) or not given["x"]:
-            raise ParseError("x must be a non-empty column name when given")
         fields["x_field"] = given["x"]
 
     if "key" in given:
@@ -363,7 +369,7 @@ def spec_from_mapping(mapping: dict) -> MelodySpec:
             raise ParseError("histogram must be true or false")
         fields["histogram"] = given["histogram"]
 
-    return MelodySpec(idiom, palette, y_field, **fields)
+    return MelodySpec(idiom, palette, mapping["y"], **fields)
 
 
 def spec_mapping(raw: bytes) -> dict:

@@ -42,7 +42,6 @@ from melodify.ingest import (
     spec_from_mapping,
 )
 from melodify.score import (
-    TICKS_PER_QUARTER,
     Articulation,
     Loop,
     NoteEvent,
@@ -50,21 +49,16 @@ from melodify.score import (
     PedalState,
     Score,
 )
-from melodify.smf import (
-    CHANNEL,
-    GATE_BY_ARTICULATION,
-    META_END_OF_TRACK,
-    META_KEY_SIGNATURE,
-    META_TEMPO,
-    META_TIME_SIGNATURE,
-    PROGRAM,
-    SUSTAIN_CONTROLLER,
-    VLQ_LIMIT,
-    encode_vlq,
-    key_signature_bytes,
-)
+from melodify.smf import GATE_BY_ARTICULATION, VLQ_LIMIT, encode_vlq, key_signature_bytes
 from melodify.stats import DensityLevel
 from melodify.theory import ChordQuality, ScaleMode, degree_triad, quantize_pitch, triad_on_pitch
+
+# melodify's fixed resolution and the SMF bytes it writes, as the
+# standard numbers them: written out here, not imported, so that a change
+# to the package's constants shows as a difference from this reference.
+TICKS_PER_QUARTER = 480
+META_TEMPO, META_TIME_SIGNATURE, META_KEY_SIGNATURE, META_END_OF_TRACK = 0x51, 0x58, 0x59, 0x2F
+CHANNEL, PROGRAM, SUSTAIN_CONTROLLER = 0, 0, 64
 
 # --- builders -----------------------------------------------------------------
 
@@ -135,6 +129,25 @@ def chords_of(score):
 
 # --- ingest: one cell, one record at a time -----------------------------------
 
+ASCII_DIGITS = frozenset("0123456789")
+
+
+def _unsigned(text):
+    return text[1:] if text[:1] in ("+", "-") else text
+
+
+def is_decimal_literal(text):
+    """README's number: an optional sign, ASCII digits with at most one
+    decimal point (and at least one digit), then optionally ``e`` or
+    ``E``, an optional sign and ASCII digits."""
+    mantissa, marker, exponent = _unsigned(text).replace("E", "e").partition("e")
+    digits = mantissa.replace(".", "", 1)
+    exponent = _unsigned(exponent)
+    return (
+        bool(digits) and set(digits) <= ASCII_DIGITS
+        and (not marker or bool(exponent) and set(exponent) <= ASCII_DIGITS)
+    )
+
 
 def build_dataset(header, rows):
     """The dataset of a header and its rows of cells, checked and typed
@@ -157,7 +170,7 @@ def build_dataset(header, rows):
         cells = [row[j] for row in rows]
         numbers = []
         for cell in cells:
-            if not ingest._NUMBER.fullmatch(cell.strip()):
+            if not is_decimal_literal(cell.strip()):
                 break
             numbers.append(float(cell.strip()))
         if len(numbers) == len(cells):
@@ -713,8 +726,9 @@ def analyze_command(argv):
     try:
         args = cli._build_parser().parse_args(["analyze", *argv])
         data = parse_table(Path(args.data).read_bytes(), Path(args.data).suffix.lower() == ".json")
+        ingest.check_field_names(args.y, args.x)
         ingest.validate_y(data, args.y)
-        character = melodifier.derive_character(data, args.y, args.x or None)
+        character = melodifier.derive_character(data, args.y, args.x)
     except MelodifyError as exc:
         return 1 if exc.code in cli.USER_ERROR_CODES else 2, "", f"error {exc.code}: {exc}\n"
     except OSError as exc:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -653,13 +654,19 @@ def test_rejection_line_is_pinned(tmp_path, capsys, table, flags, line):
 
 
 def test_compile_malformed_spec_json(bar_csv, tmp_path, capsys):
+    # Broken JSON, and JSON that is not one object: one line, no file.
+    refusals = {
+        "{not json": "error E_PARSE: spec json error: Expecting property name enclosed in "
+                     "double quotes: line 1 column 2 (char 1)\n",
+        "[1, 2]\n": "error E_PARSE: spec must be a single JSON object\n",
+    }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text("{not json", encoding="utf-8")
-    code, _, err = run(
-        capsys, "compile", "--data", str(bar_csv), "--spec", str(spec_path),
-    )
-    assert code == 1
-    assert err.startswith("error E_PARSE:")
+    results = {}
+    for text in refusals:
+        spec_path.write_text(text, encoding="utf-8")
+        results[text] = run(capsys, "compile", "--data", str(bar_csv), "--spec", str(spec_path))
+    assert results == {text: (1, "", line) for text, line in refusals.items()}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bars.csv", "spec.json"]
 
 
 def test_analyze_ascending_series(tmp_path, capsys):
@@ -700,9 +707,23 @@ def test_analyze_categorical_x_reports_proportions(bar_csv, capsys):
 
 
 def test_analyze_rejects_categorical_y(bar_csv, capsys):
-    code, _, err = run(capsys, "analyze", "--data", str(bar_csv), "--y", "k")
-    assert code == 1
-    assert err.startswith("error E_BINDING:")
+    # analyze checks its column names by compile's checks, so a bar
+    # compile on the same names is refused with the same line.
+    refusals = {
+        ("k", "k"): "error E_BINDING: y column 'k' must be quantitative\n",
+        ("", "k"): "error E_PARSE: y must be a non-empty column name\n",
+        ("v", ""): "error E_PARSE: x must be a non-empty column name when given\n",
+    }
+    results = {
+        (y, x): [
+            run(capsys, "analyze", "--data", str(bar_csv), "--y", y, "--x", x),
+            run(capsys, "compile", "--data", str(bar_csv), "--idiom", "bar",
+                "--palette", "positive", "--y", y, "--x", x),
+        ]
+        for y, x in refusals
+    }
+    assert results == {names: [(1, "", line)] * 2 for names, line in refusals.items()}
+    assert [path.name for path in bar_csv.parent.iterdir()] == ["bars.csv"]
 
 
 def test_tracklist_renders_every_track(tmp_path, capsys):
@@ -765,30 +786,58 @@ def test_compile_writes_the_bytes_tracklist_writes(track, tracklist_dir, tmp_pat
             == (tracklist_dir / track.slug).with_suffix(suffix).read_bytes()
 
 
-# A 2000-row bar table whose values cycle through seven numbers: 2002
-# chords, nearly all of them copies of a few. The CI console-script step
-# writes the same table and checks the same MIDI digest.
-CYCLING_BAR_SHA256 = {
-    ".mid": "7de6bad01df69773067d6737dd137b7946b4f3f639b195a068b25d160f50915e",
-    ".txt": "d556aa4c950745269d5e9b61f1dce5d78fb8f68e6b23fa1fbfc0e5fa64f69698",
+SALES_CSV = "region,sales\nnorth,12\nsouth,31\neast,8\nwest,22\n"
+SALES_FLAGS = ["--x", "region", "--y", "sales"]
+
+# Compiles whose summary line and output digests are pinned, by name:
+# (table, flags, first summary line, sha256 of each output).
+PINNED_COMPILES = {
+    # 2000 bars cycling through seven values: 2002 chords, nearly all of
+    # them copies of a few.
+    "cycling-bar-2000": (
+        "k,v\n" + "".join(f"c{i},{(3, 8, 1, 5, 9, 2, 6)[i % 7]}\n" for i in range(2000)),
+        BAR_FLAGS + ["--emit", "both"],
+        "bar positive notes=6006 ticks=3843840",
+        {".mid": "7de6bad01df69773067d6737dd137b7946b4f3f639b195a068b25d160f50915e",
+         ".txt": "d556aa4c950745269d5e9b61f1dce5d78fb8f68e6b23fa1fbfc0e5fa64f69698"},
+    ),
+    # The README's quick-start table in the calm palette: the bytes its
+    # "Library use" example writes.
+    "sales-calm": (
+        SALES_CSV, ["--idiom", "bar", "--palette", "calm", *SALES_FLAGS],
+        "bar calm notes=18 ticks=8640",
+        {".mid": "954fa4177a38166fb3168ca3c2b5e14619df01f7778dbdcee057537793472d7d"},
+    ),
+    # The same table as a pie looped three times: write_smf plays the loop.
+    "sales-pie-loop-3": (
+        SALES_CSV, ["--idiom", "pie", "--palette", "positive", *SALES_FLAGS,
+                    "--loop", "3", "--emit", "both"],
+        "pie positive notes=42 ticks=26880",
+        {".mid": "513fa6dfea755ce58bcea45b067d77327b7f02d56698f2815e37fa5a96b82daf",
+         ".txt": "6b14d16d40e77915704e63e99f6fba0cf4762f0cb30bb3b7c8bcd0354ec40bcd"},
+    ),
+    # A 300-point line, past the pure-Python DP's size: numpy's segments.
+    "line-300": (
+        "t,v\n" + "".join(f"{i},{i * i % 17}\n" for i in range(300)),
+        ["--idiom", "line", "--palette", "positive", "--x", "t", "--y", "v"],
+        "line positive notes=308 ticks=40320",
+        {".mid": "e27f461a627b6e251260935ff6a96d841cdfd43e435bc5a25ef12022364a675a"},
+    ),
 }
 
 
 def test_cycling_bar_table_bytes_are_pinned(tmp_path, capsys):
-    table = tmp_path / "bars.csv"
-    table.write_text(
-        "k,v\n" + "".join(f"c{i},{(3, 8, 1, 5, 9, 2, 6)[i % 7]}\n" for i in range(2000)),
-        encoding="utf-8",
-    )
-    code, out, err = run(capsys, "compile", "--data", str(table), *BAR_FLAGS,
-                         "--emit", "both", "--out", str(tmp_path / "bars.mid"))
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == "bar positive notes=6006 ticks=3843840"
-    digests = {
-        suffix: hashlib.sha256(table.with_suffix(suffix).read_bytes()).hexdigest()
-        for suffix in CYCLING_BAR_SHA256
-    }
-    assert digests == CYCLING_BAR_SHA256
+    results, pins = {}, {}
+    for name, (table, flags, summary, digests) in PINNED_COMPILES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(table, encoding="utf-8")
+        code, out, err = run(capsys, "compile", "--data", str(path), *flags)
+        results[name] = (code, err, out.splitlines()[0], {
+            suffix: hashlib.sha256(path.with_suffix(suffix).read_bytes()).hexdigest()
+            for suffix in (".mid", ".txt") if path.with_suffix(suffix).exists()
+        })
+        pins[name] = (0, "", summary, digests)
+    assert results == pins
 
 
 # The first summary line the demo script prints for each idiom.
@@ -952,7 +1001,7 @@ PUBLIC_NAMES = (
     "DataCharacter", "TonalPlan", "apply_palette", "derive_character", "melodify",
     "Articulation", "Loop", "NoteEvent", "PedalEvent", "PedalState", "Score",
     "expand_loops", "structural_errors", "total_duration_ticks",
-    "parse_smf_minimal", "write_smf", "write_text_score",
+    "write_smf", "write_text_score",
     "compute_density", "compute_variance", "proportions", "segment_trends",
     "ArpeggioDirection", "CadenceKind", "Chord", "ChordQuality", "Scale", "ScaleMode",
     "arpeggiate", "build_scale", "degree_triad", "make_cadence", "quantize_pitch",
@@ -975,7 +1024,6 @@ def test_package_names_resolve_on_first_use():
         exec(f"from melodify import {name}", namespace)
         assert namespace[name] is getattr(melodify, name), name
     assert melodify.melodify is melodifier.melodify
-    assert melodify.parse_smf_minimal is smf_reader.parse_smf_minimal
     assert sorted(melodify.__all__) == sorted(PUBLIC_NAMES)
 
 
@@ -1079,6 +1127,23 @@ def test_readme_compile_flag_table_matches_the_parser():
     # A spec file's keys are named too: --time is `time_signature` there.
     for key in SPEC_KEYS:
         assert f"`{key}`" in section, key
+
+
+def test_readme_library_use_writes_the_bytes_compile_writes(tmp_path, capsys, monkeypatch):
+    # The example as written, run next to the quick start's table, warns
+    # of nothing (an unclosed file would) and writes what the command
+    # line writes for the same spec.
+    block = README.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("sales.csv").write_text(SALES_CSV, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(block, {"__name__": "readme"})
+    assert caught == []
+    code, _, err = run(capsys, "compile", "--data", "sales.csv", "--idiom", "bar",
+                       "--palette", "calm", *SALES_FLAGS, "--out", "cli.mid")
+    assert (code, err) == (0, "")
+    assert Path("sales.mid").read_bytes() == Path("cli.mid").read_bytes()
 
 
 def test_readme_exit_codes_match_the_cli():

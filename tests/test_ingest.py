@@ -37,18 +37,6 @@ def json_table(records) -> object:
 
 # --- parse_table: CSV ---------------------------------------------------------
 
-def test_csv_scientific_and_negative_are_quantitative():
-    ds = csv_table("v\n-3\n1e2\n+0.5\n1.\n.5\n+3\n-0\n 12 \n2.5E-3\n")
-    assert ds.column("v").kind is ColumnKind.QUANTITATIVE
-    assert ds.column("v").values == (-3.0, 100.0, 0.5, 1.0, 0.5, 3.0, 0.0, 12.0, 0.0025)
-
-
-def test_csv_non_finite_is_not_quantitative():
-    # float("nan") parses, but nan is no decimal literal.
-    ds = csv_table("v\n1\nnan\n")
-    assert ds.column("v").kind is ColumnKind.CATEGORICAL
-
-
 @pytest.mark.parametrize("cell", ["1_000", "١٢", "１２", "0x10", "1e", "."])
 def test_csv_only_ascii_decimal_literals_are_numbers(cell):
     # float() takes digit separators and other scripts' digits; a table
@@ -193,6 +181,10 @@ def build_or_error(build, header, rows):
 @example((["a", "a"], [["1", "2"]]))
 @example((["a", ""], [["1", "2"]]))
 @example((["a"], [["x"], [""]]))
+# Signs, exponents and bare points are numbers; float("nan") parses, but
+# nan is no decimal literal.
+@example((["v"], [[c] for c in ("-3", "1e2", "+0.5", "1.", ".5", "+3", "-0", " 12 ", "2.5E-3")]))
+@example((["v"], [["1"], ["nan"]]))
 def test_column_scans_match_the_per_cell_loop(table):
     header, rows = table
     got = build_or_error(ingest._build_dataset, header, rows)

@@ -255,7 +255,13 @@ def csv_case(table: bytes, *flags: str):
     return example(table=(".csv", table), flags=list(flags), spec=None, data=None)
 
 
+def spec_case(suffix: str, table: bytes, spec: bytes):
+    """An explicit table and spec file, with ``--emit midi`` the only flag."""
+    return example(table=(suffix, table), flags=["--emit", "midi"], spec=spec, data=None)
+
+
 BAR_FLAGS = ("--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v")
+SALES_SPEC = b'{"idiom": "bar", "palette": "positive", "x": "region", "y": "sales"}'
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +274,12 @@ BAR_FLAGS = ("--idiom", "bar", "--palette", "positive", "--x", "k", "--y", "v")
 @csv_case(b"v\n-1e308\n1e308\n", "--idiom", "scatter", "--palette", "positive", "--y", "v")
 @csv_case(b"k,v\na,3\nb,1\n", "--idiom", "pie", "--palette", "positive", "--x", "k", "--y", "v",
           "--loop", str(MAX_EXPANDED_EVENTS // 6))
+# A JSON table with a JSON spec file; an idiom and a palette padded and in
+# capitals.
+@spec_case(".json", b'[{"region": "north", "sales": 12}, {"region": "south", "sales": 31}]',
+           SALES_SPEC)
+@spec_case(".csv", b"region,sales\nnorth,12\nsouth,31\n",
+           SALES_SPEC.replace(b'"bar"', b'" Bar "').replace(b'"positive"', b'"POSITIVE"'))
 def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(
     warm_main, table, flags, spec, data
 ):
@@ -280,7 +292,9 @@ def test_compile_either_writes_a_readable_file_or_fails_with_one_coded_line(
             spec_path = Path(name) / "spec.json"
             spec_path.write_bytes(spec)
             inputs.append(spec_path)
-            flags = ["--spec", str(spec_path), *_thinned(data.draw, flags)]
+            if data is not None:  # an explicit example's flags are kept whole
+                flags = _thinned(data.draw, flags)
+            flags = ["--spec", str(spec_path), *flags]
         argv = ["--data", str(table_path), *flags]
         code, out, err, cyclic = _compile(argv)
         written = {
@@ -319,8 +333,8 @@ def _analyze(argv: list[str]):
 @settings(max_examples=200, deadline=None)
 @given(
     table=tables(),
-    y=st.sampled_from((*COLUMNS, "absent")),
-    x=st.none() | st.sampled_from((*COLUMNS, "absent")),
+    y=st.sampled_from((*COLUMNS, "absent", "")),
+    x=st.none() | st.sampled_from((*COLUMNS, "absent", "")),
 )
 def test_analyze_either_prints_a_report_or_fails_with_one_coded_line(table, y, x):
     suffix, raw = table
